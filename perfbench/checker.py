@@ -1,6 +1,7 @@
 """Independent checker for ``singwave solve`` outputs.
 
-Shares no code with the ``singwave`` package: it reads ``problem.json``
+Shares no code with the ``singwave`` package (the eigenvalues come from
+the generator's own operator): it reads ``problem.json``
 and ``solution.csv`` with its own parsers, evaluates the five discrete
 equations itself, and, where E is invertible, marches the explicit
 scheme directly and compares node by node.  A rejection is checked
@@ -15,6 +16,8 @@ import json
 import os
 
 import numpy as np
+
+import workloads
 
 RESIDUAL_TOL = 1e-8
 MARCH_TOL = 1e-8
@@ -128,12 +131,7 @@ def march(prob: dict):
 def eigenvalues(prob: dict) -> np.ndarray:
     """Spatial eigenvalues of the second-difference operator with the
     problem's endpoint scalars, ascending."""
-    N = prob["N"]
-    aN, bN = prob["alpha"] * N, prob["beta"] * N
-    S = 2.0 * np.eye(N - 1) - np.eye(N - 1, k=1) - np.eye(N - 1, k=-1)
-    S[0, 0] -= -aN / (1.0 - aN)
-    S[-1, -1] -= bN / (1.0 + bN)
-    return np.linalg.eigvalsh(S)
+    return workloads.sl_basis(prob["N"], prob["alpha"], prob["beta"])[0]
 
 
 def _result_line(out_dir: str):

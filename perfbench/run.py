@@ -2,14 +2,16 @@
 
     python3 perfbench/run.py --workload demo-large --seed 1 --seconds 30 --trace 0
 
-Generates every input of the run from the seed, then starts fresh
-worker processes one at a time: several that only time the program's
-set-up, and one that also runs the workload as a closed loop with one
-client for ``--seconds``.  BLAS and OpenMP are held to one thread in
+Generates the run's inputs from the seed, then starts fresh worker
+processes one at a time: several that only time the program's set-up,
+before and after one that also runs the workload as a closed loop with
+one client for ``--seconds``.  BLAS and OpenMP are held to one thread in
 every worker.  The last stdout line is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``: the end-to-end metrics with
-``--trace 0``, the per-layer metrics (also written to
+``--trace 0``, scaled to a fixed host speed by ``host.py`` (the
+unscaled medians go to stderr), the per-layer metrics (also written to
 ``perfbench/out/trace-<workload>-<seed>.json``) with ``--trace 1``.
+``solve_s`` and ``verify_s`` are null when no problem ended correctly.
 Exits non-zero, printing no result, when the program's sources are
 missing or a worker fails.  See README.md for the workloads and metrics.
 """
@@ -32,9 +34,13 @@ import time  # noqa: E402
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
-# set-up is timed in this many fresh processes, the looping one included
-SETUP_PROCESSES = 5
-DEADLINE_S = 175.0
+# set-up is timed in this many fresh processes, the looping one included;
+# half of the others run before the loop and half after it, so that the
+# median samples the host's speed over the whole run
+SETUP_PROCESSES = 7
+# time allowed beyond --seconds: generation, the set-up processes and the
+# sample in progress when the time is up
+DEADLINE_MARGIN_S = 145.0
 
 E2E_UNITS = {"setup_s": "s", "solve_s": "s", "verify_s": "s",
              "problems_per_s": "1/s", "peak_rss_mb": "MB"}
@@ -63,6 +69,12 @@ def _worker(manifest: str, seconds: float, trace: int, setup_only: bool,
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _setups(manifest: str, deadline: float) -> list:
+    """Results of half the set-up-only processes."""
+    return [_worker(manifest, 0.0, 0, True, deadline)
+            for _ in range(SETUP_PROCESSES // 2)]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
@@ -70,7 +82,7 @@ def main() -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
-    deadline = time.monotonic() + DEADLINE_S
+    deadline = time.monotonic() + args.seconds + DEADLINE_MARGIN_S
 
     if not os.path.isfile(os.path.join(ROOT, "src", "singwave", "cli.py")):
         print("singwave sources not found under src/", file=sys.stderr)
@@ -84,26 +96,30 @@ def main() -> int:
 
     run_dir = os.path.join(OUT, f"{args.workload}-{args.seed}-{os.getpid()}")
     try:
-        manifest = workloads.write_inputs(
-            args.workload, args.seed, int(args.seconds) + 8, run_dir)
+        manifest = workloads.write_inputs(args.workload, args.seed, run_dir)
         manifest_path = os.path.join(run_dir, "manifest.json")
         with open(manifest_path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh)
-        setups = [_worker(manifest_path, 0.0, 0, True, deadline)["setup_s"]
-                  for _ in range(SETUP_PROCESSES - 1)]
+        setups = _setups(manifest_path, deadline)
         res = _worker(manifest_path, args.seconds, args.trace, False,
                       deadline)
+        setups += _setups(manifest_path, deadline) + [res]
     except (RuntimeError, subprocess.TimeoutExpired) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
-    setups.append(res["setup_s"])
+    raw_setups = [r["setup_raw_s"] for r in setups]
+    setups = [r["setup_s"] for r in setups]
 
     for line in res["errors"]:
         print(f"WRONG: {line}", file=sys.stderr)
     for line in res["conditions"]:
         print(f"FAILED: {line}", file=sys.stderr)
+    if "raw" in res:
+        raw = dict(res["raw"], setup_s=statistics.median(raw_setups))
+        print("unscaled: " + ", ".join(f"{name} {value}" for name, value
+                                       in raw.items()), file=sys.stderr)
     print(f"{res['samples']} samples, {res['attempted']} problems, "
           f"{res['failed']} failed; program seconds per sample: "
           + " ".join(f"{t:.3f}" for t in res["sample_program_s"]),

@@ -7,9 +7,9 @@ import sys
 
 import pytest
 
+import pipeline
 import run
 import tracer
-import worker
 import workloads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -40,9 +40,10 @@ def test_every_wrapped_name_is_restored():
 @pytest.fixture(scope="module")
 def traced_pass(tmp_path_factory):
     out = tmp_path_factory.mktemp("bench")
-    manifest = workloads.write_inputs("batch-mixed", 3, 1, str(out))
-    pipeline = worker.Pipeline("batch-mixed", str(out))
-    return worker.loop(pipeline, manifest["samples"], 0.0, True)
+    manifest = workloads.write_inputs("batch-mixed", 3, str(out))
+    return pipeline.loop(pipeline.Pipeline("batch-mixed", str(out)),
+                         lambda idx: workloads.sample(manifest, idx), 0.0,
+                         True)
 
 
 def test_self_times_and_remainder_add_up(traced_pass):

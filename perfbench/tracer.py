@@ -39,6 +39,7 @@ TRACED = (
     ("verify", "reference_deviation"),
 )
 LAYERS = tuple(f"{mod}.{fn}" for mod, fn in TRACED)
+PACKAGE = "singwave"
 
 
 class Tracer:
@@ -49,8 +50,7 @@ class Tracer:
     any other.
     """
 
-    def __init__(self, package: str = "singwave"):
-        self.package = package
+    def __init__(self):
         self.spans: list = []
         self._stack: list = []
         self._saved: list = []
@@ -73,10 +73,10 @@ class Tracer:
 
     def __enter__(self):
         modules = [mod for key, mod in sorted(sys.modules.items())
-                   if mod is not None and (key == self.package
-                                           or key.startswith(self.package + "."))]
+                   if mod is not None and (key == PACKAGE
+                                           or key.startswith(PACKAGE + "."))]
         for mod_name, fn_name in TRACED:
-            home = sys.modules[f"{self.package}.{mod_name}"]
+            home = sys.modules[f"{PACKAGE}.{mod_name}"]
             original = getattr(home, fn_name)
             wrapper = self._wrap(f"{mod_name}.{fn_name}", original)
             for mod in modules:

@@ -1,198 +1,27 @@
 """One benchmark process: timed set-up, then a closed loop of problems.
 
-Started by ``run.py`` in a fresh interpreter.  The first statements time
-the program's own set-up: importing ``singwave.cli`` (numpy, scipy) and
-one warm-up problem through the workload's pipeline.  With
-``--setup-only`` the process stops there.  Otherwise it runs samples one
-after another (one client, closed loop) until ``--seconds`` have passed,
-checks every output with ``checker``, and prints one JSON document.
+Started by ``run.py`` in a fresh interpreter.  ``setup_s`` is the
+program's own set-up: importing ``singwave.cli`` (numpy, scipy) and one
+warm-up problem through ``solve`` and ``verify``.  It starts after this
+process has read its arguments and manifest, and it ends before any
+benchmark module (checker, tracer, generator, host probe) is imported;
+it is then scaled by the host probe (``host.py``).  With
+``--setup-only`` the process stops there; otherwise it runs
+``pipeline.loop`` for ``--seconds`` and prints one JSON document.
 """
 
+import argparse
+import functools
+import json
+import os
+import statistics
+import sys
 import time
-
-_T0 = time.perf_counter()
-
-import os  # noqa: E402
-import sys  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path[:0] = [os.path.join(os.path.dirname(HERE), "src"), HERE]
-
-import singwave.cli as cli  # noqa: E402
-import singwave.verify as sw_verify  # noqa: E402
-
-import argparse  # noqa: E402
-import gc  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-from statistics import median  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
-
-import numpy as np  # noqa: E402
-
-import checker  # noqa: E402
-import tracer  # noqa: E402
-import workloads  # noqa: E402
-
-
-class Pipeline:
-    """Runs one problem through solve, verify and, on reference-dense,
-    the dense reference, timing each program call and checking every
-    output; the benchmark's own work is never inside a timed interval."""
-
-    def __init__(self, workload: str, out_dir: str, check: bool = True):
-        self.workload = workload
-        self.out = os.path.join(out_dir, "out")
-        self.check = check
-
-    @staticmethod
-    def _call(fn, *args):
-        gc.collect()
-        t0 = time.perf_counter()
-        result = fn(*args)
-        return result, time.perf_counter() - t0
-
-    def run(self, entry: dict) -> dict:
-        """Outcome and program times of one problem."""
-        for name in ("solution.csv", "eigen.csv", "report.txt"):
-            if os.path.exists(os.path.join(self.out, name)):
-                os.remove(os.path.join(self.out, name))
-        rec = {"ok": False, "failed": False, "errors": [], "verify_s": None,
-               "condition": None, "csv_bytes": 0}
-        path = entry["path"]
-        code, rec["solve_s"] = self._call(
-            cli.main, ["solve", "--input", path, "--out-dir", self.out,
-                       "--quiet"])
-        rec["program_s"] = rec["solve_s"]
-        if entry["expect"] == "reject":
-            rec["errors"] = checker.check_rejected(code, self.out,
-                                                   entry["condition"])
-            rec["ok"] = not rec["errors"]
-            return rec
-        if code != 0:
-            rec["failed"] = True
-            rec["condition"] = checker.failure_condition(code, self.out)
-            return rec
-        solution = os.path.join(self.out, "solution.csv")
-        rec["csv_bytes"] = os.path.getsize(solution)
-        prob = checker.read_problem(path)
-        U = None
-        if self.check:
-            rec["errors"], U = checker.check_accepted(prob, self.out)
-        code, rec["verify_s"] = self._call(
-            cli.main, ["verify", "--input", path, "--solution", solution,
-                       "--quiet"])
-        rec["program_s"] += rec["verify_s"]
-        if code != 0:
-            rec["errors"].append(f"verify exited {code}")
-        if self.workload == "reference-dense":
-            if U is None:
-                U = checker.read_solution(solution, prob)
-            rec["program_s"] += self._reference(prob, U, rec["errors"])
-        rec["ok"] = not rec["errors"]
-        return rec
-
-    def _reference(self, prob, U, errors) -> float:
-        """Dense reference and the written grid's deviation from it."""
-        grid = SimpleNamespace(N=prob["N"], M=prob["M"], k=prob["k"],
-                               r=prob["r"], T=prob["T"])
-        spec = SimpleNamespace(grid=grid, Gv=prob["G"], **{
-            key: prob[key] for key in ("m", "E", "A", "A1", "A2", "B1",
-                                       "B2", "F")})
-        ref, t_ref = self._call(sw_verify.brute_force_reference, spec)
-        projector = np.array(workloads.DEMO_PROJECTOR, dtype=complex)
-        dev, t_dev = self._call(sw_verify.reference_deviation, U, ref,
-                                projector, spec)
-        if self.check and not dev <= 1e-6:
-            errors.append(f"reference deviation {dev:.3e} > 1e-6")
-        return t_ref + t_dev
-
-
-def run_sample(pipeline, sample) -> dict:
-    """Totals of one sample: one problem, or one pass of the list."""
-    agg = {"attempted": 0, "failed": 0, "ok": 0, "program_s": 0.0,
-           "csv_bytes": 0, "solve": [], "verify": [], "errors": [],
-           "conditions": []}
-    for entry in sample:
-        rec = pipeline.run(entry)
-        agg["attempted"] += 1
-        agg["program_s"] += rec["program_s"]
-        agg["csv_bytes"] += rec["csv_bytes"]
-        if rec["failed"]:
-            agg["failed"] += 1
-            agg["conditions"].append(f'{entry["name"]}: {rec["condition"]}')
-            continue
-        agg["errors"].extend(f'{entry["name"]}: {e}' for e in rec["errors"])
-        if rec["ok"]:
-            agg["ok"] += 1
-            agg["solve"].append(rec["solve_s"])
-            if rec["verify_s"] is not None:
-                agg["verify"].append(rec["verify_s"])
-    return agg
-
-
-def loop(pipeline, samples, seconds: float, trace: bool) -> dict:
-    """Run samples until ``seconds`` have passed.
-
-    Without ``trace`` the result holds the end-to-end medians over
-    samples.  With it, each sample runs once plain and once traced, in
-    alternating order, and the result holds per-layer totals per traced
-    problem together with the tracing overhead."""
-    plain, traced = [], []
-    layer_tot = {name: [0.0, 0] for name in tracer.LAYERS}
-    top_s = 0.0
-    tr = tracer.Tracer()
-    t_start = time.perf_counter()
-    idx = 0
-    while idx == 0 or time.perf_counter() - t_start < seconds:
-        sample = samples[idx % len(samples)]
-        order = ((False, True) if idx % 2 == 0 else (True, False)) \
-            if trace else (False,)
-        for with_trace in order:
-            if not with_trace:
-                plain.append(run_sample(pipeline, sample))
-                continue
-            with tr:
-                traced.append(run_sample(pipeline, sample))
-            summ = tracer.summary(tr.take())
-            for name in tracer.LAYERS:
-                layer_tot[name][0] += summ[name][0]
-                layer_tot[name][1] += summ[name][1]
-            top_s += summ[None]
-        idx += 1
-
-    runs = plain + traced
-    result = {"attempted": sum(a["attempted"] for a in runs),
-              "failed": sum(a["failed"] for a in runs),
-              "errors": [e for a in runs for e in a["errors"]][:20],
-              "conditions": sorted({c for a in runs for c in a["conditions"]}),
-              "samples": idx,
-              "sample_program_s": [a["program_s"] for a in plain],
-              "peak_rss_mb": resource.getrusage(
-                  resource.RUSAGE_SELF).ru_maxrss / 1024.0}
-    if not trace:
-        result["solve_s"] = median([sum(a["solve"]) / len(a["solve"])
-                                    for a in plain if a["solve"]])
-        result["verify_s"] = median([sum(a["verify"]) / len(a["verify"])
-                                     for a in plain if a["verify"]])
-        result["problems_per_s"] = median([a["ok"] / a["program_s"]
-                                           for a in plain])
-        return result
-    per = sum(a["attempted"] for a in traced)
-    traced_s = sum(a["program_s"] for a in traced)
-    plain_s = sum(a["program_s"] for a in plain)
-    layers = {}
-    for name in tracer.LAYERS:
-        layers[f"{name}.self_s"] = layer_tot[name][0] / per
-        layers[f"{name}.calls"] = layer_tot[name][1] / per
-    layers["cli.write_solution_csv.bytes"] = sum(
-        a["csv_bytes"] for a in traced) / per
-    layers["traced_e2e_s"] = traced_s / per
-    layers["untraced_e2e_s"] = plain_s / per
-    layers["untraced_remainder_s"] = (traced_s - top_s) / per
-    layers["trace_overhead_s"] = (traced_s - plain_s) / per
-    result["layers"] = layers
-    return result
+# host probes that scale this process's set-up time
+SETUP_PROBES = 5
 
 
 def main() -> int:
@@ -204,16 +33,32 @@ def main() -> int:
     args = parser.parse_args()
     with open(args.manifest, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    workload = manifest["workload"]
-    out_dir = os.path.join(os.path.dirname(os.path.abspath(args.manifest)),
-                           f"proc{os.getpid()}")
+    out_dir = os.path.join(manifest["out_dir"], f"proc{os.getpid()}")
+    warmup = manifest["warmup"]["path"]
+    solution = os.path.join(out_dir, "warmup", "solution.csv")
 
-    # the warm-up's outputs are not checked, so set-up holds program work
-    Pipeline(workload, out_dir, check=False).run(manifest["warmup"])
-    result = {"setup_s": time.perf_counter() - _T0}
+    t0 = time.perf_counter()
+    import singwave.cli as cli
+    codes = (cli.main(["solve", "--input", warmup, "--out-dir",
+                       os.path.dirname(solution), "--quiet"]),
+             cli.main(["verify", "--input", warmup, "--solution", solution,
+                       "--quiet"]))
+    setup_s = time.perf_counter() - t0
+    if codes != (0, 0):
+        print(f"warm-up solve and verify exited {codes}", file=sys.stderr)
+        return 1
+    import host
+    probe_s = statistics.median(host.probe() for _ in range(SETUP_PROBES))
+    result = {"setup_s": host.scale(setup_s, probe_s),
+              "setup_raw_s": setup_s}
+
     if not args.setup_only:
-        result.update(loop(Pipeline(workload, out_dir), manifest["samples"],
-                           args.seconds, bool(args.trace)))
+        import pipeline
+        import workloads
+        result.update(pipeline.loop(
+            pipeline.Pipeline(manifest["workload"], out_dir),
+            functools.partial(workloads.sample, manifest), args.seconds,
+            bool(args.trace)))
     print(json.dumps(result))
     return 0
 

@@ -111,17 +111,16 @@ def demo_problem(rng, N: int, M: int, r: float) -> dict:
     return _doc(DEMO, DEMO_ALPHA, DEMO_BETA, N, M, r, F, G)
 
 
-def coupled_problem(rng, N: int, M: int, r: float,
-                    blocks: int = COUPLED_BLOCKS) -> dict:
-    """``blocks`` demo systems side by side, seen through a random
+def coupled_problem(rng, N: int, M: int, r: float) -> dict:
+    """``COUPLED_BLOCKS`` demo systems side by side, seen through a random
     orthogonal change of variables u = Q v.  Every matrix X becomes
     Q X Q^T and every nodal vector Q v, so E stays singular and the
     endpoint kernel keeps its dimension while all components couple."""
-    m = 3 * blocks
+    m = 3 * COUPLED_BLOCKS
     mats = {key: np.zeros((m, m)) for key in MATRIX_KEYS}
     F = np.zeros((N + 1, m))
     G = np.zeros((N + 1, m))
-    for b in range(blocks):
+    for b in range(COUPLED_BLOCKS):
         sl = slice(3 * b, 3 * b + 3)
         for key in MATRIX_KEYS:
             mats[key][sl, sl] = DEMO[key]
@@ -239,26 +238,35 @@ def warmup_problem() -> dict:
                                          WARMUP["r"]), "accept")
 
 
-def write_inputs(workload: str, seed: int, count: int, out_dir: str) -> dict:
-    """Write every input of one run under ``out_dir`` and return the
-    manifest the worker processes read: the warm-up problem and, per
-    sample, the problems it runs in order."""
+def _dump(entry: dict, out_dir: str) -> dict:
+    """Write the entry's document as ``<name>.json`` under ``out_dir``
+    and put its path in its place."""
+    path = os.path.join(out_dir, entry["name"] + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(entry.pop("doc"), fh)
+    entry["path"] = path
+    return entry
+
+
+def write_inputs(workload: str, seed: int, out_dir: str) -> dict:
+    """Write the inputs every process of one run shares under ``out_dir``
+    and return the manifest they read: the warm-up problem and, on
+    batch-mixed, the fixed list."""
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}")
     os.makedirs(out_dir, exist_ok=True)
-
-    def dump(entry):
-        path = os.path.join(out_dir, entry["name"] + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(entry.pop("doc"), fh)
-        entry["path"] = path
-        return entry
-
+    batch = None
     if workload == "batch-mixed":
-        batch = [dump(e) for e in batch_list(seed)]
-        samples = [batch]
-    else:
-        samples = [[dump(problem(workload, seed, idx))]
-                   for idx in range(count)]
-    return {"workload": workload, "seed": seed,
-            "warmup": dump(warmup_problem()), "samples": samples}
+        batch = [_dump(e, out_dir) for e in batch_list(seed)]
+    return {"workload": workload, "seed": seed, "out_dir": out_dir,
+            "warmup": _dump(warmup_problem(), out_dir), "batch": batch}
+
+
+def sample(manifest: dict, index: int) -> list:
+    """The problems of sample ``index``: the whole fixed list on
+    batch-mixed, else problem ``index``, generated and written now so
+    that no input comes round twice however many samples a run takes."""
+    if manifest["batch"] is not None:
+        return manifest["batch"]
+    entry = problem(manifest["workload"], manifest["seed"], index)
+    return [_dump(entry, manifest["out_dir"])]
