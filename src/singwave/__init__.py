@@ -10,7 +10,6 @@ from .errors import (
     ParseError,
     ShapeError,
     NonFiniteValue,
-    ZeroVector,
     SizeCapExceeded,
     RankFull,
     ConsistencyViolation,
@@ -34,14 +33,7 @@ from .matrix_core import (
     CoreNilpotentDecomposition,
     drazin_inverse,
     matrix_function,
-    AnalyticFunctionSpec,
-    identity_map,
-    sqrt_principal,
-    p_plus,
-    p_minus,
-    custom_map,
     kernel_invariance_defect,
-    kernel_invariance_check,
 )
 from .sturm_liouville import (
     SLProblem,
@@ -52,7 +44,6 @@ from .sturm_liouville import (
     expand,
     synthesize,
     extend_eigenfunction,
-    lift_mode,
     boundary_scalars,
 )
 from .pencil import (
@@ -62,7 +53,6 @@ from .pencil import (
     build_pencil,
     build_propagators,
     rho_condition_violations,
-    solve_matrix_difference,
 )
 from .solver import (
     Tolerances,

@@ -37,10 +37,6 @@ class NonFiniteValue(InputError):
     condition = "non-finite-value"
 
 
-class ZeroVector(InputError):
-    condition = "zero-vector"
-
-
 class SizeCapExceeded(InputError):
     condition = "size-cap-exceeded"
 

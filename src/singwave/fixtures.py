@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import GridParams, ProblemSpec
+from .solver import GridParams, ProblemSpec, Tolerances, extend_to_endpoints
 from .sturm_liouville import SLProblem, solve_psd
 
 
@@ -32,24 +32,14 @@ def demo_matrices() -> dict:
             "alpha": 2.0, "beta": 1.0}
 
 
-def _extension_maps(mats: dict, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linear maps sending U(1,j) to U(0,j) and U(N-1,j) to U(N,j)."""
-    left_op = mats["A1"] - N * mats["A2"]
-    right_op = mats["B1"] + N * mats["B2"]
-    Lmap = np.linalg.pinv(left_op) @ (-N * mats["A2"])
-    Rmap = np.linalg.pinv(right_op) @ (N * mats["B2"])
-    return Lmap, Rmap
-
-
-def _with_boundary(interior: np.ndarray, Lmap: np.ndarray,
-                   Rmap: np.ndarray) -> np.ndarray:
+def _with_boundary(interior: np.ndarray, mats: dict) -> np.ndarray:
     """Stack endpoint rows derived from the first/last interior rows."""
     N = interior.shape[0] + 1
-    m = interior.shape[1]
-    full = np.zeros((N + 1, m), dtype=complex)
+    full = np.zeros((N + 1, interior.shape[1]), dtype=complex)
     full[1:N] = interior
-    full[0] = Lmap @ interior[0]
-    full[N] = Rmap @ interior[-1]
+    full[0], full[N] = extend_to_endpoints(
+        interior[0], interior[-1], mats["A1"], mats["A2"], mats["B1"],
+        mats["B2"], N, Tolerances.rank)
     return full
 
 
@@ -76,12 +66,11 @@ def demo_problem(N: int = 8, k: float = 1.0 / 32.0,
     g2 = 0.25 * pairs[1].v + 0.1 * pairs[hi - 1].v
     G_int = np.zeros((N - 1, 3), dtype=complex)
     G_int[:, 1] = g2
-    Lmap, Rmap = _extension_maps(mats, N)
     return ProblemSpec(
         m=3, E=mats["E"], A=mats["A"], A1=mats["A1"], A2=mats["A2"],
         B1=mats["B1"], B2=mats["B2"], alpha=mats["alpha"], beta=mats["beta"],
-        F=_with_boundary(F_int, Lmap, Rmap),
-        Gv=_with_boundary(G_int, Lmap, Rmap),
+        F=_with_boundary(F_int, mats),
+        Gv=_with_boundary(G_int, mats),
         grid=grid)
 
 

@@ -1,15 +1,15 @@
 """Dense complex matrix algebra.
 
 Norms, generalized (Moore-Penrose) and Drazin inverses, solvability of
-singular linear systems, core-nilpotent splittings, and analytic functions
-of diagonalizable matrices.  Everything works on plain numpy arrays and is
+singular linear systems, core-nilpotent splittings, and functions of
+diagonalizable matrices.  Everything works on plain numpy arrays and is
 a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -241,78 +241,19 @@ def snap_real(values) -> np.ndarray:
     return np.where(mask, z.real.astype(complex), z)
 
 
-@dataclass(frozen=True)
-class AnalyticFunctionSpec:
-    """A scalar map applied to eigenvalues.
-
-    Kinds: ``identity``, ``sqrt_principal``, ``p_plus``, ``p_minus`` (the
-    two roots of z^2 - (2 + rho*d) z + 1 = 0 as functions of d), and
-    ``custom`` with a user callable.
-    """
-
-    kind: str
-    rho: complex = 0.0
-    func: Optional[Callable] = None
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.kind == "identity"
-
-    def apply(self, values) -> np.ndarray:
-        d = snap_real(values)
-        if self.kind == "identity":
-            return d
-        if self.kind == "sqrt_principal":
-            return np.sqrt(d)
-        if self.kind in ("p_plus", "p_minus"):
-            c = 1.0 + self.rho * d / 2.0
-            disc = snap_real(c * c - 1.0)
-            s = np.sqrt(disc)
-            return c + s if self.kind == "p_plus" else c - s
-        if self.kind == "custom":
-            if self.func is None:
-                raise ValueError("custom map requires a callable")
-            return np.asarray([complex(self.func(z)) for z in np.atleast_1d(d)],
-                              dtype=complex)
-        raise ValueError(f"unknown function kind {self.kind!r}")
-
-
-def identity_map() -> AnalyticFunctionSpec:
-    return AnalyticFunctionSpec("identity")
-
-
-def sqrt_principal() -> AnalyticFunctionSpec:
-    """Principal square root: nonnegative real part, +i sqrt for negative reals."""
-    return AnalyticFunctionSpec("sqrt_principal")
-
-
-def p_plus(rho: complex) -> AnalyticFunctionSpec:
-    return AnalyticFunctionSpec("p_plus", rho=complex(rho))
-
-
-def p_minus(rho: complex) -> AnalyticFunctionSpec:
-    return AnalyticFunctionSpec("p_minus", rho=complex(rho))
-
-
-def custom_map(func: Callable) -> AnalyticFunctionSpec:
-    return AnalyticFunctionSpec("custom", func=func)
-
-
-def matrix_function(M, f: AnalyticFunctionSpec,
+def matrix_function(M, f: Callable[[np.ndarray], np.ndarray],
                     cond_limit: float = _DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Evaluate f on a diagonalizable matrix through its eigensystem.
+    """Evaluate f on a diagonalizable matrix through one eigensystem.
 
-    Raises DefectiveMatrix when the eigenvector matrix is too ill
-    conditioned to trust (unless f is a polynomial map, where the identity
-    case is returned directly), and DomainError when f is undefined at
-    some eigenvalue.
+    ``f`` is a vectorised map of the eigenvalues (round-off imaginary
+    parts removed) and may return leading stack axes, shape (..., m); the
+    result has shape (..., m, m) and holds V diag(f) V^-1 for every stack
+    entry.  Raises DefectiveMatrix when the eigenvector matrix is too ill
+    conditioned to trust, and DomainError when f is undefined at some
+    eigenvalue.
     """
     A = as_matrix(M)
     _require_square(A)
-    if f.kind == "identity":
-        return A.copy()
-    if A.shape[0] == 0:
-        return A.copy()
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -322,11 +263,12 @@ def matrix_function(M, f: AnalyticFunctionSpec,
         raise DefectiveMatrix(
             f"eigenvector condition {condV:.3e} exceeds {cond_limit:.1e}; "
             "matrix treated as defective")
-    fw = f.apply(w)
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)][0]
+    fw = np.asarray(f(snap_real(w)), dtype=complex)
+    finite = np.isfinite(fw)
+    if not np.all(finite):
+        bad = w[np.nonzero(~finite)[-1][0]]
         raise DomainError(f"map undefined at eigenvalue {bad}")
-    return (V * fw) @ np.linalg.inv(V)
+    return (V * fw[..., None, :]) @ np.linalg.inv(V)
 
 
 def kernel_invariance_defect(B, A, rank_tol: float = DEFAULT_RANK_TOL) -> float:
@@ -340,11 +282,3 @@ def kernel_invariance_defect(B, A, rank_tol: float = DEFAULT_RANK_TOL) -> float:
     G = np.linalg.pinv(Bm, rcond=rank_tol)
     n = Bm.shape[1]
     return one_norm(Bm @ Am @ (np.eye(n, dtype=complex) - G @ Bm))
-
-
-def kernel_invariance_check(B, A, tol: float = 1e-8,
-                            rank_tol: float = DEFAULT_RANK_TOL) -> bool:
-    """True when the kernel of B is (numerically) invariant under A."""
-    defect = kernel_invariance_defect(B, A, rank_tol)
-    scale = 1.0 + one_norm(A) * one_norm(B)
-    return bool(defect <= tol * scale)

@@ -16,7 +16,7 @@ operator EhatD @ Ahat and cut down by the projector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from .matrix_core import (
     drazin_inverse,
     matrix_function,
     one_norm,
-    p_minus,
-    p_plus,
     snap_real,
 )
 
@@ -97,12 +95,22 @@ class PencilData:
 
 @dataclass
 class PropagatorPair:
-    """Forward/backward time-step operators for one spatial mode."""
+    """Forward/backward time-step operators.
+
+    For a single mode, rho is a scalar and Z0, Z1 are (m, m).  For a stack
+    of modes, rho is a vector and Z0, Z1 are (modes, m, m); entry idx
+    belongs to mode number mode_index + idx.
+    """
 
     mode_index: int
-    rho: complex
+    rho: Union[complex, np.ndarray]
     Z0: np.ndarray
     Z1: np.ndarray
+
+    def mode(self, idx: int) -> "PropagatorPair":
+        """The single-mode pair at stack position idx."""
+        return PropagatorPair(self.mode_index + idx, complex(self.rho[idx]),
+                              self.Z0[idx], self.Z1[idx])
 
 
 def build_pencil(E, A, gamma: Optional[complex] = None,
@@ -160,43 +168,39 @@ def rho_condition_violations(pd: PencilData, rho: complex,
     return bad
 
 
-def build_propagators(pd: PencilData, rho: complex, mode_index: int = 0,
+def quadratic_roots(z) -> np.ndarray:
+    """Both roots of x^2 - (2 + z) x + 1 = 0, stacked as [p_plus, p_minus].
+
+    With c = 1 + z/2 they are c +- sqrt(c^2 - 1), principal square root;
+    for real z in [-4, 0] both lie on the unit circle.
+    """
+    c = 1.0 + np.asarray(z, dtype=complex) / 2.0
+    s = np.sqrt(snap_real(c * c - 1.0))
+    return np.stack([c + s, c - s])
+
+
+def build_propagators(pd: PencilData, rho, mode_index: int = 0,
                       require_invertible_difference: bool = True
                       ) -> PropagatorPair:
-    """The two propagator matrices Z0, Z1 for step ratio parameter rho.
+    """The two propagator matrices Z0, Z1 for one rho or a vector of them.
 
-    Z0 and Z1 apply the conjugate quadratic roots
-    1 + rho*d/2 +- sqrt((1 + rho*d/2)^2 - 1) to the reduced operator and
-    restrict to the projector's range.  When the roots collide at some
-    active eigenvalue the difference Z1 - Z0 degenerates there; by default
-    this raises RhoDegenerate.
+    Z0 and Z1 apply the quadratic roots p_plus, p_minus of rho*d to the
+    reduced operator and restrict to the projector's range.  Every mode
+    and both branches come from one eigendecomposition of the reduced
+    operator; a vector rho gives (modes, m, m) stacks.  When the roots
+    collide at some active eigenvalue the difference Z1 - Z0 degenerates
+    there; by default this raises RhoDegenerate.
     """
-    rho = complex(rho)
+    rhos = np.asarray(rho, dtype=complex)
     if require_invertible_difference:
-        bad = rho_condition_violations(pd, rho)
-        if bad:
-            raise RhoDegenerate(
-                f"propagator roots coincide at reduced eigenvalue(s) {bad} "
-                f"for rho={rho}")
-    Z0 = matrix_function(pd.reduced, p_plus(rho)) @ pd.projector
-    Z1 = matrix_function(pd.reduced, p_minus(rho)) @ pd.projector
-    return PropagatorPair(mode_index, rho, Z0, Z1)
-
-
-def solve_matrix_difference(pd: PencilData, rho: complex, l1, l2, j: int,
-                            pair: Optional[PropagatorPair] = None,
-                            require_invertible_difference: bool = True
-                            ) -> np.ndarray:
-    """Value at step j of the two-level recurrence solution
-    G(j) = Z0^j P l1 + Z1^j P l2, with P the pencil projector."""
-    if j < 0:
-        raise ValueError("step index must be nonnegative")
-    if pair is None:
-        pair = build_propagators(
-            pd, rho,
-            require_invertible_difference=require_invertible_difference)
-    v1 = pd.projector @ np.asarray(l1, dtype=complex).reshape(-1)
-    v2 = pd.projector @ np.asarray(l2, dtype=complex).reshape(-1)
-    Z0j = np.linalg.matrix_power(pair.Z0, j) if j else pd.projector
-    Z1j = np.linalg.matrix_power(pair.Z1, j) if j else pd.projector
-    return Z0j @ v1 + Z1j @ v2
+        for r in rhos.reshape(-1):
+            bad = rho_condition_violations(pd, r)
+            if bad:
+                raise RhoDegenerate(
+                    f"propagator roots coincide at reduced eigenvalue(s) "
+                    f"{bad} for rho={complex(r)}")
+    roots = matrix_function(
+        pd.reduced, lambda w: quadratic_roots(rhos[..., None] * w))
+    Z0, Z1 = roots @ pd.projector
+    label = complex(rhos) if rhos.ndim == 0 else rhos
+    return PropagatorPair(mode_index, label, Z0, Z1)

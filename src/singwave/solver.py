@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matrix_core import (
     as_matrix,
-    custom_map,
     matrix_function,
     kernel_invariance_defect,
     one_norm,
@@ -158,7 +157,6 @@ class BoundaryMatrix:
     Gab: np.ndarray
     rank: int
     kernel: np.ndarray
-    pinv: np.ndarray
 
 
 def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
@@ -175,8 +173,23 @@ def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
         raise RankFull(
             f"endpoint coupling matrix has full rank {rank}; "
             "no nontrivial admissible states exist")
-    pinv = np.linalg.pinv(Gab, rcond=spec.tolerances.rank)
-    return BoundaryMatrix(Gab, rank, kernel, pinv)
+    return BoundaryMatrix(Gab, rank, kernel)
+
+
+def extend_to_endpoints(first, last, A1, A2, B1, B2, N: int,
+                        rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint rows U(0,j), U(N,j) from the rows U(1,j), U(N-1,j).
+
+    ``first`` and ``last`` stack rows along leading axes, shape (..., m).
+    Each row is the minimum-norm solution, with singular values below
+    rank_tol (relative) cut, of the discrete endpoint relation
+    (A1 - N*A2) U(0,j) = -N*A2 U(1,j) or (B1 + N*B2) U(N,j) = N*B2 U(N-1,j).
+    """
+    left = np.linalg.pinv(A1 - N * A2, rcond=rank_tol)
+    right = np.linalg.pinv(B1 + N * B2, rcond=rank_tol)
+    u0 = left @ (-N * (A2 @ np.asarray(first)[..., None]))
+    uN = right @ (N * (B2 @ np.asarray(last)[..., None]))
+    return u0[..., 0], uN[..., 0]
 
 
 @dataclass
@@ -276,11 +289,15 @@ def _degenerate_directions_compatible(pd: PencilData, rho: complex,
     """
     scale = 1.0 + one_norm(fhat) + one_norm(ghat)
     ctol = 1e-8 * (1.0 + one_norm(pd.reduced))
+    targets = np.asarray(bad, dtype=complex)
+    # spectral projectors onto each degenerate eigenspace, one stack entry
+    # per coinciding eigenvalue
+    projs = matrix_function(
+        pd.reduced,
+        lambda w: (np.abs(w - targets[:, None]) <= ctol).astype(float))
     worst: Optional[str] = None
     worst_def = 0.0
-    for d in bad:
-        sel = custom_map(lambda z, d=d: 1.0 if abs(z - d) <= ctol else 0.0)
-        proj_d = matrix_function(pd.reduced, sel)
+    for d, proj_d in zip(bad, projs):
         zstar = 1.0 + rho * d / 2.0
         defect = one_norm(proj_d @ (zstar * fhat - ghat))
         if defect > tol * scale and defect > worst_def:
@@ -291,33 +308,19 @@ def _degenerate_directions_compatible(pd: PencilData, rho: complex,
 
 
 def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
-                            eigenpairs: Sequence[EigenPair], l: int,
-                            propagators: Optional[PropagatorPair] = None,
-                            fhat: Optional[np.ndarray] = None,
-                            ghat: Optional[np.ndarray] = None
+                            propagators: PropagatorPair,
+                            fhat: np.ndarray, ghat: np.ndarray
                             ) -> ModeCoefficients:
-    """Branch amplitudes P_l, Q_l for mode l (1-based).
+    """Branch amplitudes P_l, Q_l of one mode from its propagator pair.
 
-    P_l + Q_l reproduces the mode's coefficient in the initial position,
-    and Z0 P_l + Z1 Q_l its coefficient in the first time level; the
-    stacked 2m x 2m system is solved minimum-norm and the result is
-    projected onto the propagating subspace.
+    fhat and ghat are the mode's coefficients in the initial position and
+    in the first time level.  P_l + Q_l reproduces fhat and
+    Z0 P_l + Z1 Q_l reproduces ghat; the stacked 2m x 2m system is solved
+    minimum-norm and the result is projected onto the propagating
+    subspace.
     """
     tol = spec.tolerances.residual
-    pair_l = eigenpairs[l - 1]
-    rho = spec.mode_rho(l, pair_l.lam)
-    if propagators is None:
-        propagators = build_propagators(pd, rho, mode_index=l,
-                                        require_invertible_difference=False)
-    slp = spec.sl_problem()
-    if fhat is None or ghat is None:
-        interior = slice(1, spec.grid.N)
-        fc = expand(spec.F[interior], eigenpairs, slp)
-        gc = expand(spec.F[interior] + spec.grid.k * spec.Gv[interior],
-                    eigenpairs, slp)
-        fhat = fc[l - 1]
-        ghat = gc[l - 1]
-
+    l, rho = propagators.mode_index, propagators.rho
     bad = rho_condition_violations(pd, rho)
     if bad:
         failure = _degenerate_directions_compatible(pd, rho, fhat, ghat,
@@ -381,63 +384,49 @@ class DiscreteSolution:
     reports: Dict[str, object] = field(default_factory=dict)
 
 
-def _mode_time_table(pair: PropagatorPair, coeff: ModeCoefficients,
-                     M: int) -> np.ndarray:
-    """Rows j = 0..M of Z0^j P + Z1^j Q for one mode."""
-    m = coeff.P_l.shape[0]
-    out = np.empty((M + 1, m), dtype=complex)
-    cur_p = coeff.P_l.copy()
-    cur_q = coeff.Q_l.copy()
-    out[0] = cur_p + cur_q
-    for j in range(1, M + 1):
-        cur_p = pair.Z0 @ cur_p
-        cur_q = pair.Z1 @ cur_q
-        out[j] = cur_p + cur_q
-    return out
-
-
 def assemble_solution(spec: ProblemSpec, pd: PencilData,
-                      propagators: Sequence[PropagatorPair],
+                      propagators: PropagatorPair,
                       coeffs: Sequence[ModeCoefficients],
                       eigenpairs: Sequence[EigenPair]
                       ) -> DiscreteSolution:
     """Superpose the modes on interior nodes and extend to the endpoints.
 
-    Endpoint columns solve the discrete boundary relations
-    (A1 - N*A2) U(0,j) = -N*A2 U(1,j) and (B1 + N*B2) U(N,j) = N*B2 U(N-1,j)
-    minimum-norm; inconsistency of either system raises
-    BoundaryExtensionInconsistent.
+    ``propagators`` is the (modes, m, m) stack, stepped for all modes at
+    once.  Endpoint rows come from extend_to_endpoints; inconsistency of
+    either endpoint relation raises BoundaryExtensionInconsistent naming
+    the first failing step.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
     tol = spec.tolerances.residual
     U = np.zeros((N + 1, M + 1, m), dtype=complex)
     V = np.stack([pair.v for pair in eigenpairs], axis=0)  # (modes, N-1)
-    tables = np.stack([
-        _mode_time_table(propagators[idx], coeffs[idx], M)
-        for idx in range(len(coeffs))
-    ], axis=0)  # (modes, M+1, m)
+    # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
+    # (branch, modes, m, 1) stack of columns
+    Z = np.stack([propagators.Z0, propagators.Z1])
+    cur = np.stack([[c.P_l for c in coeffs],
+                    [c.Q_l for c in coeffs]])[..., None]
+    tables = np.empty((len(coeffs), M + 1, m), dtype=complex)
+    tables[:, 0] = cur.sum(axis=0)[..., 0]
+    for j in range(1, M + 1):
+        cur = Z @ cur
+        tables[:, j] = cur.sum(axis=0)[..., 0]
     U[1:N] = np.einsum("li,ljm->ijm", V, tables)
 
-    # the endpoint operators do not depend on j, so their pseudoinverses are
-    # shared by every minimum-norm extension below
-    left_op = spec.A1 - N * spec.A2
-    right_op = spec.B1 + N * spec.B2
-    left_pinv = np.linalg.pinv(left_op, rcond=spec.tolerances.rank)
-    right_pinv = np.linalg.pinv(right_op, rcond=spec.tolerances.rank)
-    for j in range(M + 1):
-        rhs_l = -N * (spec.A2 @ U[1, j])
-        u0 = left_pinv @ rhs_l
-        if one_norm(left_op @ u0 - rhs_l) > tol * (1.0 + one_norm(rhs_l)):
-            raise BoundaryExtensionInconsistent(
-                f"left endpoint relation unsolvable at step j={j}")
-        U[0, j] = u0
-        rhs_r = N * (spec.B2 @ U[N - 1, j])
-        un = right_pinv @ rhs_r
-        if one_norm(right_op @ un - rhs_r) > tol * (1.0 + one_norm(rhs_r)):
-            raise BoundaryExtensionInconsistent(
-                f"right endpoint relation unsolvable at step j={j}")
-        U[N, j] = un
+    U[0], U[N] = extend_to_endpoints(U[1], U[N - 1], spec.A1, spec.A2,
+                                     spec.B1, spec.B2, N,
+                                     spec.tolerances.rank)
+    relations = ((spec.A1 - N * spec.A2, U[0], -N * (U[1] @ spec.A2.T)),
+                 (spec.B1 + N * spec.B2, U[N], N * (U[N - 1] @ spec.B2.T)))
+    unsolved = np.array([
+        np.abs(vals @ op.T - rhs).sum(axis=1)
+        > tol * (1.0 + np.abs(rhs).sum(axis=1))
+        for op, vals, rhs in relations])  # (side, M+1)
+    if unsolved.any():
+        j = int(np.argmax(unsolved.any(axis=0)))
+        side = "left" if unsolved[0, j] else "right"
+        raise BoundaryExtensionInconsistent(
+            f"{side} endpoint relation unsolvable at step j={j}")
 
     init_defect = float(np.abs(U[1:N, 0] - spec.F[1:N]).sum(axis=1).max()
                         ) if N > 1 else 0.0
@@ -447,7 +436,7 @@ def assemble_solution(spec: ProblemSpec, pd: PencilData,
 
 
 def stability_report(spec: ProblemSpec, pd: PencilData,
-                     propagators: Sequence[PropagatorPair],
+                     propagators: PropagatorPair,
                      coeffs: Sequence[ModeCoefficients],
                      eigenpairs: Sequence[EigenPair],
                      sol: DiscreteSolution) -> StabilityReport:
@@ -455,50 +444,48 @@ def stability_report(spec: ProblemSpec, pd: PencilData,
 
     The growth rate of a mode is (max_j |Z^j|^(1/j) - 1)/k over both
     branches; the power norms must stay under exp(T * rate) up to a small
-    slack, and the solution sup-norm under the mode-wise envelope.
+    slack, and the solution sup-norm under the mode-wise envelope.  The
+    powers of the (modes, m, m) stacks are formed for all modes at once.
     """
     grid = spec.grid
     k, T, M, N = grid.k, grid.T, grid.M, grid.N
+    Z = np.stack([propagators.Z0, propagators.Z1])  # (branch, modes, m, m)
+    power = Z.copy()
+    peak = np.zeros(Z.shape[:2])
+    rate = np.full(Z.shape[1], -np.inf)
+    for j in range(1, M + 1):
+        norms = np.abs(power).sum(axis=-2).max(axis=-1)  # 1-norms of Z^j
+        np.maximum(peak, norms, out=peak)
+        grown = np.where(norms > 0, (norms ** (1.0 / j) - 1.0) / k, -np.inf)
+        rate = np.maximum(rate, grown.max(axis=0))
+        if j < M:
+            power = power @ Z
+    # -1/k where both propagators are identically zero
+    rate = np.where(np.isfinite(rate), rate, -1.0 / k)
+    max0, max1 = peak
+
     rows: List[ModeStability] = []
     envelope = 0.0
-    all_ok = True
-    for idx, pair in enumerate(propagators):
-        cur0 = pair.Z0.copy()
-        cur1 = pair.Z1.copy()
-        max0 = max1 = 0.0
-        rate = -np.inf
-        for j in range(1, M + 1):
-            n0, n1 = one_norm(cur0), one_norm(cur1)
-            max0 = max(max0, n0)
-            max1 = max(max1, n1)
-            if n0 > 0:
-                rate = max(rate, (n0 ** (1.0 / j) - 1.0) / k)
-            if n1 > 0:
-                rate = max(rate, (n1 ** (1.0 / j) - 1.0) / k)
-            if j < M:
-                cur0 = cur0 @ pair.Z0
-                cur1 = cur1 @ pair.Z1
-        if not np.isfinite(rate):
-            rate = -1.0 / k  # both propagators identically zero
-        bound = float(np.exp(T * max(rate, 0.0)) * (1.0 + 1e-6)) \
-            if rate >= 0 else 1.0
-        ok = max(max0, max1) <= bound
-        all_ok = all_ok and ok
-        rows.append(ModeStability(pair.mode_index, float(np.real(pair.rho)),
-                                  max0, max1, float(rate), bool(ok)))
-        vext = extend_eigenfunction(eigenpairs[idx], spec.sl_problem())
+    slp = spec.sl_problem()
+    for idx, coeff in enumerate(coeffs):
+        r = float(rate[idx])
+        bound = float(np.exp(T * max(r, 0.0)) * (1.0 + 1e-6)) \
+            if r >= 0 else 1.0
+        ok = max(max0[idx], max1[idx]) <= bound
+        rows.append(ModeStability(coeff.l, coeff.rho_l, float(max0[idx]),
+                                  float(max1[idx]), r, bool(ok)))
+        vext = extend_eigenfunction(eigenpairs[idx], slp)
         vmax = float(np.abs(vext).max())
-        envelope += (max(max0, 1.0) * one_norm(coeffs[idx].P_l)
-                     + max(max1, 1.0) * one_norm(coeffs[idx].Q_l)) * vmax
+        envelope += (max(max0[idx], 1.0) * one_norm(coeff.P_l)
+                     + max(max1[idx], 1.0) * one_norm(coeff.Q_l)) * vmax
+    all_ok = all(row.bound_ok for row in rows)
 
-    boundary_amp = 1.0
-    left_pinv = np.linalg.pinv(spec.A1 - N * spec.A2,
-                               rcond=spec.tolerances.rank)
-    right_pinv = np.linalg.pinv(spec.B1 + N * spec.B2,
-                                rcond=spec.tolerances.rank)
-    boundary_amp = max(boundary_amp,
-                       one_norm(left_pinv @ (N * spec.A2)),
-                       one_norm(right_pinv @ (N * spec.B2)))
+    # row c of each result is the image of e_c: a column of the endpoint map
+    eye = np.eye(spec.m)
+    left_map, right_map = extend_to_endpoints(eye, eye, spec.A1, spec.A2,
+                                              spec.B1, spec.B2, N,
+                                              spec.tolerances.rank)
+    boundary_amp = max(1.0, one_norm(left_map.T), one_norm(right_map.T))
     envelope = boundary_amp * envelope + 1e-9
 
     sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
@@ -540,16 +527,13 @@ def solve_problem(spec: ProblemSpec,
     gc = expand(spec.F[interior] + spec.grid.k * spec.Gv[interior],
                 eigenpairs, slp)
 
-    propagators: List[PropagatorPair] = []
-    coeffs: List[ModeCoefficients] = []
-    for l in range(1, spec.grid.N):
-        rho = spec.mode_rho(l, eigenpairs[l - 1].lam)
-        pair = build_propagators(pd, rho, mode_index=l,
-                                 require_invertible_difference=False)
-        propagators.append(pair)
-        coeffs.append(solve_mode_coefficients(
-            spec, pd, eigenpairs, l, propagators=pair,
-            fhat=fc[l - 1], ghat=gc[l - 1]))
+    rhos = [spec.mode_rho(l, pair.lam)
+            for l, pair in enumerate(eigenpairs, start=1)]
+    propagators = build_propagators(pd, rhos, mode_index=1,
+                                    require_invertible_difference=False)
+    coeffs = [solve_mode_coefficients(spec, pd, propagators.mode(idx),
+                                      fc[idx], gc[idx])
+              for idx in range(len(eigenpairs))]
     note("modes", coeffs)
 
     sol = assemble_solution(spec, pd, propagators, coeffs, eigenpairs)

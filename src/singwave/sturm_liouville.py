@@ -4,8 +4,7 @@ A second-order difference operator on the interior nodes 1..N-1 of a grid
 with N subintervals, with Robin-type endpoint couplings folded into the
 corner entries, gives a generalized symmetric eigenproblem
 S v = lambda R v.  This module assembles it, solves it, and provides the
-weighted expansion/synthesis maps and the lift of a scalar mode to a
-vector-valued grid function.
+weighted expansion/synthesis maps and the endpoint extension of a mode.
 """
 
 from __future__ import annotations
@@ -16,11 +15,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateBoundary,
-    EigendecompositionFailure,
-    ZeroVector,
-)
+from .errors import DegenerateBoundary, EigendecompositionFailure
 from .matrix_core import one_norm
 
 _BOUNDARY_TOL = 1e-12
@@ -246,15 +241,3 @@ def extend_eigenfunction(pair: EigenPair, prob: SLProblem) -> np.ndarray:
     full[-1] = b_eff * pair.v[-1]
     return full
 
-
-def lift_mode(pair: EigenPair, R, prob: SLProblem) -> np.ndarray:
-    """Vector-valued grid function H(i) = v(i) * R on nodes 0..N.
-
-    The scalar mode is extended to the endpoints first, so H satisfies the
-    same interior recurrence and boundary relations as the mode itself.
-    """
-    Rv = np.asarray(R, dtype=complex).reshape(-1)
-    if Rv.size == 0 or not np.any(Rv != 0):
-        raise ZeroVector("mode amplitude vector is zero")
-    full = extend_eigenfunction(pair, prob)
-    return np.outer(full, Rv)

@@ -159,6 +159,30 @@ def test_solve_rejection_writes_report(tmp_path):
     assert (tmp_path / "eigen.csv").exists()
 
 
+def test_solve_defective_reduced_fails_after_admissibility(tmp_path):
+    # E = I, A = Jordan block, clamped ends: the reduced operator is A
+    # itself, which has no eigenvector basis; the propagators fail only
+    # after every admissibility section has been reported
+    N = 4
+    eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
+    F = [[0.0, 0.0]] + [[0.5, 0.25]] * (N - 1) + [[0.0, 0.0]]
+    doc = {"m": 2, "E": eye, "A": [[1.0, 1.0], [0.0, 1.0]],
+           "A1": eye, "A2": zero, "B1": eye, "B2": zero,
+           "alpha": 0.0, "beta": 0.0, "N": N, "k": 0.125, "T": 0.5,
+           "F": F, "G": [[0.0, 0.0]] * (N + 1)}
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    code = main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 4
+    report = (tmp_path / "report.txt").read_text()
+    assert "REJECTED: defective-matrix" in report
+    for section in ("== pencil ==", "== endpoint matrix ==",
+                    "== admissibility =="):
+        assert section in report, section
+    assert "== modes ==" not in report
+
+
 def test_solve_invalid_grid_exits_3(tmp_path):
     doc = serialize_problem(demo_problem(4, 0.125, 0.5))
     doc["k"] = 0.3  # T/k is then not an integer

@@ -16,8 +16,8 @@ from singwave.pencil import (
     build_pencil,
     build_propagators,
     find_gamma,
+    quadratic_roots,
     rho_condition_violations,
-    solve_matrix_difference,
 )
 
 from conftest import make_rng
@@ -167,12 +167,20 @@ def test_propagators_scalar_unit_modulus():
 
 def test_propagators_unit_modulus_all_demo_modes():
     pd = build_pencil(*demo_EA())
-    for rho in (-0.05, -0.5, -1.0, -3.5):
+    rhos = [-0.05, -0.5, -1.0, -3.5]
+    stack = build_propagators(pd, rhos, mode_index=1)
+    assert stack.Z0.shape == stack.Z1.shape == (4, 3, 3)
+    for idx, rho in enumerate(rhos):
         pair = build_propagators(pd, rho)
         for Z in (pair.Z0, pair.Z1):
             eigs = np.linalg.eigvals(Z)
             mods = np.abs(eigs[np.abs(eigs) > 1e-8])
             assert_allclose(mods, 1.0, atol=1e-10)
+        one = stack.mode(idx)
+        assert one.mode_index == idx + 1
+        assert one.rho == rho
+        assert_allclose(one.Z0, pair.Z0, rtol=0, atol=1e-14)
+        assert_allclose(one.Z1, pair.Z1, rtol=0, atol=1e-14)
 
 
 def test_propagators_sum_identity_random():
@@ -193,6 +201,22 @@ def test_propagators_sum_identity_random():
         assert one_norm(lhs - rhs) <= 1e-9 * max(1.0, one_norm(rhs))
 
 
+def test_quadratic_root_scalars():
+    plus, minus = quadratic_roots(-0.1)
+    expected_imag = np.sqrt(1 - 0.9025)
+    assert_allclose(plus, 0.95 + 1j * expected_imag, atol=1e-13)
+    assert_allclose(minus, 0.95 - 1j * expected_imag, atol=1e-13)
+    assert_allclose(plus * minus, 1.0, atol=1e-13)
+    assert_allclose(plus + minus, 1.9, atol=1e-13)
+
+
+def test_quadratic_roots_on_unit_circle():
+    # real root base in [-1, 1]: both roots must sit exactly on the circle
+    roots = quadratic_roots(np.array([-0.5, -1.0, -3.9]))
+    assert roots.shape == (2, 3)
+    assert np.abs(np.abs(roots) - 1.0).max() <= 1e-12
+
+
 def test_propagators_defective_core_rejected():
     E = np.eye(2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -211,50 +235,32 @@ def test_propagators_inverse_pair():
 
 # ------------------------------------------------- homogeneous mode solutions
 
-def test_difference_solution_zero_data():
-    pd = build_pencil(*demo_EA())
-    z = np.zeros(3)
-    for j in (0, 1, 5):
-        G = solve_matrix_difference(pd, -0.3, z, z, j)
-        assert_allclose(G, 0.0, atol=1e-14)
-
-
-def test_difference_solution_initial_step():
-    pd = build_pencil(*demo_EA())
-    l1 = np.array([1.0, 2.0, 0.0])
-    l2 = np.array([0.5, -1.0, 0.0])
-    G0 = solve_matrix_difference(pd, -0.3, l1, l2, 0)
-    assert_allclose(G0, pd.projector @ (l1 + l2), atol=1e-12)
+def _difference_solution(pair, projector, l1, l2, j):
+    """G(j) = Z0^j P l1 + Z1^j P l2."""
+    return (np.linalg.matrix_power(pair.Z0, j) @ projector @ l1
+            + np.linalg.matrix_power(pair.Z1, j) @ projector @ l2)
 
 
 def test_difference_solution_annihilates_nilpotent_directions():
     pd = build_pencil(*demo_EA())
-    # (1, 0, -1) spans the non-core part: projector maps it to zero
+    pair = build_propagators(pd, -0.3)
+    # (1, 0, -1) spans the non-core part: both propagators map it to zero
     l1 = np.array([1.0, 0.0, -1.0])
     assert_allclose(pd.projector @ l1, 0.0, atol=1e-12)
-    for j in range(4):
-        G = solve_matrix_difference(pd, -0.3, l1, np.zeros(3), j)
-        assert_allclose(G, 0.0, atol=1e-12)
+    assert_allclose(pair.Z0 @ l1, 0.0, atol=1e-12)
+    assert_allclose(pair.Z1 @ l1, 0.0, atol=1e-12)
 
 
 def test_difference_solution_satisfies_recurrence():
     E, A = demo_EA()
     pd = build_pencil(E, A)
     rho = -0.37
+    pair = build_propagators(pd, rho)
     rng = make_rng(3)
     l1 = rng.standard_normal(3)
     l2 = rng.standard_normal(3)
-    G = [solve_matrix_difference(pd, rho, l1, l2, j) for j in range(7)]
+    G = [_difference_solution(pair, pd.projector, l1, l2, j)
+         for j in range(7)]
     for j in range(1, 6):
         res = E @ G[j + 1] - (2 * E + rho * A) @ G[j] + E @ G[j - 1]
         assert one_norm(res) <= 1e-8 * max(1.0, one_norm(G[j]))
-
-
-def test_difference_solution_reuses_pair():
-    pd = build_pencil(*demo_EA())
-    pair = build_propagators(pd, -0.3)
-    l1 = np.array([1.0, 0.0, 1.0])
-    l2 = np.array([0.0, 1.0, 0.0])
-    direct = solve_matrix_difference(pd, -0.3, l1, l2, 3)
-    reused = solve_matrix_difference(pd, -0.3, l1, l2, 3, pair=pair)
-    assert_allclose(reused, direct, atol=1e-14)

@@ -13,7 +13,6 @@ from singwave.errors import (
     ShapeError,
 )
 from singwave.fixtures import (
-    _extension_maps,
     _with_boundary,
     demo_matrices,
     demo_problem,
@@ -205,8 +204,11 @@ def test_mode_coefficients_zero_data():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
+    prop = build_propagators(pd, spec.mode_rho(3, pairs[2].lam),
+                             mode_index=3)
     z = np.zeros(3, dtype=complex)
-    coeff = solve_mode_coefficients(spec, pd, pairs, 3, fhat=z, ghat=z)
+    coeff = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
+    assert coeff.l == 3
     assert_allclose(coeff.P_l, 0.0, atol=1e-14)
     assert_allclose(coeff.Q_l, 0.0, atol=1e-14)
     assert coeff.residual <= 1e-14
@@ -221,9 +223,9 @@ def test_mode_coefficients_branch_equations():
     fhat = np.array([0.4, -0.3, 0.0], dtype=complex)
     ghat = np.array([0.4, -0.28, 0.0], dtype=complex)
     l = 4
-    prop = build_propagators(pd, spec.mode_rho(l, pairs[l - 1].lam))
-    coeff = solve_mode_coefficients(spec, pd, pairs, l, propagators=prop,
-                                    fhat=fhat, ghat=ghat)
+    prop = build_propagators(pd, spec.mode_rho(l, pairs[l - 1].lam),
+                             mode_index=l)
+    coeff = solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
     assert_allclose(coeff.P_l + coeff.Q_l, fhat, atol=1e-9)
     assert_allclose(prop.Z0 @ coeff.P_l + prop.Z1 @ coeff.Q_l, ghat,
                     atol=1e-9)
@@ -237,8 +239,10 @@ def test_mode_coefficients_static_direction_mismatch():
     pairs = solve_psd(spec.sl_problem())
     fhat = np.array([0.4, -0.3, 0.0], dtype=complex)
     ghat = np.array([0.35, -0.28, 0.0], dtype=complex)
+    prop = build_propagators(pd, spec.mode_rho(4, pairs[3].lam),
+                             mode_index=4)
     with pytest.raises(ConsistencyViolation) as info:
-        solve_mode_coefficients(spec, pd, pairs, 4, fhat=fhat, ghat=ghat)
+        solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
     assert info.value.condition == "mode-equations-unsolvable"
 
 
@@ -248,11 +252,10 @@ def test_single_mode_data_isolates_one_mode():
     pairs = solve_psd(SLProblem(N, mats["alpha"], mats["beta"]))
     F_int = np.zeros((N - 1, 3), dtype=complex)
     F_int[:, 1] = pairs[1].v  # pure second mode in an admissible component
-    Lmap, Rmap = _extension_maps(mats, N)
     spec = ProblemSpec(m=3, E=mats["E"], A=mats["A"], A1=mats["A1"],
                        A2=mats["A2"], B1=mats["B1"], B2=mats["B2"],
                        alpha=mats["alpha"], beta=mats["beta"],
-                       F=_with_boundary(F_int, Lmap, Rmap),
+                       F=_with_boundary(F_int, mats),
                        Gv=np.zeros((N + 1, 3), dtype=complex),
                        grid=GridParams.create(N, k, T))
     sol = solve_problem(spec)
@@ -306,14 +309,13 @@ def test_solution_linear_superposition():
     N, k, T = 8, 1.0 / 32.0, 0.5
     spec = demo_problem(N, k, T)
     mats = demo_matrices()
-    Lmap, Rmap = _extension_maps(mats, N)
 
     def sub_spec(F_int, G_int):
         return ProblemSpec(m=3, E=mats["E"], A=mats["A"], A1=mats["A1"],
                            A2=mats["A2"], B1=mats["B1"], B2=mats["B2"],
                            alpha=mats["alpha"], beta=mats["beta"],
-                           F=_with_boundary(F_int, Lmap, Rmap),
-                           Gv=_with_boundary(G_int, Lmap, Rmap),
+                           F=_with_boundary(F_int, mats),
+                           Gv=_with_boundary(G_int, mats),
                            grid=GridParams.create(N, k, T))
 
     F_int = spec.F[1:N].copy()
@@ -355,11 +357,12 @@ def test_boundary_extension_inconsistency_detected():
     # left endpoint value can satisfy the discrete boundary relation
     pairs = solve_psd(SLProblem(N))
     pd = build_pencil(one, one, gamma=0.0)
-    prop = build_propagators(pd, -0.1)
+    props = build_propagators(pd, [-0.1], mode_index=1)
     coeff = ModeCoefficients(1, np.array([0.5 + 0j]), np.array([0.5 + 0j]),
                              -0.1, 0.0)
-    with pytest.raises(BoundaryExtensionInconsistent):
-        assemble_solution(spec, pd, [prop], [coeff], pairs)
+    with pytest.raises(BoundaryExtensionInconsistent) as info:
+        assemble_solution(spec, pd, props, [coeff], pairs)
+    assert "left endpoint relation unsolvable at step j=0" in str(info.value)
 
 
 # ---------------------------------------------------------------- stability

@@ -1,11 +1,11 @@
-"""Discrete eigenproblem assembly, solution, expansion, and mode lifting."""
+"""Discrete eigenproblem assembly, solution, expansion, and endpoint extension."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from singwave.errors import DegenerateBoundary, ZeroVector
+from singwave.errors import DegenerateBoundary
 from singwave.sturm_liouville import (
     EigenPair,
     SLProblem,
@@ -14,7 +14,6 @@ from singwave.sturm_liouville import (
     boundary_scalars,
     expand,
     extend_eigenfunction,
-    lift_mode,
     orthogonality_defect,
     solve_psd,
     synthesize,
@@ -190,7 +189,7 @@ def test_expand_shape_mismatch():
         expand(np.zeros(7), pairs, prob)
 
 
-# ------------------------------------------------------- extension and lift
+# ------------------------------------------------------------- extension
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (2.0, 1.0)])
 def test_extended_mode_satisfies_recurrence(alpha, beta):
@@ -210,33 +209,6 @@ def test_extension_endpoint_relations():
     assert_allclose(full[0] + alpha * N * (full[1] - full[0]), 0.0, atol=1e-12)
     assert_allclose(full[N] + beta * N * (full[N] - full[N - 1]), 0.0,
                     atol=1e-12)
-
-
-def test_lift_mode_outer_product():
-    prob = SLProblem(4)
-    pair = solve_psd(prob)[0]
-    R = np.array([1.0, 0.0, 0.0])
-    H = lift_mode(pair, R, prob)
-    assert H.shape == (5, 3)
-    full = extend_eigenfunction(pair, prob)
-    assert_allclose(H[:, 0], full, atol=1e-14)
-    assert_allclose(H[:, 1:], 0.0, atol=1e-14)
-
-
-def test_lift_mode_vector_recurrence():
-    prob = SLProblem(8, alpha=2.0, beta=1.0)
-    pair = solve_psd(prob)[1]
-    R = np.array([0.3, -1.0, 2.0], dtype=complex)
-    H = lift_mode(pair, R, prob)
-    res = np.abs(H[2:] - (2 - pair.lam) * H[1:-1] + H[:-2]).max()
-    assert res <= 1e-12 * max(1.0, np.abs(H).max())
-
-
-def test_lift_mode_rejects_zero_amplitude():
-    prob = SLProblem(4)
-    pair = solve_psd(prob)[0]
-    with pytest.raises(ZeroVector):
-        lift_mode(pair, np.zeros(3), prob)
 
 
 def test_cluster_stabilizer_orthonormalizes():
