@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -184,46 +185,55 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     header = ["i", "j", "x", "t"]
     for c in range(m):
         header.extend([f"u{c}_re", f"u{c}_im"])
+    # real and imaginary parts interleaved, one row per node
+    values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
+        -1, 2 * m)
+    i, j = np.divmod(np.arange(len(values)), M + 1)
+    # csv writes each Python float as its repr
+    columns = [i.tolist(), j.tolist(), (i / N).tolist(),
+               (j * grid.k).tolist(), *values.T.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(N + 1):
-            for j in range(M + 1):
-                row = [str(i), str(j), repr(i / N), repr(j * grid.k)]
-                for c in range(m):
-                    row.append(repr(float(np.real(U[i, j, c]))))
-                    row.append(repr(float(np.imag(U[i, j, c]))))
-                writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
 def read_solution_csv(path: str) -> np.ndarray:
-    """Inverse of write_solution_csv; returns the (N+1, M+1, m) grid."""
+    """Inverse of write_solution_csv; returns the (N+1, M+1, m) grid.
+
+    Raises ParseError on a malformed header or cell, on an index that is
+    not a non-negative integer, and on repeated or missing (i, j) rows.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:4] != ["i", "j", "x", "t"]:
-            raise ParseError(f"{path}: not a solution table")
+        header = fh.readline().rstrip("\r\n").split(",")
         m, rem = divmod(len(header) - 4, 2)
-        if m < 1 or rem:
-            raise ParseError(f"{path}: malformed value columns")
-        cells = []
-        for row in reader:
-            if len(row) != len(header):
-                raise ParseError(f"{path}: ragged row {row[:2]}")
-            cells.append((int(row[0]), int(row[1]),
-                          [float(v) for v in row[4:]]))
-    if not cells:
-        raise ParseError(f"{path}: empty table")
-    N = max(c[0] for c in cells)
-    M = max(c[1] for c in cells)
-    U = np.zeros((N + 1, M + 1, m), dtype=complex)
-    seen = np.zeros((N + 1, M + 1), dtype=bool)
-    for i, j, vals in cells:
-        U[i, j] = [complex(vals[2 * c], vals[2 * c + 1]) for c in range(m)]
-        seen[i, j] = True
-    if not seen.all():
+        if header[:4] != ["i", "j", "x", "t"] or m < 1 or rem:
+            raise ParseError(f"{path}: not a solution table")
+        with warnings.catch_warnings():
+            # an empty body is reported below, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ParseError(f"{path}: {exc}") from exc
+    rows = len(table)
+    if rows == 0 or table.shape[1] != len(header):
+        raise ParseError(f"{path}: expected rows of {len(header)} numbers")
+    ij = table[:, :2]
+    # every index of a complete grid is below its number of rows
+    if ((ij < 0) | (ij >= rows) | (ij != np.floor(ij))).any():
+        raise ParseError(f"{path}: grid indices must be integers "
+                         f"from 0 to {rows - 1}")
+    i, j = ij.T.astype(np.int64)
+    flat = i * (j.max() + 1) + j
+    if np.unique(flat).size != rows:
+        raise ParseError(f"{path}: repeated grid rows")
+    if rows != (i.max() + 1) * (j.max() + 1):
         raise ParseError(f"{path}: missing grid rows")
-    return U
+    values = np.empty((rows, 2 * m))
+    values[flat] = table[:, 4:]
+    # viewing the float pairs keeps the sign of a -0.0 real part
+    return values.view(complex).reshape(i.max() + 1, j.max() + 1, m)
 
 
 def write_eigen_csv(pairs, path: str) -> None:

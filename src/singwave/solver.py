@@ -132,7 +132,13 @@ class ProblemSpec:
         self.Gv = _as_grid_data(self.Gv, self.grid.N, self.m, "Gv")
 
     def data_scale(self) -> float:
-        """1 + largest nodal 1-norm over both data grids."""
+        """1 + largest nodal 1-norm over both data grids.
+
+        The admissibility gates test the data vectors themselves, so F and
+        Gv enter unscaled.  verify.data_normalizer differs on purpose: the
+        residual oracle measures grid increments, where the velocity data
+        enter as k*Gv.
+        """
         fmax = float(np.abs(self.F).sum(axis=1).max()) if self.F.size else 0.0
         gmax = float(np.abs(self.Gv).sum(axis=1).max()) if self.Gv.size else 0.0
         return 1.0 + max(fmax, gmax)
@@ -384,8 +390,7 @@ class DiscreteSolution:
     reports: Dict[str, object] = field(default_factory=dict)
 
 
-def assemble_solution(spec: ProblemSpec, pd: PencilData,
-                      propagators: PropagatorPair,
+def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
                       coeffs: Sequence[ModeCoefficients],
                       eigenpairs: Sequence[EigenPair]
                       ) -> DiscreteSolution:
@@ -435,8 +440,7 @@ def assemble_solution(spec: ProblemSpec, pd: PencilData,
     return sol
 
 
-def stability_report(spec: ProblemSpec, pd: PencilData,
-                     propagators: PropagatorPair,
+def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
                      coeffs: Sequence[ModeCoefficients],
                      eigenpairs: Sequence[EigenPair],
                      sol: DiscreteSolution) -> StabilityReport:
@@ -536,8 +540,8 @@ def solve_problem(spec: ProblemSpec,
               for idx in range(len(eigenpairs))]
     note("modes", coeffs)
 
-    sol = assemble_solution(spec, pd, propagators, coeffs, eigenpairs)
-    stab = stability_report(spec, pd, propagators, coeffs, eigenpairs, sol)
+    sol = assemble_solution(spec, propagators, coeffs, eigenpairs)
+    stab = stability_report(spec, propagators, coeffs, eigenpairs, sol)
     sol.reports["stability"] = stab
     note("stability", stab)
     note("solution", sol)

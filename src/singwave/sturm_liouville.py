@@ -1,16 +1,16 @@
 """Discrete two-point eigenvalue problems on a uniform grid.
 
-A second-order difference operator on the interior nodes 1..N-1 of a grid
-with N subintervals, with Robin-type endpoint couplings folded into the
-corner entries, gives a generalized symmetric eigenproblem
-S v = lambda R v.  This module assembles it, solves it, and provides the
-weighted expansion/synthesis maps and the endpoint extension of a mode.
+The second difference on the interior nodes 1..N-1 of a grid with N
+subintervals, with Robin-type endpoint couplings folded into the corner
+entries, gives a symmetric tridiagonal eigenproblem S v = lambda v.  This
+module assembles it, solves it, and provides the expansion/synthesis maps
+and the endpoint extension of a mode.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -23,10 +23,6 @@ _SNAP_TOL = 1e-12
 _CLUSTER_TOL = 1e-8
 
 
-def _const(value: float) -> Callable[[int], float]:
-    return lambda i: value
-
-
 @dataclass
 class SLProblem:
     """Grid eigenproblem data.
@@ -35,16 +31,11 @@ class SLProblem:
     alpha, beta: endpoint coupling scalars in the first-order boundary
         relations  u(0) + alpha*N*(u(1)-u(0)) = 0  and
         u(N) + beta*N*(u(N)-u(N-1)) = 0.
-    p, q, r: coefficient samples by node index; defaults are the constant
-        problem p=1, q=0, r=1.
     """
 
     N: int
     alpha: float = 0.0
     beta: float = 0.0
-    p: Callable[[int], float] = field(default_factory=lambda: _const(1.0))
-    q: Callable[[int], float] = field(default_factory=lambda: _const(0.0))
-    r: Callable[[int], float] = field(default_factory=lambda: _const(1.0))
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
@@ -76,83 +67,52 @@ def boundary_scalars(prob: SLProblem) -> tuple[float, float]:
     return -aN / (1.0 - aN), bN / (1.0 + bN)
 
 
-def assemble_pencil(prob: SLProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the (N-1)x(N-1) pencil matrices (S, R).
+def assemble_pencil(prob: SLProblem) -> np.ndarray:
+    """Assemble the (N-1)x(N-1) matrix S.
 
-    S is real symmetric tridiagonal with interior diagonal
-    p(i) + p(i-1) - q(i), off-diagonals -p(i), and endpoint couplings
-    folded into the corner entries; R holds the weights r(i) on its
-    diagonal.
+    S is real symmetric tridiagonal with 2 on the diagonal and -1 off it,
+    with the endpoint couplings folded into the corner entries.
     """
     n = prob.N - 1
     a_eff, b_eff = boundary_scalars(prob)
-    pv = np.array([float(prob.p(i)) for i in range(prob.N)])
-    qv = np.array([float(prob.q(i)) for i in range(1, prob.N)])
-    rv = np.array([float(prob.r(i)) for i in range(1, prob.N)])
-    if np.any(rv <= 0.0):
-        raise ValueError("weights r(i) must be positive on interior nodes")
-    diag = pv[1:] + pv[:-1] - qv
-    diag[0] -= a_eff * pv[0]
-    diag[-1] -= b_eff * pv[-1]
-    S = np.diag(diag).astype(float)
-    if n > 1:
-        off = -pv[1:-1]
-        S += np.diag(off, 1) + np.diag(off, -1)
-    return S, np.diag(rv)
-
-
-def _tridiagonal_bands(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d = np.diag(S).copy()
-    e = np.diag(S, 1).copy() if S.shape[0] > 1 else np.zeros(0)
-    return d, e
+    S = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    S[0, 0] -= a_eff
+    S[-1, -1] -= b_eff
+    return S
 
 
 def solve_psd(prob: SLProblem) -> List[EigenPair]:
-    """All N-1 eigenpairs of S v = lambda R v, ascending in lambda.
+    """All N-1 eigenpairs of S v = lambda v, ascending in lambda.
 
-    Eigenvectors are normalized against the weights
-    (sum_i r(i) v_mu(i) v_nu(i) = delta_mu_nu) with the entry of largest
-    magnitude made positive.  Eigenvalues indistinguishable from zero at
-    working precision are flattened to exactly 0.0.
+    Eigenvectors are orthonormal with the entry of largest magnitude made
+    positive.  Eigenvalues indistinguishable from zero at working
+    precision are flattened to exactly 0.0.
     """
-    S, R = assemble_pencil(prob)
-    n = S.shape[0]
-    rv = np.diag(R)
-    rsqrt = np.sqrt(rv)
-    # similarity to a plain symmetric tridiagonal problem keeps the spectrum
-    # real and the vectors orthogonal for any positive weights
-    W = S / np.outer(rsqrt, rsqrt)
-    d, e = _tridiagonal_bands(W)
-    if n == 1:
-        lams = np.array([d[0]])
-        wvecs = np.ones((1, 1))
-    else:
-        try:
-            lams, wvecs = scipy.linalg.eigh_tridiagonal(d, e)
-        except Exception as exc:
-            raise EigendecompositionFailure(
-                f"tridiagonal eigensolver failed: {exc}") from exc
+    S = assemble_pencil(prob)
+    try:
+        lams, vecs = scipy.linalg.eigh_tridiagonal(np.diag(S), np.diag(S, 1))
+    except Exception as exc:
+        raise EigendecompositionFailure(
+            f"tridiagonal eigensolver failed: {exc}") from exc
     scale = one_norm(S)
     lams = np.where(np.abs(lams) <= _SNAP_TOL * max(1.0, scale), 0.0, lams)
 
     order = np.argsort(lams, kind="stable")
     lams = lams[order]
-    wvecs = wvecs[:, order]
-    wvecs = _stabilize_clusters(lams, wvecs, scale)
+    vecs = _stabilize_clusters(lams, vecs[:, order], scale)
 
-    pairs: List[EigenPair] = []
-    for idx in range(n):
-        w = wvecs[:, idx]
-        peak = int(np.argmax(np.abs(w)))
-        if w[peak] < 0:
-            w = -w
-        v = w / rsqrt
-        res = one_norm(S @ v - lams[idx] * rv * v)
-        if res > 1e-10 * max(1.0, scale) * max(1.0, one_norm(v)):
-            raise EigendecompositionFailure(
-                f"eigenpair {idx + 1} residual {res:.3e} too large")
-        pairs.append(EigenPair(float(lams[idx]), v))
-    return pairs
+    cols = np.arange(lams.size)
+    peaks = np.argmax(np.abs(vecs), axis=0)
+    vecs = np.where(vecs[peaks, cols] < 0, -vecs, vecs)
+    res = np.abs(S @ vecs - vecs * lams).sum(axis=0)
+    bad = res > 1e-10 * max(1.0, scale) * np.maximum(
+        1.0, np.abs(vecs).sum(axis=0))
+    if bad.any():
+        idx = int(np.argmax(bad))
+        raise EigendecompositionFailure(
+            f"eigenpair {idx + 1} residual {res[idx]:.3e} too large")
+    # one contiguous row per mode
+    return [EigenPair(float(lam), v) for lam, v in zip(lams, vecs.T.copy())]
 
 
 def _stabilize_clusters(lams: np.ndarray, vecs: np.ndarray,
@@ -180,45 +140,41 @@ def _stabilize_clusters(lams: np.ndarray, vecs: np.ndarray,
     return out
 
 
-def _weights(prob: SLProblem) -> np.ndarray:
-    return np.array([float(prob.r(i)) for i in range(1, prob.N)])
-
-
 def orthogonality_defect(pairs: Sequence[EigenPair],
                          prob: SLProblem) -> float:
-    """Largest normalized weighted inner product between distinct modes."""
-    rv = _weights(prob)
-    worst = 0.0
-    for mu in range(len(pairs)):
-        for nu in range(mu + 1, len(pairs)):
-            vm, vn = pairs[mu].v, pairs[nu].v
-            ip = float(np.sum(rv * vm * vn))
-            denom = np.linalg.norm(vm) * np.linalg.norm(vn)
-            if denom > 0:
-                worst = max(worst, abs(ip) / denom)
-    return worst
+    """Largest normalized inner product between distinct modes.
+
+    ``prob`` is not read: the modes of the unweighted problem are
+    orthogonal in the plain inner product.
+    """
+    V = np.stack([pair.v for pair in pairs], axis=1)
+    norms = np.linalg.norm(V, axis=0)
+    denom = np.outer(norms, norms)
+    cosines = np.divide(np.abs(V.T @ V), denom, out=np.zeros_like(denom),
+                        where=denom > 0)
+    return float(np.triu(cosines, 1).max(initial=0.0))
 
 
 def expand(u, pairs: Sequence[EigenPair], prob: SLProblem) -> np.ndarray:
     """Coefficients of a grid function in the eigenbasis.
 
     ``u`` has shape (N-1,) for scalar grids or (N-1, m) for vector-valued
-    ones; coefficient l is the weighted projection onto mode l divided by
-    that mode's weighted energy.  Returns shape (N-1,) or (N-1, m).
+    ones; coefficient l is the projection onto mode l divided by that
+    mode's energy.  Returns shape (N-1,) or (N-1, m).
     """
-    rv = _weights(prob)
     U = np.asarray(u, dtype=complex)
     if U.shape[0] != prob.N - 1:
         raise ValueError(
             f"grid function has {U.shape[0]} rows, expected {prob.N - 1}")
+    # one product per mode: a single V @ U would sum in another order and
+    # change the last bits of every grid value
     coeffs = []
     for pair in pairs:
-        energy = float(np.sum(rv * pair.v * pair.v))
-        weighted = rv * pair.v
+        energy = float(np.sum(pair.v * pair.v))
         if U.ndim == 1:
-            coeffs.append(np.sum(weighted * U) / energy)
+            coeffs.append(np.sum(pair.v * U) / energy)
         else:
-            coeffs.append(weighted @ U / energy)
+            coeffs.append(pair.v @ U / energy)
     return np.asarray(coeffs)
 
 

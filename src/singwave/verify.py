@@ -22,7 +22,14 @@ SIZE_CAP = 2000
 
 
 def data_normalizer(spec) -> float:
-    """1 + max(position data norm, k * velocity data norm)."""
+    """1 + max(position data norm, k * velocity data norm).
+
+    The residuals compare grid values and one-step increments, and the
+    velocity data enter those as k*Gv, so Gv is scaled by k here.  The
+    solver's ProblemSpec.data_scale tests the data vectors themselves and
+    leaves Gv unscaled; it is not imported, so the oracle shares no code
+    with the construction.
+    """
     F = np.asarray(spec.F)
     Gv = np.asarray(spec.Gv)
     fmax = float(np.abs(F).sum(axis=1).max()) if F.size else 0.0
@@ -119,10 +126,6 @@ class ReferenceSolution:
     U: np.ndarray  # (N+1, M+1, m)
     kernel_projector: np.ndarray  # onto the free directions of the stack
     residual: float
-
-
-def _unknown_index(i: int, j: int, c: int, M: int, m: int) -> int:
-    return (i * (M + 1) + j) * m + c
 
 
 def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:

@@ -91,11 +91,17 @@ def test_problem_file_invalid_json(tmp_path):
 def test_solution_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     U = rng.standard_normal((4, 3, 2)) + 1j * rng.standard_normal((4, 3, 2))
+    big = np.finfo(float).max
+    U[0, 0, 0] = complex(-0.0, 1.0)
+    U[1, 2, 1] = complex(5e-324, -5e-324)
+    U[3, 1, 0] = complex(big, -big)
     grid = GridParams.create(3, 0.5, 1.0)
     path = tmp_path / "solution.csv"
     write_solution_csv(U, grid, str(path))
     back = read_solution_csv(str(path))
-    assert np.array_equal(back, U)  # repr round-trips every float exactly
+    # bit patterns, so that the sign of a zero counts
+    assert back.shape == U.shape
+    assert np.array_equal(back.view(np.int64), U.view(np.int64))
 
 
 def test_solution_csv_rejects_bad_header(tmp_path):
@@ -114,6 +120,45 @@ def test_solution_csv_rejects_missing_rows(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError):
         read_solution_csv(str(path))
+
+
+def _edited_solution(tmp_path, edit):
+    """A 3x2 scalar solution table with its body lines passed through
+    ``edit``."""
+    U = np.arange(6, dtype=complex).reshape(3, 2, 1)
+    path = tmp_path / "edited.csv"
+    write_solution_csv(U, GridParams.create(2, 0.5, 0.5), str(path))
+    header, *body = path.read_text().splitlines()
+    path.write_text("\n".join([header, *edit(body)]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda body: ["0,0,0.0,0.0,abc,0.0"] + body[1:],
+    lambda body: ["2.5,0,0.0,0.0,0.0,0.0"] + body[1:],
+    lambda body: body[:-1] + ["-1,1,1.0,0.5,5.0,0.0"],
+    lambda body: body + [body[0]],
+    lambda body: [],
+], ids=["non-numeric", "fractional-index", "negative-index", "repeated",
+        "empty"])
+def test_solution_csv_rejects_malformed_rows(tmp_path, edit):
+    path = _edited_solution(tmp_path, edit)
+    with pytest.raises(ParseError):
+        read_solution_csv(path)
+
+
+def test_verify_malformed_solution_exits_3(tmp_path, capsys):
+    spec = demo_problem(4, 0.125, 0.5)
+    problem = tmp_path / "problem.json"
+    write_problem(spec, str(problem))
+    out = str(tmp_path)
+    assert main(["solve", "--input", str(problem), "--out-dir", out,
+                 "--quiet"]) == 0
+    path = tmp_path / "solution.csv"
+    header, first, *rest = path.read_text().splitlines()
+    path.write_text("\n".join([header, "abc" + first[1:], *rest]) + "\n")
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(path), "--quiet"]) == 3
 
 
 # ------------------------------------------------------------ command flow

@@ -361,7 +361,7 @@ def test_boundary_extension_inconsistency_detected():
     coeff = ModeCoefficients(1, np.array([0.5 + 0j]), np.array([0.5 + 0j]),
                              -0.1, 0.0)
     with pytest.raises(BoundaryExtensionInconsistent) as info:
-        assemble_solution(spec, pd, props, [coeff], pairs)
+        assemble_solution(spec, props, [coeff], pairs)
     assert "left endpoint relation unsolvable at step j=0" in str(info.value)
 
 

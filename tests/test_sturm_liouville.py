@@ -30,28 +30,26 @@ def closed_form_eigenvalues(N: int) -> np.ndarray:
 # ----------------------------------------------------------------- assembly
 
 def test_assemble_canonical_n4():
-    S, R = assemble_pencil(SLProblem(4))
+    S = assemble_pencil(SLProblem(4))
     expected = np.array([[2.0, -1.0, 0.0],
                          [-1.0, 2.0, -1.0],
                          [0.0, -1.0, 2.0]])
     assert_allclose(S, expected, atol=1e-14)
-    assert_allclose(R, np.eye(3), atol=1e-14)
 
 
 def test_assemble_n2():
-    S, R = assemble_pencil(SLProblem(2))
+    S = assemble_pencil(SLProblem(2))
     assert_allclose(S, [[2.0]], atol=1e-14)
-    assert_allclose(R, [[1.0]], atol=1e-14)
 
 
 def test_assemble_corner_coupling():
-    S, _ = assemble_pencil(SLProblem(3, alpha=1.0, beta=0.0))
+    S = assemble_pencil(SLProblem(3, alpha=1.0, beta=0.0))
     assert_allclose(S, [[0.5, -1.0], [-1.0, 2.0]], atol=1e-14)
 
 
 def test_assemble_corner_formulas():
     N, alpha, beta = 8, 2.0, 1.0
-    S, _ = assemble_pencil(SLProblem(N, alpha, beta))
+    S = assemble_pencil(SLProblem(N, alpha, beta))
     aN, bN = alpha * N, beta * N
     assert_allclose(S[0, 0], (2 - aN) / (1 - aN), atol=1e-14)
     assert_allclose(S[-1, -1], (2 + bN) / (1 + bN), atol=1e-14)
@@ -69,8 +67,6 @@ def test_degenerate_boundary_rejected():
 def test_invalid_problem_parameters():
     with pytest.raises(ValueError):
         SLProblem(1)
-    with pytest.raises(ValueError):
-        assemble_pencil(SLProblem(4, r=lambda i: -1.0))
 
 
 # ----------------------------------------------------------------- spectrum
@@ -108,14 +104,12 @@ def test_coupled_scalars_produce_exact_zero_mode():
         assert all(p.lam > 1e-3 for p in pairs[1:])
 
 
-def test_eigen_residuals_weighted_problem():
-    prob = SLProblem(10, alpha=2.0, beta=1.0,
-                     r=lambda i: 1.0 + i / 10.0)
-    S, R = assemble_pencil(prob)
+def test_eigen_residuals_coupled_problem():
+    prob = SLProblem(10, alpha=2.0, beta=1.0)
+    S = assemble_pencil(prob)
     pairs = solve_psd(prob)
-    rv = np.diag(R)
     for pair in pairs:
-        res = np.abs(S @ pair.v - pair.lam * rv * pair.v).sum()
+        res = np.abs(S @ pair.v - pair.lam * pair.v).sum()
         assert res <= 1e-10 * max(1.0, np.abs(S).sum(axis=0).max())
     assert orthogonality_defect(pairs, prob) <= 1e-10
 
