@@ -37,6 +37,8 @@ from .sturm_liouville import solve_psd
 from .verify import ResidualReport, residual_report
 
 _MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
+# nodes per block written by write_solution_csv
+_CSV_BLOCK = 4096
 
 
 def _entry_to_complex(value, key: str) -> complex:
@@ -188,14 +190,16 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
         -1, 2 * m)
-    i, j = np.divmod(np.arange(len(values)), M + 1)
-    # csv writes each Python float as its repr
-    columns = [i.tolist(), j.tolist(), (i / N).tolist(),
-               (j * grid.k).tolist(), *values.T.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(zip(*columns))
+        # whole blocks of rows, so the Python floats held at once stay
+        # bounded; csv writes each Python float as its repr
+        for start in range(0, len(values), _CSV_BLOCK):
+            block = values[start:start + _CSV_BLOCK]
+            i, j = np.divmod(np.arange(start, start + len(block)), M + 1)
+            writer.writerows(zip(i.tolist(), j.tolist(), (i / N).tolist(),
+                                 (j * grid.k).tolist(), *block.T.tolist()))
 
 
 def read_solution_csv(path: str) -> np.ndarray:

@@ -31,9 +31,9 @@ _REAL_SNAP = 1e-12
 _DEFAULT_COND_LIMIT = 1e8
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D complex ndarray."""
-    A = np.asarray(M, dtype=complex)
+def as_matrix(M, name: str = "matrix", dtype=complex) -> np.ndarray:
+    """Validate and convert to a 2-D ndarray, complex by default."""
+    A = np.asarray(M, dtype=dtype)
     if A.ndim != 2:
         raise ValueError(f"{name} must be two dimensional, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
@@ -57,6 +57,15 @@ def one_norm(M) -> float:
     return float(np.abs(A).sum(axis=0).max())
 
 
+def _svd_rank(A: np.ndarray, tol: float):
+    """SVD of A and its numerical rank: the count of singular values above
+    ``tol`` times the largest.  Vh is always square (cols x cols), so its
+    trailing rows span the whole null space, also for wide A."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    return U, s, Vh, rank
+
+
 def rank_and_kernel(M, tol: float = DEFAULT_RANK_TOL):
     """Numerical rank and orthonormal kernel basis of M.
 
@@ -64,16 +73,8 @@ def rank_and_kernel(M, tol: float = DEFAULT_RANK_TOL):
     rank.  Returns ``(rank, kernel)`` where ``kernel`` has shape
     ``(cols, cols - rank)`` and its columns span the numerical null space.
     """
-    A = as_matrix(M)
-    if A.size == 0:
-        return 0, np.zeros((A.shape[1], A.shape[1]), dtype=complex)
-    _, s, Vh = np.linalg.svd(A)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    kernel = Vh[rank:].conj().T
-    return rank, kernel
+    _, _, Vh, rank = _svd_rank(as_matrix(M), tol)
+    return rank, Vh[rank:].conj().T
 
 
 def generalized_inverse(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -89,34 +90,58 @@ def generalized_inverse(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 class MitraSolution:
     """Outcome of a singular linear solve A x = b.
 
-    When ``consistent``, the full solution family is
-    ``particular + kernel_projector @ z`` over arbitrary z.
+    ``particular`` is the minimum-norm solution and ``kernel`` an
+    orthonormal basis (cols x q) of A's null space.  When ``consistent``,
+    the full solution family is ``particular + kernel @ z`` over
+    arbitrary z.
     """
 
     consistent: bool
     particular: np.ndarray
-    kernel_projector: np.ndarray
+    kernel: np.ndarray
     residual: float
+
+    @property
+    def kernel_projector(self) -> np.ndarray:
+        """Orthogonal projector onto the null space; cols x cols, so only
+        for small systems."""
+        return self.kernel @ self.kernel.conj().T
+
+
+def _as_complex(pairs: np.ndarray) -> np.ndarray:
+    """Complex vector from (real, imaginary) column pairs or from one
+    complex column."""
+    return np.ascontiguousarray(pairs).view(complex).reshape(-1)
 
 
 def mitra_solve(A, b, tol: float = 1e-8,
                 rank_tol: float = DEFAULT_RANK_TOL) -> MitraSolution:
     """Solvability test and general solution of A x = b.
 
-    The system is consistent exactly when applying A after its generalized
-    inverse reproduces b; inconsistency is reported, not raised.
+    One SVD of A gives the minimum-norm solution (singular values below
+    ``rank_tol`` relative are cut, as in the pseudoinverse) and the kernel
+    basis.  The system is consistent exactly when applying A to that
+    solution reproduces b; inconsistency is reported, not raised.
     """
-    A = as_matrix(A)
-    b = np.asarray(b, dtype=complex).reshape(-1)
+    A = np.asarray(A)
+    b = np.ascontiguousarray(b, dtype=complex).reshape(-1)
+    if np.iscomplexobj(A) and A.imag.any():
+        A = as_matrix(A)
+        rhs = b[:, None]
+    else:
+        # a real SVD of a real matrix is a valid complex one; the complex
+        # right-hand side goes through as (real, imaginary) column pairs
+        A = as_matrix(A.real, dtype=float)
+        rhs = b.view(float).reshape(-1, 2)
     if b.shape[0] != A.shape[0]:
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
-    G = np.linalg.pinv(A, rcond=rank_tol)
-    x = G @ b
-    residual = one_norm(A @ x - b)
+    U, s, Vh, rank = _svd_rank(A, rank_tol)
+    x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank, None])
+    residual = one_norm(_as_complex(A @ x - rhs))
     consistent = bool(residual <= tol * (1.0 + one_norm(b)))
-    proj = np.eye(A.shape[1], dtype=complex) - G @ A
-    return MitraSolution(consistent, x, proj, residual)
+    return MitraSolution(consistent, _as_complex(x), Vh[rank:].conj().T,
+                         residual)
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 Evaluates the raw finite-difference equations — interior stencil,
 endpoint relations, initial data — on any grid U, sharing no code with
-the spectral construction: only the dense matrix utilities are used, and
-a brute-force dense solve provides a reference on small instances.
+the spectral construction: only the dense matrix utilities are used.  A
+brute-force reference on small instances stacks every discrete equation
+into one dense system and takes its minimum-norm solution and kernel
+basis from one SVD, in real arithmetic when the coefficients are real.
 
 The ``spec`` arguments are duck-typed problem descriptions carrying the
 attributes m, E, A, A1, A2, B1, B2, F, Gv and grid (with N, k, M, r).
@@ -121,10 +123,15 @@ def residual_report(U, spec) -> ResidualReport:
 
 @dataclass
 class ReferenceSolution:
-    """Dense minimum-norm solve of the full stacked discrete system."""
+    """Dense minimum-norm solve of the full stacked discrete system.
+
+    ``kernel`` is an orthonormal basis (unknowns x q) of the stack's null
+    space, the solution family's free directions; ``U`` is orthogonal to
+    it.
+    """
 
     U: np.ndarray  # (N+1, M+1, m)
-    kernel_projector: np.ndarray  # onto the free directions of the stack
+    kernel: np.ndarray
     residual: float
 
 
@@ -133,9 +140,9 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
 
     Unknowns are all grid values U(i,j); rows stack the interior stencil,
     both endpoint relations at every time level, and the two initial
-    rows.  The minimum-norm solution is returned together with the
-    orthogonal projector onto the stack's null space (the solution
-    family's free directions).
+    rows.  The minimum-norm solution is returned together with an
+    orthonormal basis of the stack's null space (the solution family's
+    free directions), both from one SVD.
     """
     N, M, m = spec.grid.N, spec.grid.M, spec.m
     n_unknowns = m * (N + 1) * (M + 1)
@@ -152,10 +159,15 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
     n_rows = (m * (N - 1) * (M - 1)  # interior
               + 2 * m * (M + 1)      # endpoint relations
               + 2 * m * (N + 1))     # initial rows
-    K = np.zeros((n_rows, n_unknowns), dtype=complex)
+    mats = [np.asarray(X) for X in (spec.E, spec.A, spec.A1, spec.A2,
+                                     spec.B1, spec.B2)]
+    if not any(np.iscomplexobj(X) and X.imag.any() for X in mats):
+        mats = [X.real for X in mats]  # the stack is real: half the memory
+    E, A, A1, A2, B1, B2 = mats
+    dtype = np.result_type(float, *mats)
+    K = np.zeros((n_rows, n_unknowns), dtype=dtype)
     b = np.zeros(n_rows, dtype=complex)
     row = 0
-    E, A = spec.E, spec.A
     for i in range(1, N):
         for j in range(1, M):
             block(K, row, i, j + 1, E)
@@ -164,16 +176,16 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
             block(K, row, i + 1, j, -r2 * A)
             block(K, row, i - 1, j, -r2 * A)
             row += m
-    NA2 = spec.grid.N * spec.A2
-    NB2 = spec.grid.N * spec.B2
+    NA2 = N * A2
+    NB2 = N * B2
     for j in range(M + 1):
-        block(K, row, 0, j, spec.A1 - NA2)
+        block(K, row, 0, j, A1 - NA2)
         block(K, row, 1, j, NA2)
         row += m
-        block(K, row, N, j, spec.B1 + NB2)
+        block(K, row, N, j, B1 + NB2)
         block(K, row, N - 1, j, -NB2)
         row += m
-    eye = np.eye(m, dtype=complex)
+    eye = np.eye(m, dtype=dtype)
     for i in range(N + 1):
         block(K, row, i, 0, eye)
         b[row:row + m] = spec.F[i]
@@ -189,7 +201,7 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
             f"stacked discrete system inconsistent "
             f"(residual {sol.residual:.3e})")
     U = sol.particular.reshape(N + 1, M + 1, m)
-    return ReferenceSolution(U, sol.kernel_projector, sol.residual)
+    return ReferenceSolution(U, sol.kernel, sol.residual)
 
 
 def reference_deviation(U, ref: ReferenceSolution, projector,
@@ -204,7 +216,8 @@ def reference_deviation(U, ref: ReferenceSolution, projector,
     """
     U = np.asarray(U, dtype=complex)
     d = (U - ref.U).reshape(-1)
-    aligned = d - ref.kernel_projector @ d
+    Z = ref.kernel
+    aligned = d - Z @ (Z.conj().T @ d)
     nodes = aligned.reshape(-1, spec.m) @ np.asarray(projector,
                                                     dtype=complex).T
     return _node_norms(nodes) / data_normalizer(spec)

@@ -22,6 +22,13 @@ def random_rank_matrix(rng: np.random.Generator, n: int,
     return X @ Y
 
 
+def random_real_rank_matrix(rng: np.random.Generator, rows: int, cols: int,
+                            rank: int) -> np.ndarray:
+    """rows x cols real matrix of the requested rank."""
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal(
+        (rank, cols))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return make_rng(20250822)

@@ -104,6 +104,23 @@ def test_solution_csv_roundtrip(tmp_path):
     assert np.array_equal(back.view(np.int64), U.view(np.int64))
 
 
+def test_solution_csv_spans_several_blocks(tmp_path, monkeypatch):
+    # 3 x 4001 = 12003 nodes: two whole 4096-node blocks and a partial one
+    rng = np.random.default_rng(6)
+    U = rng.standard_normal((3, 4001, 1)) + 1j * rng.standard_normal(
+        (3, 4001, 1))
+    grid = GridParams.create(2, 1e-3, 4.0)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(U, grid, str(path))
+    back = read_solution_csv(str(path))
+    assert np.array_equal(back.view(np.int64), U.view(np.int64))
+    # the block size does not show in the bytes
+    monkeypatch.setattr("singwave.cli._CSV_BLOCK", 7)
+    small = tmp_path / "small_blocks.csv"
+    write_solution_csv(U, grid, str(small))
+    assert small.read_bytes() == path.read_bytes()
+
+
 def test_solution_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

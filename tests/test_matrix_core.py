@@ -22,7 +22,12 @@ from singwave.matrix_core import (
     rank_and_kernel,
 )
 
-from conftest import make_rng, random_complex, random_rank_matrix
+from conftest import (
+    make_rng,
+    random_complex,
+    random_rank_matrix,
+    random_real_rank_matrix,
+)
 
 
 # ---------------------------------------------------------------- one_norm
@@ -147,6 +152,51 @@ def test_mitra_consistency_matches_least_squares(seed):
     x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
     ls_residual = one_norm(A @ x_ls - b)
     assert sol.consistent == (ls_residual <= 1e-8 * (1 + one_norm(b)))
+
+
+SHAPES = [(6, 6, 3), (9, 5, 2), (4, 7, 3), (3, 8, 0), (5, 5, 5)]
+
+
+def _assert_kernel_basis(A, sol, rank):
+    n = A.shape[1]
+    Z = sol.kernel
+    assert Z.shape == (n, n - rank)
+    assert_allclose(Z.conj().T @ Z, np.eye(n - rank), atol=1e-12)
+    assert one_norm(A @ Z) <= 1e-12 * (1 + one_norm(A))
+
+
+@pytest.mark.parametrize("rows, cols, rank", SHAPES)
+def test_mitra_real_matrix_matches_pinv(rows, cols, rank):
+    rng = make_rng(100 * rows + 10 * cols + rank)
+    A = random_real_rank_matrix(rng, rows, cols, rank)
+    b = A @ random_complex(rng, cols)  # complex and consistent
+    sol = mitra_solve(A, b)
+    assert sol.consistent
+    expected = np.linalg.pinv(A.astype(complex)) @ b
+    assert (np.linalg.norm(sol.particular - expected)
+            <= 1e-12 * np.linalg.norm(expected))
+    _assert_kernel_basis(A, sol, rank)
+    assert sol.kernel.dtype == np.float64  # from a real SVD
+    # a complex dtype with zero imaginary parts takes the same real path
+    same = mitra_solve(A.astype(complex), b)
+    np.testing.assert_array_equal(same.particular, sol.particular)
+    np.testing.assert_array_equal(same.kernel, sol.kernel)
+    assert same.residual == sol.residual
+
+
+@pytest.mark.parametrize("rows, cols, rank", SHAPES)
+def test_mitra_complex_matrix_matches_pinv(rows, cols, rank):
+    rng = make_rng(100 * rows + 10 * cols + rank)
+    A = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    b = A @ random_complex(rng, cols)
+    sol = mitra_solve(A, b)
+    assert sol.consistent
+    expected = np.linalg.pinv(A) @ b
+    assert (np.linalg.norm(sol.particular - expected)
+            <= 1e-12 * np.linalg.norm(expected))
+    _assert_kernel_basis(A, sol, rank)
+    assert_allclose(sol.kernel_projector,
+                    np.eye(cols) - np.linalg.pinv(A) @ A, atol=1e-12)
 
 
 # ------------------------------------------------------------- core_nilpotent

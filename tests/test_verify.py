@@ -156,12 +156,25 @@ def test_brute_force_inconsistent_data():
         brute_force_reference(respec(spec, F=F))
 
 
+def test_reference_is_minimum_norm_solution():
+    spec = demo_problem(4, 1.0 / 8.0, 0.5)
+    ref = brute_force_reference(spec)
+    Z = ref.kernel
+    assert Z.dtype == np.float64  # real coefficients: a real SVD
+    assert Z.shape[1] > 0
+    assert_allclose(Z.conj().T @ Z, np.eye(Z.shape[1]), atol=1e-12)
+    # orthogonal to every free direction
+    assert np.abs(Z.conj().T @ ref.U.reshape(-1)).max() <= 1e-12 * (
+        1.0 + np.abs(ref.U).max())
+
+
 def test_reference_deviation_ignores_free_directions():
     spec = demo_problem(4, 1.0 / 8.0, 0.5)
     ref = brute_force_reference(spec)
     pd = build_pencil(spec.E, spec.A)
     d = np.random.default_rng(1).standard_normal(ref.U.size)
-    free = ref.kernel_projector @ d  # a direction the equations do not pin
+    # a direction the equations do not pin
+    free = ref.kernel @ (ref.kernel.conj().T @ d)
     shifted = ref.U + free.reshape(ref.U.shape)
     assert reference_deviation(shifted, ref, pd.projector, spec) <= 1e-9
 
