@@ -12,7 +12,7 @@ from .errors import (
     RankFull, ConsistencyViolation, RhoDegenerate, DegenerateBoundary,
     BoundaryExtensionInconsistent, InconsistentSystem,
     EigendecompositionFailure, DefectiveMatrix, DomainError,
-    NoRegularizingGamma, SingularShift,
+    NoRegularizingGamma, SingularShift, SingularLevelOperator,
 )
 from .solver import solve_problem
 from .verify import residual_report
@@ -26,5 +26,5 @@ __all__ = [
     "RankFull", "ConsistencyViolation", "RhoDegenerate", "DegenerateBoundary",
     "BoundaryExtensionInconsistent", "InconsistentSystem",
     "EigendecompositionFailure", "DefectiveMatrix", "DomainError",
-    "NoRegularizingGamma", "SingularShift",
+    "NoRegularizingGamma", "SingularShift", "SingularLevelOperator",
 ]

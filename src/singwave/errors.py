@@ -97,3 +97,10 @@ class NoRegularizingGamma(NumericalFailure):
 
 class SingularShift(NumericalFailure):
     condition = "singular-shift"
+
+
+class SingularLevelOperator(NumericalFailure):
+    """The reference's level operator has a kernel, so one time level
+    does not fix the next and the stacked system cannot be marched."""
+
+    condition = "singular-level-operator"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DefectiveMatrix,
@@ -203,6 +202,8 @@ def core_nilpotent(M, tol: float = DEFAULT_RANK_TOL) -> CoreNilpotentDecompositi
         return CoreNilpotentDecomposition(
             eye, np.zeros((0, 0), dtype=complex), zero, 1, 0, m, eye)
     thresh = tol * scale
+    import scipy.linalg  # here, so that importing the package stays light
+
     try:
         Tschur, Z, sdim = scipy.linalg.schur(
             A, output="complex", sort=lambda z: abs(z) > thresh)
@@ -252,6 +253,8 @@ def drazin_inverse(M, tol: float = DEFAULT_RANK_TOL):
     m = dec.p + dec.q
     B = np.zeros((m, m), dtype=complex)
     if dec.p:
+        import scipy.linalg
+
         Cinv = scipy.linalg.solve_triangular(
             dec.C, np.eye(dec.p, dtype=complex))
         B[: dec.p, : dec.p] = Cinv

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateBoundary, EigendecompositionFailure
 from .matrix_core import one_norm
@@ -88,6 +87,8 @@ def solve_psd(prob: SLProblem) -> List[EigenPair]:
     positive.  Eigenvalues indistinguishable from zero at working
     precision are flattened to exactly 0.0.
     """
+    import scipy.linalg  # here, so that importing the package stays light
+
     S = assemble_pencil(prob)
     try:
         lams, vecs = scipy.linalg.eigh_tridiagonal(np.diag(S), np.diag(S, 1))

@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import singwave
 from singwave.cli import (
     main,
     parse_problem,
@@ -309,3 +314,15 @@ def test_gamma_flag(tmp_path):
 def test_missing_input_file_exits_3(tmp_path):
     assert main(["solve", "--input", str(tmp_path / "nope.json"),
                  "--out-dir", str(tmp_path), "--quiet"]) == 3
+
+
+# ---------------------------------------------------------------- start-up
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy is imported by the solves that need it; verify needs none
+    src = pathlib.Path(singwave.__file__).resolve().parents[1]
+    code = "import sys, singwave.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
