@@ -11,8 +11,8 @@ from .errors import (
     ParseError, ShapeError, NonFiniteValue, SizeCapExceeded,
     RankFull, ConsistencyViolation, RhoDegenerate, DegenerateBoundary,
     BoundaryExtensionInconsistent, InconsistentSystem,
-    EigendecompositionFailure, DefectiveMatrix, DomainError,
-    NoRegularizingGamma, SingularShift, SingularLevelOperator,
+    EigendecompositionFailure, NoSquareRoot, NoRegularizingGamma,
+    SingularShift, SingularLevelOperator,
 )
 from .solver import solve_problem
 from .verify import residual_report
@@ -25,6 +25,6 @@ __all__ = [
     "ParseError", "ShapeError", "NonFiniteValue", "SizeCapExceeded",
     "RankFull", "ConsistencyViolation", "RhoDegenerate", "DegenerateBoundary",
     "BoundaryExtensionInconsistent", "InconsistentSystem",
-    "EigendecompositionFailure", "DefectiveMatrix", "DomainError",
-    "NoRegularizingGamma", "SingularShift", "SingularLevelOperator",
+    "EigendecompositionFailure", "NoSquareRoot", "NoRegularizingGamma",
+    "SingularShift", "SingularLevelOperator",
 ]

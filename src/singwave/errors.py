@@ -83,12 +83,15 @@ class EigendecompositionFailure(NumericalFailure):
     condition = "eigendecomposition-failure"
 
 
-class DefectiveMatrix(NumericalFailure):
-    condition = "defective-matrix"
+class NoSquareRoot(NumericalFailure):
+    """A triangular matrix at stack ``index`` has no square root; ``row``
+    is the first of two zero diagonal roots with a nonzero coupling."""
 
+    condition = "no-square-root"
 
-class DomainError(NumericalFailure):
-    condition = "function-domain-error"
+    def __init__(self, message: str, index: tuple, row: int):
+        super().__init__(message)
+        self.index, self.row = index, row
 
 
 class NoRegularizingGamma(NumericalFailure):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .solver import GridParams, ProblemSpec, Tolerances, extend_to_endpoints
+from .solver import GridParams, ProblemSpec, Tolerances, endpoint_maps
 from .sturm_liouville import SLProblem, solve_psd
 
 
@@ -37,9 +37,10 @@ def _with_boundary(interior: np.ndarray, mats: dict) -> np.ndarray:
     N = interior.shape[0] + 1
     full = np.zeros((N + 1, interior.shape[1]), dtype=complex)
     full[1:N] = interior
-    full[0], full[N] = extend_to_endpoints(
-        interior[0], interior[-1], mats["A1"], mats["A2"], mats["B1"],
-        mats["B2"], N, Tolerances.rank)
+    left, right = endpoint_maps(mats["A1"], mats["A2"], mats["B1"],
+                                mats["B2"], N, Tolerances.rank)
+    full[0] = left @ interior[0]
+    full[N] = right @ interior[-1]
     return full
 
 

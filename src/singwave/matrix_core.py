@@ -1,24 +1,19 @@
 """Dense complex matrix algebra.
 
 Norms, generalized (Moore-Penrose) and Drazin inverses, solvability of
-singular linear systems, core-nilpotent splittings, and functions of
-diagonalizable matrices.  Everything works on plain numpy arrays and is
-a pure function of its inputs.
+singular linear systems, core-nilpotent splittings, and principal square
+roots of stacks of upper-triangular matrices (the Schur method, which
+needs no eigenvector basis).  Everything works on plain numpy arrays and
+is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    DefectiveMatrix,
-    DomainError,
-    EigendecompositionFailure,
-    NonFiniteValue,
-)
+from .errors import EigendecompositionFailure, NoSquareRoot, NonFiniteValue
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -27,7 +22,8 @@ DEFAULT_RANK_TOL = 1e-10
 # scalar maps (square roots) are applied.
 _REAL_SNAP = 1e-12
 
-_DEFAULT_COND_LIMIT = 1e8
+# Relative size below which a square-root recurrence numerator counts as zero.
+_ROOT_TOL = 1e-12
 
 
 def as_matrix(M, name: str = "matrix", dtype=complex) -> np.ndarray:
@@ -159,6 +155,13 @@ class CoreNilpotentDecomposition:
     q: int
     T_inv: np.ndarray
 
+    def core_inverse(self) -> np.ndarray:
+        """C^-1, upper triangular like C."""
+        import scipy.linalg  # here, so that importing the package stays light
+
+        return scipy.linalg.solve_triangular(
+            self.C, np.eye(self.p, dtype=complex))
+
     def reconstruct(self) -> np.ndarray:
         m = self.p + self.q
         B = np.zeros((m, m), dtype=complex)
@@ -250,15 +253,7 @@ def drazin_inverse(M, tol: float = DEFAULT_RANK_TOL):
     A = as_matrix(M)
     _require_square(A)
     dec = core_nilpotent(A, tol)
-    m = dec.p + dec.q
-    B = np.zeros((m, m), dtype=complex)
-    if dec.p:
-        import scipy.linalg
-
-        Cinv = scipy.linalg.solve_triangular(
-            dec.C, np.eye(dec.p, dtype=complex))
-        B[: dec.p, : dec.p] = Cinv
-    D = dec.T @ B @ dec.T_inv
+    D = dec.T[:, : dec.p] @ dec.core_inverse() @ dec.T_inv[: dec.p]
     return D, dec.index_k
 
 
@@ -269,34 +264,47 @@ def snap_real(values) -> np.ndarray:
     return np.where(mask, z.real.astype(complex), z)
 
 
-def matrix_function(M, f: Callable[[np.ndarray], np.ndarray],
-                    cond_limit: float = _DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Evaluate f on a diagonalizable matrix through one eigensystem.
+def matrix_function(T) -> np.ndarray:
+    """Principal square root of a stack of upper-triangular matrices.
 
-    ``f`` is a vectorised map of the eigenvalues (round-off imaginary
-    parts removed) and may return leading stack axes, shape (..., m); the
-    result has shape (..., m, m) and holds V diag(f) V^-1 for every stack
-    entry.  Raises DefectiveMatrix when the eigenvector matrix is too ill
-    conditioned to trust, and DomainError when f is undefined at some
-    eigenvalue.
+    T has shape (..., p, p); only its upper triangle is read.  The
+    diagonal of the root is sqrt(snap_real(t_ii)).  The entries above it
+    follow the Bjorck-Hammarling recurrence, one superdiagonal at a time
+    for the whole stack:
+
+        u_ij = (t_ij - sum_{i<k<j} u_ik u_kj) / (u_ii + u_jj).
+
+    Two principal roots sum to zero only when both are zero.  There a
+    numerator within _ROOT_TOL times (1 + the entry's 1-norm) of zero
+    gives u_ij = 0; a larger one means that no square root exists, and
+    NoSquareRoot names the stack entry and the row i.
     """
-    A = as_matrix(M)
-    _require_square(A)
-    try:
-        w, V = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigendecompositionFailure(str(exc)) from exc
-    condV = np.linalg.cond(V)
-    if not np.isfinite(condV) or condV > cond_limit:
-        raise DefectiveMatrix(
-            f"eigenvector condition {condV:.3e} exceeds {cond_limit:.1e}; "
-            "matrix treated as defective")
-    fw = np.asarray(f(snap_real(w)), dtype=complex)
-    finite = np.isfinite(fw)
-    if not np.all(finite):
-        bad = w[np.nonzero(~finite)[-1][0]]
-        raise DomainError(f"map undefined at eigenvalue {bad}")
-    return (V * fw[..., None, :]) @ np.linalg.inv(V)
+    A = np.asarray(T, dtype=complex)
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
+        raise ValueError(
+            f"expected a stack of square matrices, got shape {A.shape}")
+    p = A.shape[-1]
+    idx = np.arange(p)
+    U = np.zeros_like(A)
+    U[..., idx, idx] = np.sqrt(snap_real(A[..., idx, idx]))
+    norms = np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0)
+    limit = _ROOT_TOL * (1.0 + norms)
+    for k in range(1, p):
+        i, j = idx[:-k], idx[k:]
+        # entries at offset k are still zero, so the full row-by-column
+        # product sums exactly the filled terms i < t < j
+        num = A[..., i, j] - np.einsum("...it,...ti->...i",
+                                       U[..., i, :], U[..., :, j])
+        den = U[..., i, i] + U[..., j, j]
+        zero = den == 0.0
+        bad = zero & (np.abs(num) > limit[..., None])
+        if bad.any():
+            *entry, row = (int(x) for x in np.argwhere(bad)[0])
+            raise NoSquareRoot(f"stack entry {entry}, rows {row} and "
+                               f"{row + k}: no square root exists",
+                               tuple(entry), row)
+        U[..., i, j] = np.where(zero, 0.0, num / np.where(zero, 1.0, den))
+    return U
 
 
 def kernel_invariance_defect(B, A, rank_tol: float = DEFAULT_RANK_TOL) -> float:

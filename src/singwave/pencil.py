@@ -9,21 +9,23 @@ two-level recurrence
     Ehat G(j+1) - (2 Ehat + rho Ahat) G(j) + Ehat G(j-1) = 0
 
 has propagating solutions.  The propagators Z0, Z1 are the two roots of
-the associated quadratic, evaluated as analytic functions of the reduced
-operator EhatD @ Ahat and cut down by the projector.
+the associated quadratic, taken as triangular matrix functions of the
+reduced operator EhatD @ Ahat on the projector's range, so no eigenvector
+basis is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import NoRegularizingGamma, RhoDegenerate, SingularShift
+from .errors import (NoRegularizingGamma, NoSquareRoot, RhoDegenerate,
+                     SingularShift)
 from .matrix_core import (
     as_matrix,
-    drazin_inverse,
+    core_nilpotent,
     matrix_function,
     one_norm,
     snap_real,
@@ -78,8 +80,10 @@ def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
 class PencilData:
     """Shifted pair with its Drazin structure.
 
-    core_active is False when every eigenvalue of the reduced operator is
-    zero, in which case the propagating subspace is trivial.
+    projector = basis @ coords and reduced = basis @ core @ coords, with
+    orthonormal basis columns and core upper triangular.  core_active is
+    False when every eigenvalue of the reduced operator is zero, in which
+    case the propagating subspace is trivial.
     """
 
     gamma: complex
@@ -91,26 +95,27 @@ class PencilData:
     spectrum_reduced: np.ndarray
     index_k: int
     core_active: bool
+    basis: np.ndarray
+    coords: np.ndarray
+    core: np.ndarray
 
 
 @dataclass
 class PropagatorPair:
     """Forward/backward time-step operators.
 
-    For a single mode, rho is a scalar and Z0, Z1 are (m, m).  For a stack
-    of modes, rho is a vector and Z0, Z1 are (modes, m, m); entry idx
-    belongs to mode number mode_index + idx.
+    For a single mode, rho is a 0-d array and Z0, Z1 are (m, m).  For a
+    stack of modes, rho is a vector and Z0, Z1 are (modes, m, m); entry idx
+    belongs to mode number mode_index + idx.  Z0 = basis (C + S) coords
+    and Z1 = basis (C - S) coords with C, S triangular in core coordinates.
     """
 
     mode_index: int
-    rho: Union[complex, np.ndarray]
+    rho: np.ndarray
     Z0: np.ndarray
     Z1: np.ndarray
-
-    def mode(self, idx: int) -> "PropagatorPair":
-        """The single-mode pair at stack position idx."""
-        return PropagatorPair(self.mode_index + idx, complex(self.rho[idx]),
-                              self.Z0[idx], self.Z1[idx])
+    C: np.ndarray
+    S: np.ndarray
 
 
 def build_pencil(E, A, gamma: Optional[complex] = None,
@@ -119,7 +124,9 @@ def build_pencil(E, A, gamma: Optional[complex] = None,
 
     With S = gamma*E + A invertible, Ehat = S^-1 E and Ahat = S^-1 A
     satisfy gamma*Ehat + Ahat = I, so the two commute and share invariant
-    subspaces with the projector Ehat @ EhatD.
+    subspaces with the projector Ehat @ EhatD.  One core-nilpotent split
+    of Ehat with core K gives EhatD and, as EhatD Ahat = EhatD (I - gamma
+    Ehat), the reduced operator's triangular core K^-1 - gamma I.
     """
     Em = as_matrix(E, "E")
     Am = as_matrix(A, "A")
@@ -137,46 +144,41 @@ def build_pencil(E, A, gamma: Optional[complex] = None,
     if defect > 1e-8 * (1.0 + abs(gamma)):
         raise SingularShift(
             f"shifted solve inaccurate (identity defect {defect:.3e})")
-    EhatD, index_k = drazin_inverse(Ehat, tol)
+    dec = core_nilpotent(Ehat, tol)
+    basis, coords = dec.T[:, : dec.p], dec.T_inv[: dec.p]
+    core_inv = dec.core_inverse()
+    EhatD = basis @ core_inv @ coords
     projector = Ehat @ EhatD
     reduced = EhatD @ Ahat
-    spectrum = snap_real(np.linalg.eigvals(reduced))
+    core = core_inv - gamma * np.eye(dec.p)
+    diag = np.arange(dec.p)
+    core[diag, diag] = snap_real(core[diag, diag])
+    spectrum = np.concatenate([core[diag, diag], np.zeros(dec.q)])
     small = np.abs(spectrum) <= tol * (1.0 + one_norm(reduced))
     spectrum = np.where(small, 0.0, spectrum)
     spectrum = spectrum[np.argsort(np.abs(spectrum), kind="stable")]
     core_active = bool(np.any(spectrum != 0.0))
     return PencilData(gamma, Ehat, Ahat, EhatD, projector, reduced,
-                      spectrum, index_k, core_active)
+                      spectrum, dec.index_k, core_active, basis, coords,
+                      core)
 
 
-def rho_condition_violations(pd: PencilData, rho: complex,
-                             tol: float = _EZ_TOL) -> List[complex]:
+def _roots_coincide(z) -> np.ndarray:
+    """Where the two roots of x^2 - (2 + z) x + 1 = 0 coincide: their
+    squared half-difference z (1 + z/4) vanishes relative to (1 + |z|)^2."""
+    z = np.asarray(z)
+    return np.abs(z * (1.0 + z / 4.0)) <= _EZ_TOL * (1.0 + np.abs(z)) ** 2
+
+
+def rho_condition_violations(pd: PencilData, rho: complex) -> List[complex]:
     """Nonzero reduced eigenvalues d where rho*d*(1 + rho*d/4) vanishes.
 
     For each such d the two propagator roots coincide and their difference
     is not invertible on the propagating subspace.
     """
-    rho = complex(rho)
-    dtol = 1e-12 * (1.0 + one_norm(pd.reduced))
-    bad: List[complex] = []
-    for d in pd.spectrum_reduced:
-        if abs(d) <= dtol:
-            continue
-        z = rho * d
-        if abs(z * (1.0 + z / 4.0)) <= tol * (1.0 + abs(z)) ** 2:
-            bad.append(complex(d))
-    return bad
-
-
-def quadratic_roots(z) -> np.ndarray:
-    """Both roots of x^2 - (2 + z) x + 1 = 0, stacked as [p_plus, p_minus].
-
-    With c = 1 + z/2 they are c +- sqrt(c^2 - 1), principal square root;
-    for real z in [-4, 0] both lie on the unit circle.
-    """
-    c = 1.0 + np.asarray(z, dtype=complex) / 2.0
-    s = np.sqrt(snap_real(c * c - 1.0))
-    return np.stack([c + s, c - s])
+    d = pd.spectrum_reduced
+    active = np.abs(d) > 1e-12 * (1.0 + one_norm(pd.reduced))
+    return [complex(x) for x in d[active & _roots_coincide(complex(rho) * d)]]
 
 
 def build_propagators(pd: PencilData, rho, mode_index: int = 0,
@@ -184,12 +186,14 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0,
                       ) -> PropagatorPair:
     """The two propagator matrices Z0, Z1 for one rho or a vector of them.
 
-    Z0 and Z1 apply the quadratic roots p_plus, p_minus of rho*d to the
-    reduced operator and restrict to the projector's range.  Every mode
-    and both branches come from one eigendecomposition of the reduced
-    operator; a vector rho gives (modes, m, m) stacks.  When the roots
-    collide at some active eigenvalue the difference Z1 - Z0 degenerates
-    there; by default this raises RhoDegenerate.
+    With C = I + rho*core/2 and S the principal square root of C^2 - I,
+    C + S and C - S are the roots p_plus, p_minus; S is zero on the
+    diagonal where they coincide.  Every mode and branch comes from the
+    pencil's one triangular core; a vector rho gives (modes, m, m) stacks.
+    When the roots collide at some active eigenvalue the difference
+    Z1 - Z0 degenerates there; by default this raises RhoDegenerate.  It
+    is raised always on a Jordan block at coinciding roots, where no
+    square root exists.
     """
     rhos = np.asarray(rho, dtype=complex)
     if require_invertible_difference:
@@ -199,8 +203,25 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0,
                 raise RhoDegenerate(
                     f"propagator roots coincide at reduced eigenvalue(s) "
                     f"{bad} for rho={complex(r)}")
-    roots = matrix_function(
-        pd.reduced, lambda w: quadratic_roots(rhos[..., None] * w))
-    Z0, Z1 = roots @ pd.projector
-    label = complex(rhos) if rhos.ndim == 0 else rhos
-    return PropagatorPair(mode_index, label, Z0, Z1)
+    flat = rhos.reshape(-1, 1, 1)
+    p = pd.core.shape[0]
+    diag = np.arange(p)
+    d = pd.core[diag, diag]
+    z = flat[:, 0] * d  # (modes, p)
+    C = np.eye(p) + flat * pd.core / 2.0
+    c = C[:, diag, diag]  # 1 + z/2
+    W = C @ C
+    W[:, diag, diag] = np.where(_roots_coincide(z), 0.0, c * c - 1.0)
+    try:
+        S = matrix_function(W)
+    except NoSquareRoot as exc:
+        idx = exc.index[0]
+        raise RhoDegenerate(
+            f"mode {mode_index + idx}: propagator roots coincide on a "
+            f"Jordan block at reduced eigenvalue {d[exc.row]} for "
+            f"rho={complex(flat[idx, 0, 0])}; no square root of C^2 - I "
+            "exists") from exc
+    C, S = C.reshape(rhos.shape + (p, p)), S.reshape(rhos.shape + (p, p))
+    Z0 = pd.basis @ (C + S) @ pd.coords
+    Z1 = pd.basis @ (C - S) @ pd.coords
+    return PropagatorPair(mode_index, rhos, Z0, Z1, C, S)

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .matrix_core import (
     as_matrix,
-    matrix_function,
     kernel_invariance_defect,
     one_norm,
     rank_and_kernel,
@@ -182,20 +181,17 @@ def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
     return BoundaryMatrix(Gab, rank, kernel)
 
 
-def extend_to_endpoints(first, last, A1, A2, B1, B2, N: int,
-                        rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint rows U(0,j), U(N,j) from the rows U(1,j), U(N-1,j).
+def endpoint_maps(A1, A2, B1, B2, N: int,
+                  rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The m x m maps taking U(1,j) to U(0,j) and U(N-1,j) to U(N,j).
 
-    ``first`` and ``last`` stack rows along leading axes, shape (..., m).
-    Each row is the minimum-norm solution, with singular values below
-    rank_tol (relative) cut, of the discrete endpoint relation
+    Each endpoint row is the minimum-norm solution, with singular values
+    below rank_tol (relative) cut, of the discrete endpoint relation
     (A1 - N*A2) U(0,j) = -N*A2 U(1,j) or (B1 + N*B2) U(N,j) = N*B2 U(N-1,j).
     """
-    left = np.linalg.pinv(A1 - N * A2, rcond=rank_tol)
-    right = np.linalg.pinv(B1 + N * B2, rcond=rank_tol)
-    u0 = left @ (-N * (A2 @ np.asarray(first)[..., None]))
-    uN = right @ (N * (B2 @ np.asarray(last)[..., None]))
-    return u0[..., 0], uN[..., 0]
+    left = np.linalg.pinv(A1 - N * A2, rcond=rank_tol) @ (-N * A2)
+    right = np.linalg.pinv(B1 + N * B2, rcond=rank_tol) @ (N * B2)
+    return left, right
 
 
 @dataclass
@@ -282,79 +278,50 @@ class ModeCoefficients:
     residual: float
 
 
-def _degenerate_directions_compatible(pd: PencilData, rho: complex,
-                                      fhat: np.ndarray, ghat: np.ndarray,
-                                      bad: Sequence[complex],
-                                      tol: float) -> Optional[str]:
-    """Check solvability where the two propagator roots coincide.
-
-    At a coinciding root z* the two branch equations collapse to
-    z* * x = ghat on that eigenspace while x = fhat there, so the data
-    must satisfy z* * fhat = ghat on each degenerate eigenspace.  Returns
-    a description of the worst violation, or None.
-    """
-    scale = 1.0 + one_norm(fhat) + one_norm(ghat)
-    ctol = 1e-8 * (1.0 + one_norm(pd.reduced))
-    targets = np.asarray(bad, dtype=complex)
-    # spectral projectors onto each degenerate eigenspace, one stack entry
-    # per coinciding eigenvalue
-    projs = matrix_function(
-        pd.reduced,
-        lambda w: (np.abs(w - targets[:, None]) <= ctol).astype(float))
-    worst: Optional[str] = None
-    worst_def = 0.0
-    for d, proj_d in zip(bad, projs):
-        zstar = 1.0 + rho * d / 2.0
-        defect = one_norm(proj_d @ (zstar * fhat - ghat))
-        if defect > tol * scale and defect > worst_def:
-            worst_def = defect
-            worst = (f"coinciding roots at reduced eigenvalue {d}: data "
-                     f"defect {defect:.3e} exceeds {tol * scale:.3e}")
-    return worst
-
-
 def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
                             propagators: PropagatorPair,
                             fhat: np.ndarray, ghat: np.ndarray
-                            ) -> ModeCoefficients:
-    """Branch amplitudes P_l, Q_l of one mode from its propagator pair.
+                            ) -> List[ModeCoefficients]:
+    """Branch amplitudes P_l, Q_l of every mode of a propagator stack.
 
-    fhat and ghat are the mode's coefficients in the initial position and
-    in the first time level.  P_l + Q_l reproduces fhat and
-    Z0 P_l + Z1 Q_l reproduces ghat; the stacked 2m x 2m system is solved
-    minimum-norm and the result is projected onto the propagating
-    subspace.
+    fhat and ghat hold, one row per mode, the coefficients in the initial
+    position and in the first time level.  P_l + Q_l reproduces fhat and
+    Z0 P_l + Z1 Q_l reproduces ghat.  In core coordinates both amplitudes
+    are (f_c +- x)/2 with S_l x = g_c - C_l f_c, which is solved
+    minimum-norm for all modes at once; the residual of both equations in
+    full coordinates then decides, mode by mode, whether they hold.
     """
     tol = spec.tolerances.residual
-    l, rho = propagators.mode_index, propagators.rho
-    bad = rho_condition_violations(pd, rho)
-    if bad:
-        failure = _degenerate_directions_compatible(pd, rho, fhat, ghat,
-                                                    bad, tol)
-        if failure is not None:
-            raise RhoDegenerate(f"mode {l}: {failure}")
-
-    m = spec.m
-    K = np.zeros((2 * m, 2 * m), dtype=complex)
-    K[:m, :m] = np.eye(m)
-    K[:m, m:] = np.eye(m)
-    K[m:, :m] = propagators.Z0
-    K[m:, m:] = propagators.Z1
-    rhs = np.concatenate([fhat, ghat])
-    xy, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    P_l = pd.projector @ xy[:m]
-    Q_l = pd.projector @ xy[m:]
-    res = one_norm(P_l + Q_l - fhat) + one_norm(
-        propagators.Z0 @ P_l + propagators.Z1 @ Q_l - ghat)
-    if res > tol * (1.0 + one_norm(fhat) + one_norm(ghat)):
+    fc = fhat @ pd.coords.T
+    rhs = ghat @ pd.coords.T - (propagators.C @ fc[..., None])[..., 0]
+    S = propagators.S
+    # singular values below machine precision times the order are zero
+    cut = np.finfo(float).eps * max(S.shape[-1], 1)
+    x = (np.linalg.pinv(S, rcond=cut) @ rhs[..., None])[..., 0]
+    P = ((fc + x) / 2.0) @ pd.basis.T
+    Q = ((fc - x) / 2.0) @ pd.basis.T
+    step = (propagators.Z0 @ P[..., None]
+            + propagators.Z1 @ Q[..., None])[..., 0]
+    res = np.abs(P + Q - fhat).sum(axis=1) + np.abs(step - ghat).sum(axis=1)
+    limit = tol * (1.0 + np.abs(fhat).sum(axis=1) + np.abs(ghat).sum(axis=1))
+    rhos = propagators.rho
+    failed = np.flatnonzero(res > limit)
+    if failed.size:
+        idx = int(failed[0])
+        l = propagators.mode_index + idx
+        bad = rho_condition_violations(pd, rhos[idx])
         if bad:
             raise RhoDegenerate(
-                f"mode {l}: coinciding propagator roots leave the mode "
-                f"system unsolvable (residual {res:.3e})")
+                f"mode {l}: propagator roots coincide at reduced "
+                f"eigenvalue(s) {bad} and leave the mode system unsolvable "
+                f"(residual {res[idx]:.3e})")
         raise ConsistencyViolation(
-            f"mode {l} amplitude system unsolvable (residual {res:.3e})",
+            f"mode {l} amplitude system unsolvable "
+            f"(residual {res[idx]:.3e})",
             condition="mode-equations-unsolvable")
-    return ModeCoefficients(l, P_l, Q_l, float(np.real(rho)), float(res))
+    return [ModeCoefficients(propagators.mode_index + idx, P[idx], Q[idx],
+                             float(np.real(rhos[idx])), float(res[idx]))
+            for idx in range(len(rhos))]
 
 
 @dataclass
@@ -383,10 +350,12 @@ class StabilityReport:
 
 @dataclass
 class DiscreteSolution:
-    """Solved grid with its per-mode amplitudes and quality reports."""
+    """Solved grid with its per-mode amplitudes, the two endpoint_maps
+    that extended it to the endpoints, and quality reports."""
 
     U: np.ndarray  # (N+1, M+1, m) complex
     modes: List[ModeCoefficients]
+    endpoint_maps: tuple[np.ndarray, np.ndarray]
     reports: Dict[str, object] = field(default_factory=dict)
 
 
@@ -397,9 +366,9 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     """Superpose the modes on interior nodes and extend to the endpoints.
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
-    once.  Endpoint rows come from extend_to_endpoints; inconsistency of
-    either endpoint relation raises BoundaryExtensionInconsistent naming
-    the first failing step.
+    once.  Endpoint rows come from endpoint_maps, formed once here and
+    kept on the solution; inconsistency of either endpoint relation raises
+    BoundaryExtensionInconsistent naming the first failing step.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
@@ -418,9 +387,10 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
         tables[:, j] = cur.sum(axis=0)[..., 0]
     U[1:N] = np.einsum("li,ljm->ijm", V, tables)
 
-    U[0], U[N] = extend_to_endpoints(U[1], U[N - 1], spec.A1, spec.A2,
-                                     spec.B1, spec.B2, N,
-                                     spec.tolerances.rank)
+    maps = endpoint_maps(spec.A1, spec.A2, spec.B1, spec.B2, N,
+                         spec.tolerances.rank)
+    U[0] = U[1] @ maps[0].T
+    U[N] = U[N - 1] @ maps[1].T
     relations = ((spec.A1 - N * spec.A2, U[0], -N * (U[1] @ spec.A2.T)),
                  (spec.B1 + N * spec.B2, U[N], N * (U[N - 1] @ spec.B2.T)))
     unsolved = np.array([
@@ -435,7 +405,7 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
 
     init_defect = float(np.abs(U[1:N, 0] - spec.F[1:N]).sum(axis=1).max()
                         ) if N > 1 else 0.0
-    sol = DiscreteSolution(U, list(coeffs))
+    sol = DiscreteSolution(U, list(coeffs), maps)
     sol.reports["initial_match"] = init_defect / spec.data_scale()
     return sol
 
@@ -484,12 +454,7 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
                      + max(max1[idx], 1.0) * one_norm(coeff.Q_l)) * vmax
     all_ok = all(row.bound_ok for row in rows)
 
-    # row c of each result is the image of e_c: a column of the endpoint map
-    eye = np.eye(spec.m)
-    left_map, right_map = extend_to_endpoints(eye, eye, spec.A1, spec.A2,
-                                              spec.B1, spec.B2, N,
-                                              spec.tolerances.rank)
-    boundary_amp = max(1.0, one_norm(left_map.T), one_norm(right_map.T))
+    boundary_amp = max(1.0, *(one_norm(side) for side in sol.endpoint_maps))
     envelope = boundary_amp * envelope + 1e-9
 
     sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
@@ -535,9 +500,7 @@ def solve_problem(spec: ProblemSpec,
             for l, pair in enumerate(eigenpairs, start=1)]
     propagators = build_propagators(pd, rhos, mode_index=1,
                                     require_invertible_difference=False)
-    coeffs = [solve_mode_coefficients(spec, pd, propagators.mode(idx),
-                                      fc[idx], gc[idx])
-              for idx in range(len(eigenpairs))]
+    coeffs = solve_mode_coefficients(spec, pd, propagators, fc, gc)
     note("modes", coeffs)
 
     sol = assemble_solution(spec, propagators, coeffs, eigenpairs)

@@ -226,24 +226,61 @@ def test_solve_rejection_writes_report(tmp_path):
     assert (tmp_path / "eigen.csv").exists()
 
 
-def test_solve_defective_reduced_fails_after_admissibility(tmp_path):
-    # E = I, A = Jordan block, clamped ends: the reduced operator is A
-    # itself, which has no eigenvector basis; the propagators fail only
-    # after every admissibility section has been reported
-    N = 4
+def _clamped_pair_doc(A, N=4):
+    """E = I, the given 2 x 2 A, clamped ends, data in both components."""
     eye, zero = [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]
     F = [[0.0, 0.0]] + [[0.5, 0.25]] * (N - 1) + [[0.0, 0.0]]
-    doc = {"m": 2, "E": eye, "A": [[1.0, 1.0], [0.0, 1.0]],
-           "A1": eye, "A2": zero, "B1": eye, "B2": zero,
-           "alpha": 0.0, "beta": 0.0, "N": N, "k": 0.125, "T": 0.5,
-           "F": F, "G": [[0.0, 0.0]] * (N + 1)}
+    G = [[0.0, 0.0]] + [[0.1, -0.2]] * (N - 1) + [[0.0, 0.0]]
+    return {"m": 2, "E": eye, "A": A, "A1": eye, "A2": zero, "B1": eye,
+            "B2": zero, "alpha": 0.0, "beta": 0.0, "N": N, "k": 0.125,
+            "T": 0.5, "F": F, "G": G}
+
+
+def test_solve_jordan_reduced_matches_explicit_march(tmp_path):
+    # E = I, A = Jordan block at 1: the reduced operator is A itself,
+    # which has no eigenvector basis.  E is invertible, so the grid is
+    # also fixed by marching the scheme explicitly.
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    doc = _clamped_pair_doc(A.tolist())
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert "ACCEPTED" in (tmp_path / "report.txt").read_text()
+    U = read_solution_csv(str(tmp_path / "solution.csv"))
+
+    N, k, M = doc["N"], doc["k"], 4
+    r2 = (k * N) ** 2
+    F, G = np.array(doc["F"]), np.array(doc["G"])
+    march = np.zeros((N + 1, M + 1, 2))
+    march[:, 0] = F
+    march[1:N, 1] = F[1:N] + k * G[1:N]
+    for j in range(1, M):
+        cur = march[:, j]
+        lap = cur[2:] - 2.0 * cur[1:-1] + cur[:-2]
+        march[1:N, j + 1] = (2.0 * cur[1:-1] - march[1:N, j - 1]
+                             + r2 * lap @ A.T)
+    assert np.abs(U - march).max() <= 1e-12 * np.abs(march).max()
+
+    rep = singwave.residual_report(U, parse_problem(str(problem)))
+    for name in ("interior_max", "left_bc_max", "right_bc_max",
+                 "init_pos_max", "init_vel_max"):
+        assert getattr(rep, name) <= 1e-8, name
+
+
+def test_solve_jordan_at_coinciding_roots_rejected(tmp_path):
+    # E = I, A = [[0, 1], [0, 0]]: both propagator roots equal 1 on a
+    # Jordan block, where no square root exists, so the roots cannot be
+    # told apart; rejected after every admissibility section is reported
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_clamped_pair_doc([[0.0, 1.0],
+                                                     [0.0, 0.0]])))
     code = main(["solve", "--input", str(problem),
                  "--out-dir", str(tmp_path), "--quiet"])
-    assert code == 4
+    assert code == 2
     report = (tmp_path / "report.txt").read_text()
-    assert "REJECTED: defective-matrix" in report
+    assert "REJECTED: rho-degenerate" in report
+    assert "mode 1:" in report
     for section in ("== pencil ==", "== endpoint matrix ==",
                     "== admissibility =="):
         assert section in report, section

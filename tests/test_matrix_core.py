@@ -5,11 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from singwave.errors import (
-    DefectiveMatrix,
-    DomainError,
-    NonFiniteValue,
-)
+from singwave.errors import NoSquareRoot, NonFiniteValue
 from singwave.matrix_core import (
     as_matrix,
     core_nilpotent,
@@ -300,45 +296,60 @@ def test_drazin_is_polynomial_in_matrix(rng):
 
 # ------------------------------------------------------------ matrix_function
 
-def test_matrix_function_identity(rng):
-    A = random_complex(rng, 3, 3)
-    assert_allclose(matrix_function(A, lambda w: w), A, atol=1e-12)
+def test_matrix_function_identity():
+    # identity plus a Jordan coupling: the root of [[1, 1], [0, 1]] is
+    # [[1, 1/2], [0, 1]], although the matrix has no eigenvector basis
+    assert_allclose(matrix_function(np.eye(3)), np.eye(3), atol=0)
+    J = np.array([[1.0, 1.0], [0.0, 1.0]])
+    assert_allclose(matrix_function(J), [[1.0, 0.5], [0.0, 1.0]],
+                    atol=1e-15)
 
 
 def test_matrix_function_sqrt_diagonal():
-    out = matrix_function(np.diag([4.0, 9.0]), np.sqrt)
+    out = matrix_function(np.diag([4.0, 9.0]))
     assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
 
 
 def test_matrix_function_spectral_mapping(rng):
-    V = random_complex(rng, 4, 4) + 2 * np.eye(4)
-    w = np.array([1.0, 2.0, 3.0, 4.0])
-    A = (V * w) @ np.linalg.inv(V)
-    out = matrix_function(A, np.sqrt)
-    got = np.sort_complex(np.linalg.eigvals(out))
-    assert_allclose(got, np.sqrt(w), atol=1e-8)
+    # random upper-triangular stacks with distinct diagonals: U U = T and
+    # the diagonal of U holds the principal roots of that of T
+    T = np.triu(random_complex(rng, 5, 4, 4))
+    T[:, [0, 1], [0, 1]] = [-4.0, 9.0]  # on and off the branch cut
+    U = matrix_function(T)
+    assert U.shape == T.shape
+    assert_allclose(np.tril(U, -1), 0.0, atol=0)
+    assert_allclose(U @ U, T, atol=1e-10)
+    diag = np.arange(4)
+    assert_allclose(U[:, diag, diag], np.sqrt(T[:, diag, diag]), atol=1e-12)
+    assert (U[:, diag, diag].real >= 0.0).all()
+    assert_allclose(U[:, 0, 0], 2j, atol=1e-15)
 
 
 def test_matrix_function_stacked_maps(rng):
-    # one eigendecomposition serves a whole stack of maps
-    V = random_complex(rng, 3, 3) + 2 * np.eye(3)
-    A = (V * np.array([1.0, 4.0, 9.0])) @ np.linalg.inv(V)
-    scales = np.array([0.5, 2.0])
-    out = matrix_function(A, lambda w: scales[:, None] * np.sqrt(w))
-    assert out.shape == (2, 3, 3)
-    for s, Z in zip(scales, out):
-        assert_allclose(Z, s * matrix_function(A, np.sqrt), atol=1e-12)
+    # the stack is one call; each entry matches its own call
+    T = np.triu(random_complex(rng, 3, 2, 3, 3))
+    out = matrix_function(T)
+    assert out.shape == (3, 2, 3, 3)
+    for idx in np.ndindex(3, 2):
+        assert_allclose(out[idx], matrix_function(T[idx]), atol=1e-14)
 
 
 def test_matrix_function_rejects_defective():
-    J = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(DefectiveMatrix):
-        matrix_function(J, np.sqrt)
+    # a zero block has the root zero; a nilpotent block has none
+    assert_allclose(matrix_function(np.zeros((2, 2, 2))), 0.0, atol=0)
+    stack = np.zeros((3, 2, 2))
+    stack[1, 0, 1] = 1.0
+    with pytest.raises(NoSquareRoot) as info:
+        matrix_function(stack)
+    assert info.value.index == (1,)
+    assert info.value.row == 0
 
 
 def test_matrix_function_domain_error():
-    with pytest.raises(DomainError):
-        matrix_function(np.eye(2), lambda w: np.full_like(w, np.nan))
+    with pytest.raises(ValueError):
+        matrix_function(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        matrix_function(np.zeros(3))
 
 
 # ----------------------------------------------------- kernel invariance

@@ -5,7 +5,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from singwave.errors import (
-    DefectiveMatrix,
     NoRegularizingGamma,
     RhoDegenerate,
     SingularShift,
@@ -16,7 +15,6 @@ from singwave.pencil import (
     build_pencil,
     build_propagators,
     find_gamma,
-    quadratic_roots,
     rho_condition_violations,
 )
 
@@ -176,11 +174,9 @@ def test_propagators_unit_modulus_all_demo_modes():
             eigs = np.linalg.eigvals(Z)
             mods = np.abs(eigs[np.abs(eigs) > 1e-8])
             assert_allclose(mods, 1.0, atol=1e-10)
-        one = stack.mode(idx)
-        assert one.mode_index == idx + 1
-        assert one.rho == rho
-        assert_allclose(one.Z0, pair.Z0, rtol=0, atol=1e-14)
-        assert_allclose(one.Z1, pair.Z1, rtol=0, atol=1e-14)
+        assert stack.rho[idx] == rho
+        assert_allclose(stack.Z0[idx], pair.Z0, rtol=0, atol=1e-14)
+        assert_allclose(stack.Z1[idx], pair.Z1, rtol=0, atol=1e-14)
 
 
 def test_propagators_sum_identity_random():
@@ -202,7 +198,11 @@ def test_propagators_sum_identity_random():
 
 
 def test_quadratic_root_scalars():
-    plus, minus = quadratic_roots(-0.1)
+    # for a 1 x 1 pencil with d = 1 the propagators are the roots of
+    # x^2 - (2 + rho) x + 1 = 0
+    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pair = build_propagators(pd, -0.1)
+    plus, minus = pair.Z0[0, 0], pair.Z1[0, 0]
     expected_imag = np.sqrt(1 - 0.9025)
     assert_allclose(plus, 0.95 + 1j * expected_imag, atol=1e-13)
     assert_allclose(minus, 0.95 - 1j * expected_imag, atol=1e-13)
@@ -212,17 +212,44 @@ def test_quadratic_root_scalars():
 
 def test_quadratic_roots_on_unit_circle():
     # real root base in [-1, 1]: both roots must sit exactly on the circle
-    roots = quadratic_roots(np.array([-0.5, -1.0, -3.9]))
-    assert roots.shape == (2, 3)
+    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pair = build_propagators(pd, [-0.5, -1.0, -3.9])
+    roots = np.stack([pair.Z0, pair.Z1])
+    assert roots.shape == (2, 3, 1, 1)
     assert np.abs(np.abs(roots) - 1.0).max() <= 1e-12
 
 
-def test_propagators_defective_core_rejected():
+def test_propagators_jordan_core():
+    # the reduced operator is a Jordan block at d = 1, with no
+    # eigenvector basis; the square root is taken in triangular form
     E = np.eye(2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
     pd = build_pencil(E, A, gamma=0.0)
-    with pytest.raises(DefectiveMatrix):
-        build_propagators(pd, -0.25)
+    rho = -0.25
+    pair = build_propagators(pd, rho)
+    rhs = (2 * np.eye(2) + rho * pd.reduced) @ pd.projector
+    assert_allclose(pair.Z0 + pair.Z1, rhs, atol=1e-12)
+    assert_allclose(pair.Z0 @ pair.Z1, pd.projector, atol=1e-12)
+    rng = make_rng(5)
+    l1, l2 = rng.standard_normal(2), rng.standard_normal(2)
+    G = [_difference_solution(pair, pd.projector, l1, l2, j)
+         for j in range(7)]
+    for j in range(1, 6):
+        res = E @ G[j + 1] - (2 * E + rho * A) @ G[j] + E @ G[j - 1]
+        assert one_norm(res) <= 1e-12 * max(1.0, one_norm(G[j]))
+
+
+def test_propagators_jordan_at_coinciding_roots_rejected():
+    # E = I, A = [[0, 1], [0, 0]]: both roots equal 1 on a Jordan block,
+    # where C^2 - I has no square root, whatever the flag says
+    pd = build_pencil(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for flag in (True, False):
+        with pytest.raises(RhoDegenerate) as info:
+            build_propagators(pd, [0.0, -0.3], mode_index=1,
+                              require_invertible_difference=flag)
+        assert "mode 2" in str(info.value)
+    pair = build_propagators(pd, 0.0)
+    assert_allclose(pair.Z0, pd.projector, atol=1e-12)
 
 
 def test_propagators_inverse_pair():

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from singwave.errors import (
     BoundaryExtensionInconsistent,
+    SingwaveError,
     ConsistencyViolation,
     NonFiniteValue,
     ParseError,
@@ -19,6 +20,7 @@ from singwave.fixtures import (
     reject_full_rank,
     reject_kernel_violation,
     reject_projector_mismatch,
+    reject_rho_degenerate,
     scalar_wave_problem,
 )
 from singwave.pencil import build_pencil, build_propagators
@@ -204,10 +206,10 @@ def test_mode_coefficients_zero_data():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
-    prop = build_propagators(pd, spec.mode_rho(3, pairs[2].lam),
+    prop = build_propagators(pd, [spec.mode_rho(3, pairs[2].lam)],
                              mode_index=3)
-    z = np.zeros(3, dtype=complex)
-    coeff = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
+    z = np.zeros((1, 3), dtype=complex)
+    [coeff] = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
     assert coeff.l == 3
     assert_allclose(coeff.P_l, 0.0, atol=1e-14)
     assert_allclose(coeff.Q_l, 0.0, atol=1e-14)
@@ -222,13 +224,18 @@ def test_mode_coefficients_branch_equations():
     # where both branch roots equal one: it must agree between the levels
     fhat = np.array([0.4, -0.3, 0.0], dtype=complex)
     ghat = np.array([0.4, -0.28, 0.0], dtype=complex)
-    l = 4
-    prop = build_propagators(pd, spec.mode_rho(l, pairs[l - 1].lam),
-                             mode_index=l)
-    coeff = solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
-    assert_allclose(coeff.P_l + coeff.Q_l, fhat, atol=1e-9)
-    assert_allclose(prop.Z0 @ coeff.P_l + prop.Z1 @ coeff.Q_l, ghat,
-                    atol=1e-9)
+    # every mode above the static first one is solved in one call
+    rhos = [spec.mode_rho(l, pairs[l - 1].lam) for l in range(2, 8)]
+    prop = build_propagators(pd, rhos, mode_index=2)
+    modes = len(rhos)
+    coeffs = solve_mode_coefficients(spec, pd, prop,
+                                     fhat=np.tile(fhat, (modes, 1)),
+                                     ghat=np.tile(ghat, (modes, 1)))
+    assert [c.l for c in coeffs] == list(range(2, 8))
+    for idx, coeff in enumerate(coeffs):
+        assert_allclose(coeff.P_l + coeff.Q_l, fhat, atol=1e-9)
+        assert_allclose(prop.Z0[idx] @ coeff.P_l + prop.Z1[idx] @ coeff.Q_l,
+                        ghat, atol=1e-9)
 
 
 def test_mode_coefficients_static_direction_mismatch():
@@ -237,13 +244,14 @@ def test_mode_coefficients_static_direction_mismatch():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
-    fhat = np.array([0.4, -0.3, 0.0], dtype=complex)
-    ghat = np.array([0.35, -0.28, 0.0], dtype=complex)
-    prop = build_propagators(pd, spec.mode_rho(4, pairs[3].lam),
+    fhat = np.array([[0.4, -0.3, 0.0]], dtype=complex)
+    ghat = np.array([[0.35, -0.28, 0.0]], dtype=complex)
+    prop = build_propagators(pd, [spec.mode_rho(4, pairs[3].lam)],
                              mode_index=4)
     with pytest.raises(ConsistencyViolation) as info:
         solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
     assert info.value.condition == "mode-equations-unsolvable"
+    assert "mode 4 " in str(info.value)
 
 
 def test_single_mode_data_isolates_one_mode():
@@ -340,6 +348,47 @@ def test_solution_scaling_equivariance():
             F=c * spec.F, Gv=c * spec.Gv, grid=spec.grid)
         Uc = solve_problem(scaled).U
         assert_allclose(Uc, c * U, atol=1e-8 * c)
+
+
+def _jordan_problem() -> ProblemSpec:
+    """E = I, A = [[1, 1], [0, 1]] with clamped ends: the reduced operator
+    has no eigenvector basis."""
+    N = 8
+    x = np.arange(N + 1) / N
+    F = np.stack([np.sin(np.pi * x), x * (1.0 - x)], axis=1)
+    Gv = np.stack([0.5 * np.sin(2 * np.pi * x), np.sin(np.pi * x)], axis=1)
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    return ProblemSpec(m=2, E=eye, A=np.array([[1.0, 1.0], [0.0, 1.0]]),
+                       A1=eye, A2=zero, B1=eye, B2=zero, alpha=0.0,
+                       beta=0.0, F=F, Gv=Gv,
+                       grid=GridParams.create(N, 1.0 / 16.0, 1.0))
+
+
+@pytest.mark.parametrize("make, expected", [
+    (demo_problem, "accepted"),
+    (scalar_wave_problem, "accepted"),
+    (_jordan_problem, "accepted"),
+    (reject_projector_mismatch, "projector-data-mismatch"),
+    (reject_kernel_violation, "data-outside-boundary-kernel"),
+    (reject_full_rank, "boundary-matrix-full-rank"),
+    (reject_rho_degenerate, "rho-degenerate"),
+])
+def test_outcome_invariant_under_rescaling(make, expected):
+    # scaling E and A together, or the data, changes no decision
+    spec = make()
+    for coef in (1e-6, 1.0, 1e6):
+        for data in (1e-6, 1.0, 1e6):
+            scaled = ProblemSpec(
+                m=spec.m, E=coef * spec.E, A=coef * spec.A, A1=spec.A1,
+                A2=spec.A2, B1=spec.B1, B2=spec.B2, alpha=spec.alpha,
+                beta=spec.beta, F=data * spec.F, Gv=data * spec.Gv,
+                grid=spec.grid)
+            try:
+                solve_problem(scaled)
+                outcome = "accepted"
+            except SingwaveError as exc:
+                outcome = exc.condition
+            assert outcome == expected, (coef, data)
 
 
 def test_boundary_extension_inconsistency_detected():
