@@ -291,8 +291,10 @@ def build_report(spec: ProblemSpec, trace: dict,
     if "modes" in trace:
         lines.append("== modes ==")
         lines.append("l rho residual")
-        for mc in trace["modes"]:
-            lines.append(f"{mc.l} {mc.rho_l!r} {_fmt(mc.residual)}")
+        amps = trace["modes"]
+        for idx, (rho, res) in enumerate(zip(amps.rho.tolist(),
+                                             amps.residual.tolist())):
+            lines.append(f"{amps.mode_index + idx} {rho!r} {_fmt(res)}")
     if residuals is not None:
         lines.append("== residuals ==")
         lines.append(f"interior_max={_fmt(residuals.interior_max)}")

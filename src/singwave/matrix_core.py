@@ -4,7 +4,10 @@ Norms, generalized (Moore-Penrose) and Drazin inverses, solvability of
 singular linear systems, core-nilpotent splittings, and principal square
 roots of stacks of upper-triangular matrices (the Schur method, which
 needs no eigenvector basis).  Everything works on plain numpy arrays and
-is a pure function of its inputs.
+is a pure function of its inputs.  Numerical rank has one definition,
+in _svd_rank: the count of singular values above a relative tolerance
+times the largest of their matrix.  Every minimum-norm solve, the
+Moore-Penrose inverse included, inverts just those values (min_norm_solve).
 """
 
 from __future__ import annotations
@@ -53,12 +56,28 @@ def one_norm(M) -> float:
 
 
 def _svd_rank(A: np.ndarray, tol: float):
-    """SVD of A and its numerical rank: the count of singular values above
-    ``tol`` times the largest.  Vh is always square (cols x cols), so its
-    trailing rows span the whole null space, also for wide A."""
-    U, s, Vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
-    return U, s, Vh, rank
+    """SVD of a matrix or a stack of them (..., rows, cols) and the
+    numerical rank of each: the count of singular values above ``tol``
+    times the largest of that matrix.  Vh is always square (cols x cols),
+    so its trailing rows span the whole null space, also for wide A."""
+    U, s, Vh = np.linalg.svd(A, full_matrices=A.shape[-2] < A.shape[-1])
+    return U, s, Vh, np.count_nonzero(s > tol * s[..., :1], axis=-1)
+
+
+def _solve_kept(U, s, Vh, rank, B) -> np.ndarray:
+    """Vh^H ((U^H B) / s) over the first ``rank`` singular values."""
+    n = s.shape[-1]
+    UhB = U[..., :n].conj().swapaxes(-1, -2) @ B
+    x = np.divide(UhB, s[..., None], out=np.zeros_like(UhB),
+                  where=(np.arange(n) < rank[..., None])[..., None])
+    return Vh[..., :n, :].conj().swapaxes(-1, -2) @ x
+
+
+def min_norm_solve(A, B, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Minimum-norm least-squares solution of A X = B for a matrix A or a
+    stack (..., rows, cols) and B (..., rows, k): the Moore-Penrose
+    inverse with relative cutoff ``tol``, each matrix cut on its own."""
+    return _solve_kept(*_svd_rank(np.asarray(A), tol), np.asarray(B))
 
 
 def rank_and_kernel(M, tol: float = DEFAULT_RANK_TOL):
@@ -69,7 +88,7 @@ def rank_and_kernel(M, tol: float = DEFAULT_RANK_TOL):
     ``(cols, cols - rank)`` and its columns span the numerical null space.
     """
     _, _, Vh, rank = _svd_rank(as_matrix(M), tol)
-    return rank, Vh[rank:].conj().T
+    return int(rank), Vh[rank:].conj().T
 
 
 def generalized_inverse(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -78,7 +97,7 @@ def generalized_inverse(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Satisfies M G M = M; coincides with the inverse for invertible M.
     """
     A = as_matrix(M)
-    return np.linalg.pinv(A, rcond=tol)
+    return min_norm_solve(A, np.eye(A.shape[0], dtype=complex), tol)
 
 
 @dataclass
@@ -95,12 +114,6 @@ class MitraSolution:
     particular: np.ndarray
     kernel: np.ndarray
     residual: float
-
-    @property
-    def kernel_projector(self) -> np.ndarray:
-        """Orthogonal projector onto the null space; cols x cols, so only
-        for small systems."""
-        return self.kernel @ self.kernel.conj().T
 
 
 def _as_complex(pairs: np.ndarray) -> np.ndarray:
@@ -132,7 +145,7 @@ def mitra_solve(A, b, tol: float = 1e-8,
         raise ValueError(
             f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
     U, s, Vh, rank = _svd_rank(A, rank_tol)
-    x = Vh[:rank].conj().T @ ((U[:, :rank].conj().T @ rhs) / s[:rank, None])
+    x = _solve_kept(U, s, Vh, rank, rhs)
     residual = one_norm(_as_complex(A @ x - rhs))
     consistent = bool(residual <= tol * (1.0 + one_norm(b)))
     return MitraSolution(consistent, _as_complex(x), Vh[rank:].conj().T,
@@ -250,9 +263,7 @@ def drazin_inverse(M, tol: float = DEFAULT_RANK_TOL):
     Returns ``(D, index)`` with D built from the core-nilpotent split by
     inverting the core block and annihilating the nilpotent one.
     """
-    A = as_matrix(M)
-    _require_square(A)
-    dec = core_nilpotent(A, tol)
+    dec = core_nilpotent(M, tol)
     D = dec.T[:, : dec.p] @ dec.core_inverse() @ dec.T_inv[: dec.p]
     return D, dec.index_k
 
@@ -307,14 +318,12 @@ def matrix_function(T) -> np.ndarray:
     return U
 
 
-def kernel_invariance_defect(B, A, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Norm of B A (I - B^g B); zero when Ker(B) is invariant under A."""
-    Bm = as_matrix(B, "B")
-    Am = as_matrix(A, "A")
+def kernel_invariance_defect(B, A, kernel) -> float:
+    """Norm of B A (I - B^g B) = B A K K^H, with K the orthonormal kernel
+    basis of B (rank_and_kernel); zero when Ker(B) is invariant under A."""
+    Bm, Am, K = as_matrix(B, "B"), as_matrix(A, "A"), as_matrix(kernel, "K")
     _require_square(Am, "A")
-    if Bm.shape[1] != Am.shape[0]:
-        raise ValueError(
-            f"B has {Bm.shape[1]} columns but A is {Am.shape[0]} x {Am.shape[0]}")
-    G = np.linalg.pinv(Bm, rcond=rank_tol)
-    n = Bm.shape[1]
-    return one_norm(Bm @ Am @ (np.eye(n, dtype=complex) - G @ Bm))
+    if not Bm.shape[1] == Am.shape[0] == K.shape[0]:
+        raise ValueError(f"B {Bm.shape}, A {Am.shape} and K {K.shape} "
+                         "do not conform")
+    return one_norm((Bm @ Am @ K) @ K.conj().T)

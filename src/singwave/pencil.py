@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (NoRegularizingGamma, NoSquareRoot, RhoDegenerate,
                      SingularShift)
 from .matrix_core import (
+    DEFAULT_RANK_TOL,
     as_matrix,
     core_nilpotent,
     matrix_function,
@@ -56,8 +57,10 @@ def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
     """First shift from a fixed candidate ladder making gamma*E + A
     well conditioned.
 
-    Candidates are 0, +-1, +-i, +-2, ... scaled to the relative size of A
-    against E; deterministic for fixed inputs.  Raises NoRegularizingGamma
+    Candidates are 0, +-1, +-i, +-2, ... scaled by one_norm(A) /
+    one_norm(E) (by 1 when either is zero), so the chosen position on the
+    ladder does not change when E, or the pair, is rescaled;
+    deterministic for fixed inputs.  Raises NoRegularizingGamma
     when no candidate brings the 1-norm condition number under the limit.
     """
     Em = as_matrix(E, "E")
@@ -65,9 +68,8 @@ def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
     if Em.shape != Am.shape or Em.shape[0] != Em.shape[1]:
         raise ValueError(
             f"E and A must be square with equal shapes, got {Em.shape} and {Am.shape}")
-    scale = one_norm(Am) / max(one_norm(Em), 1.0)
-    if scale == 0.0:
-        scale = 1.0
+    e_norm = one_norm(Em)
+    scale = (one_norm(Am) / e_norm if e_norm else 0.0) or 1.0
     for cand in _candidate_ladder():
         gamma = cand * scale
         if _cond1(gamma * Em + Am) <= cond_limit:
@@ -119,7 +121,7 @@ class PropagatorPair:
 
 
 def build_pencil(E, A, gamma: Optional[complex] = None,
-                 tol: float = 1e-10) -> PencilData:
+                 tol: float = DEFAULT_RANK_TOL) -> PencilData:
     """Form the shifted pair and its Drazin projector and reduced operator.
 
     With S = gamma*E + A invertible, Ehat = S^-1 E and Ahat = S^-1 A

@@ -28,8 +28,10 @@ from .errors import (
     ShapeError,
 )
 from .matrix_core import (
+    DEFAULT_RANK_TOL,
     as_matrix,
     kernel_invariance_defect,
+    min_norm_solve,
     one_norm,
     rank_and_kernel,
 )
@@ -53,7 +55,7 @@ from .sturm_liouville import (
 class Tolerances:
     """Relative tolerances used throughout a solve."""
 
-    rank: float = 1e-10
+    rank: float = DEFAULT_RANK_TOL
     residual: float = 1e-8
     consistency: float = 1e-8
 
@@ -187,11 +189,11 @@ def endpoint_maps(A1, A2, B1, B2, N: int,
 
     Each endpoint row is the minimum-norm solution, with singular values
     below rank_tol (relative) cut, of the discrete endpoint relation
-    (A1 - N*A2) U(0,j) = -N*A2 U(1,j) or (B1 + N*B2) U(N,j) = N*B2 U(N-1,j).
+    (A1 - N*A2) U(0,j) = -N*A2 U(1,j) or (B1 + N*B2) U(N,j) = N*B2 U(N-1,j);
+    both maps come from one stacked solve.
     """
-    left = np.linalg.pinv(A1 - N * A2, rcond=rank_tol) @ (-N * A2)
-    right = np.linalg.pinv(B1 + N * B2, rcond=rank_tol) @ (N * B2)
-    return left, right
+    return tuple(min_norm_solve(np.stack([A1 - N * A2, B1 + N * B2]),
+                                np.stack([-N * A2, N * B2]), rank_tol))
 
 
 @dataclass
@@ -223,25 +225,15 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
     tol = spec.tolerances.consistency
     scale = spec.data_scale()
 
-    proj_defect = 0.0
-    for data in (spec.F, spec.Gv):
-        delta = data @ pd.projector.T - data
-        if delta.size:
-            proj_defect = max(proj_defect,
-                              float(np.abs(delta).sum(axis=1).max()))
+    data = np.stack([spec.F, spec.Gv])  # both grids, every node
+    proj_defect = float(np.abs(data @ pd.projector.T - data).sum(axis=2).max())
     proj_ok = proj_defect <= tol * (1.0 + one_norm(pd.projector)) * scale
 
-    kernel_defect = 0.0
-    interior = slice(1, spec.grid.N)
-    for data in (spec.F, spec.Gv):
-        mapped = data[interior] @ bm.Gab.T
-        if mapped.size:
-            kernel_defect = max(kernel_defect,
-                                float(np.abs(mapped).sum(axis=1).max()))
+    kernel_defect = float(np.abs(data[:, 1:spec.grid.N] @ bm.Gab.T
+                                 ).sum(axis=2).max())
     kernel_ok = kernel_defect <= tol * (1.0 + one_norm(bm.Gab)) * scale
 
-    inv_defect = kernel_invariance_defect(bm.Gab, pd.reduced,
-                                          spec.tolerances.rank)
+    inv_defect = kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel)
     inv_ok = inv_defect <= tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))
 
     return ConsistencyReport(bool(proj_ok), proj_defect,
@@ -268,28 +260,29 @@ def raise_on_inconsistency(report: ConsistencyReport) -> None:
 
 
 @dataclass
-class ModeCoefficients:
-    """Amplitudes of the two propagating branches of one spatial mode."""
+class ModeAmplitudes:
+    """Branch amplitudes of a run of modes; row idx is spatial mode
+    mode_index + idx.  P, Q are (modes, m); rho, residual are (modes,)."""
 
-    l: int
-    P_l: np.ndarray
-    Q_l: np.ndarray
-    rho_l: float
-    residual: float
+    mode_index: int
+    P: np.ndarray
+    Q: np.ndarray
+    rho: np.ndarray
+    residual: np.ndarray
 
 
 def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
                             propagators: PropagatorPair,
                             fhat: np.ndarray, ghat: np.ndarray
-                            ) -> List[ModeCoefficients]:
+                            ) -> ModeAmplitudes:
     """Branch amplitudes P_l, Q_l of every mode of a propagator stack.
 
     fhat and ghat hold, one row per mode, the coefficients in the initial
     position and in the first time level.  P_l + Q_l reproduces fhat and
     Z0 P_l + Z1 Q_l reproduces ghat.  In core coordinates both amplitudes
-    are (f_c +- x)/2 with S_l x = g_c - C_l f_c, which is solved
-    minimum-norm for all modes at once; the residual of both equations in
-    full coordinates then decides, mode by mode, whether they hold.
+    are (f_c +- x)/2 with S_l x = g_c - C_l f_c, one min_norm_solve over
+    the S stack for all modes; the residual of both equations in full
+    coordinates then decides, mode by mode, whether they hold.
     """
     tol = spec.tolerances.residual
     fc = fhat @ pd.coords.T
@@ -297,7 +290,7 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
     S = propagators.S
     # singular values below machine precision times the order are zero
     cut = np.finfo(float).eps * max(S.shape[-1], 1)
-    x = (np.linalg.pinv(S, rcond=cut) @ rhs[..., None])[..., 0]
+    x = min_norm_solve(S, rhs[..., None], cut)[..., 0]
     P = ((fc + x) / 2.0) @ pd.basis.T
     Q = ((fc - x) / 2.0) @ pd.basis.T
     step = (propagators.Z0 @ P[..., None]
@@ -319,9 +312,8 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
             f"mode {l} amplitude system unsolvable "
             f"(residual {res[idx]:.3e})",
             condition="mode-equations-unsolvable")
-    return [ModeCoefficients(propagators.mode_index + idx, P[idx], Q[idx],
-                             float(np.real(rhos[idx])), float(res[idx]))
-            for idx in range(len(rhos))]
+    return ModeAmplitudes(propagators.mode_index, P, Q,
+                          np.real(rhos).astype(float), res)
 
 
 @dataclass
@@ -350,17 +342,17 @@ class StabilityReport:
 
 @dataclass
 class DiscreteSolution:
-    """Solved grid with its per-mode amplitudes, the two endpoint_maps
-    that extended it to the endpoints, and quality reports."""
+    """Solved grid with every mode's stacked amplitudes, the two
+    endpoint_maps that extended it to the endpoints, and quality reports."""
 
     U: np.ndarray  # (N+1, M+1, m) complex
-    modes: List[ModeCoefficients]
+    modes: ModeAmplitudes
     endpoint_maps: tuple[np.ndarray, np.ndarray]
     reports: Dict[str, object] = field(default_factory=dict)
 
 
 def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
-                      coeffs: Sequence[ModeCoefficients],
+                      amps: ModeAmplitudes,
                       eigenpairs: Sequence[EigenPair]
                       ) -> DiscreteSolution:
     """Superpose the modes on interior nodes and extend to the endpoints.
@@ -378,9 +370,8 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
     # (branch, modes, m, 1) stack of columns
     Z = np.stack([propagators.Z0, propagators.Z1])
-    cur = np.stack([[c.P_l for c in coeffs],
-                    [c.Q_l for c in coeffs]])[..., None]
-    tables = np.empty((len(coeffs), M + 1, m), dtype=complex)
+    cur = np.stack([amps.P, amps.Q])[..., None]
+    tables = np.empty((amps.P.shape[0], M + 1, m), dtype=complex)
     tables[:, 0] = cur.sum(axis=0)[..., 0]
     for j in range(1, M + 1):
         cur = Z @ cur
@@ -403,15 +394,14 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
         raise BoundaryExtensionInconsistent(
             f"{side} endpoint relation unsolvable at step j={j}")
 
-    init_defect = float(np.abs(U[1:N, 0] - spec.F[1:N]).sum(axis=1).max()
-                        ) if N > 1 else 0.0
-    sol = DiscreteSolution(U, list(coeffs), maps)
+    init_defect = float(np.abs(U[1:N, 0] - spec.F[1:N]).sum(axis=1).max())
+    sol = DiscreteSolution(U, amps, maps)
     sol.reports["initial_match"] = init_defect / spec.data_scale()
     return sol
 
 
 def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
-                     coeffs: Sequence[ModeCoefficients],
+                     amps: ModeAmplitudes,
                      eigenpairs: Sequence[EigenPair],
                      sol: DiscreteSolution) -> StabilityReport:
     """Power growth of each mode's propagators and of the assembled grid.
@@ -419,10 +409,11 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
     The growth rate of a mode is (max_j |Z^j|^(1/j) - 1)/k over both
     branches; the power norms must stay under exp(T * rate) up to a small
     slack, and the solution sup-norm under the mode-wise envelope.  The
-    powers of the (modes, m, m) stacks are formed for all modes at once.
+    powers of the (modes, m, m) stacks, the bounds and the envelope are
+    formed for all modes at once.
     """
     grid = spec.grid
-    k, T, M, N = grid.k, grid.T, grid.M, grid.N
+    k, T, M = grid.k, grid.T, grid.M
     Z = np.stack([propagators.Z0, propagators.Z1])  # (branch, modes, m, m)
     power = Z.copy()
     peak = np.zeros(Z.shape[:2])
@@ -437,31 +428,26 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
     # -1/k where both propagators are identically zero
     rate = np.where(np.isfinite(rate), rate, -1.0 / k)
     max0, max1 = peak
+    bound = np.where(rate >= 0, np.exp(T * np.maximum(rate, 0.0))
+                     * (1.0 + 1e-6), 1.0)
+    ok = np.maximum(max0, max1) <= bound
+    rows = [ModeStability(l, *vals) for l, *vals in zip(
+        range(amps.mode_index, amps.mode_index + ok.size), amps.rho.tolist(),
+        max0.tolist(), max1.tolist(), rate.tolist(), ok.tolist())]
+    all_ok = bool(ok.all())
 
-    rows: List[ModeStability] = []
-    envelope = 0.0
-    slp = spec.sl_problem()
-    for idx, coeff in enumerate(coeffs):
-        r = float(rate[idx])
-        bound = float(np.exp(T * max(r, 0.0)) * (1.0 + 1e-6)) \
-            if r >= 0 else 1.0
-        ok = max(max0[idx], max1[idx]) <= bound
-        rows.append(ModeStability(coeff.l, coeff.rho_l, float(max0[idx]),
-                                  float(max1[idx]), r, bool(ok)))
-        vext = extend_eigenfunction(eigenpairs[idx], slp)
-        vmax = float(np.abs(vext).max())
-        envelope += (max(max0[idx], 1.0) * one_norm(coeff.P_l)
-                     + max(max1[idx], 1.0) * one_norm(coeff.Q_l)) * vmax
-    all_ok = all(row.bound_ok for row in rows)
-
+    vmax = np.abs(extend_eigenfunction(eigenpairs, spec.sl_problem())
+                  ).max(axis=1)
+    envelope = float(((np.maximum(max0, 1.0) * np.abs(amps.P).sum(axis=1)
+                       + np.maximum(max1, 1.0) * np.abs(amps.Q).sum(axis=1))
+                      * vmax).sum())
     boundary_amp = max(1.0, *(one_norm(side) for side in sol.endpoint_maps))
     envelope = boundary_amp * envelope + 1e-9
 
     sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
-    rate_all = max((row.growth_rate for row in rows), default=0.0)
-    report = StabilityReport(rows, float(rate_all), sup, float(envelope),
-                             bool(all_ok), bool(sup <= envelope and all_ok))
-    return report
+    rate_all = max(rate.tolist(), default=0.0)
+    return StabilityReport(rows, rate_all, sup, envelope, all_ok,
+                           bool(sup <= envelope and all_ok))
 
 
 def solve_problem(spec: ProblemSpec,
@@ -500,11 +486,11 @@ def solve_problem(spec: ProblemSpec,
             for l, pair in enumerate(eigenpairs, start=1)]
     propagators = build_propagators(pd, rhos, mode_index=1,
                                     require_invertible_difference=False)
-    coeffs = solve_mode_coefficients(spec, pd, propagators, fc, gc)
-    note("modes", coeffs)
+    amps = solve_mode_coefficients(spec, pd, propagators, fc, gc)
+    note("modes", amps)
 
-    sol = assemble_solution(spec, propagators, coeffs, eigenpairs)
-    stab = stability_report(spec, propagators, coeffs, eigenpairs, sol)
+    sol = assemble_solution(spec, propagators, amps, eigenpairs)
+    stab = stability_report(spec, propagators, amps, eigenpairs, sol)
     sol.reports["stability"] = stab
     note("stability", stab)
     note("solution", sol)

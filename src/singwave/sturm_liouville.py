@@ -189,12 +189,11 @@ def synthesize(coeffs, pairs: Sequence[EigenPair]) -> np.ndarray:
     return V @ C
 
 
-def extend_eigenfunction(pair: EigenPair, prob: SLProblem) -> np.ndarray:
-    """Mode values on the full grid 0..N via the endpoint eliminations."""
+def extend_eigenfunction(pairs: Sequence[EigenPair],
+                         prob: SLProblem) -> np.ndarray:
+    """Values of a stack of modes on the full grid 0..N via the endpoint
+    eliminations; shape (len(pairs), N+1), one row per mode."""
     a_eff, b_eff = boundary_scalars(prob)
-    full = np.empty(prob.N + 1)
-    full[1:-1] = pair.v
-    full[0] = a_eff * pair.v[0]
-    full[-1] = b_eff * pair.v[-1]
-    return full
+    V = np.array([pair.v for pair in pairs])
+    return np.hstack([a_eff * V[:, :1], V, b_eff * V[:, -1:]])
 

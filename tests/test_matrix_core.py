@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 
 from singwave.errors import NoSquareRoot, NonFiniteValue
 from singwave.matrix_core import (
+    DEFAULT_RANK_TOL,
     as_matrix,
     core_nilpotent,
     drazin_inverse,
     generalized_inverse,
     kernel_invariance_defect,
     matrix_function,
+    min_norm_solve,
     mitra_solve,
     one_norm,
     rank_and_kernel,
@@ -117,7 +119,8 @@ def test_mitra_consistent_diagonal():
     sol = mitra_solve(np.diag([1.0, 0.0]), [2.0, 0.0])
     assert sol.consistent
     assert_allclose(sol.particular, [2.0, 0.0], atol=1e-14)
-    assert_allclose(sol.kernel_projector, np.diag([0.0, 1.0]), atol=1e-14)
+    assert_allclose(sol.kernel @ sol.kernel.conj().T, np.diag([0.0, 1.0]),
+                    atol=1e-14)
 
 
 def test_mitra_inconsistent_diagonal():
@@ -131,9 +134,10 @@ def test_mitra_solution_family(rng):
     b = A @ x0
     sol = mitra_solve(A, b)
     assert sol.consistent
+    projector = sol.kernel @ sol.kernel.conj().T
     for _ in range(10):
         z = random_complex(rng, 5)
-        x = sol.particular + sol.kernel_projector @ z
+        x = sol.particular + projector @ z
         assert one_norm(A @ x - b) <= 1e-9 * (1 + one_norm(b))
 
 
@@ -191,8 +195,59 @@ def test_mitra_complex_matrix_matches_pinv(rows, cols, rank):
     assert (np.linalg.norm(sol.particular - expected)
             <= 1e-12 * np.linalg.norm(expected))
     _assert_kernel_basis(A, sol, rank)
-    assert_allclose(sol.kernel_projector,
+    assert_allclose(sol.kernel @ sol.kernel.conj().T,
                     np.eye(cols) - np.linalg.pinv(A) @ A, atol=1e-12)
+
+
+# ------------------------------------------------------------ min_norm_solve
+
+def _pinv_solve(A, B, tol=DEFAULT_RANK_TOL):
+    """The oracle: numpy's pseudoinverse with the same relative cut."""
+    return np.linalg.pinv(A, rcond=tol) @ B
+
+
+# includes (3, 8, 0), the zero matrix
+@pytest.mark.parametrize("rows, cols, rank", SHAPES)
+def test_min_norm_solve_matches_pinv(rows, cols, rank):
+    rng = make_rng(100 * rows + 10 * cols + rank)
+    A = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    B = random_complex(rng, rows, 2)
+    X, expected = min_norm_solve(A, B), _pinv_solve(A, B)
+    assert X.shape == (cols, 2)
+    assert_allclose(X, expected, rtol=0,
+                    atol=1e-12 * (1 + np.abs(expected).max()))
+
+
+def test_min_norm_solve_real_zero_matrix():
+    X = min_norm_solve(np.zeros((3, 2)), np.ones((3, 1)))
+    assert X.shape == (2, 1)
+    assert not X.any()
+
+
+def test_min_norm_solve_cut_is_relative():
+    # 1e-6 of the largest stays above a 1e-8 cut and 1e-12 falls below it
+    D = np.diag([2.0, 2e-6, 2e-12])
+    X = min_norm_solve(D, np.eye(3), tol=1e-8)
+    assert_allclose(X, np.diag([0.5, 5e5, 0.0]), rtol=1e-15)
+    assert_allclose(X, _pinv_solve(D, np.eye(3), 1e-8), rtol=1e-15)
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 4), (6, 3), (3, 6)])
+def test_min_norm_solve_stack_of_ranks(rows, cols):
+    # every stack entry makes its own cut, relative to its own largest
+    # singular value
+    rng = make_rng(rows * cols)
+    ranks = [0, 1, min(rows, cols) - 1, min(rows, cols)]
+    A = np.stack([(10.0 ** idx) * random_complex(rng, rows, r)
+                  @ random_complex(rng, r, cols)
+                  for idx, r in enumerate(ranks)])
+    B = random_complex(rng, len(ranks), rows, 2)
+    X = min_norm_solve(A, B)
+    assert X.shape == (len(ranks), cols, 2)
+    for a, b, x in zip(A, B, X):
+        expected = _pinv_solve(a, b)
+        assert_allclose(x, expected, rtol=0,
+                        atol=1e-12 * (1 + np.abs(expected).max()))
 
 
 # ------------------------------------------------------------- core_nilpotent
@@ -357,13 +412,13 @@ def test_matrix_function_domain_error():
 def test_kernel_invariance_invertible(rng):
     B = random_complex(rng, 3, 3) + 3 * np.eye(3)
     A = random_complex(rng, 3, 3)
-    assert kernel_invariance_defect(B, A) <= 1e-10
+    assert kernel_invariance_defect(B, A, rank_and_kernel(B)[1]) <= 1e-10
 
 
 def test_kernel_invariance_violated():
     B = np.diag([1.0, 0.0])
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert kernel_invariance_defect(B, A) > 0.5
+    assert kernel_invariance_defect(B, A, rank_and_kernel(B)[1]) > 0.5
 
 
 def test_kernel_invariance_rectangular():
@@ -372,7 +427,27 @@ def test_kernel_invariance_rectangular():
     B[0, 2] = 2.0
     B[2, 2] = 2.0
     A = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    assert kernel_invariance_defect(B, A) <= 1e-10
+    assert kernel_invariance_defect(B, A, rank_and_kernel(B)[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("rows, cols, rank",
+                         [(6, 3, 0), (6, 3, 1), (6, 3, 2), (4, 4, 2),
+                          (2, 5, 1)])
+def test_kernel_invariance_matches_pinv_formula(rows, cols, rank):
+    # the old formula B A (I - pinv(B) B) is the oracle, on a general A
+    # and on one that keeps the kernel
+    rng = make_rng(100 * rows + 10 * cols + rank)
+    B = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
+    _, K = rank_and_kernel(B)
+    keeps = K @ random_complex(rng, cols - rank, cols - rank) @ K.conj().T \
+        + random_complex(rng, cols, cols) @ (np.eye(cols) - K @ K.conj().T)
+    G = np.linalg.pinv(B, rcond=DEFAULT_RANK_TOL)
+    for A in (random_complex(rng, cols, cols), keeps):
+        old = one_norm(B @ A @ (np.eye(cols) - G @ B))
+        new = kernel_invariance_defect(B, A, K)
+        scale = 1 + one_norm(B) * one_norm(A)
+        assert abs(new - old) <= 1e-12 * scale
+    assert new <= 1e-12 * scale
 
 
 # ------------------------------------------------------------- validation

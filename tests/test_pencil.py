@@ -56,6 +56,24 @@ def test_find_gamma_demo_pair():
     assert abs(np.linalg.det(shifted)) > 1e-12
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_find_gamma_scale_invariant(c):
+    # the shift keeps its ladder position when E or the pair is rescaled;
+    # the demo pair's norms scale exactly
+    E, A = demo_EA()
+    assert find_gamma(c * E, c * A) == find_gamma(E, A) == 1.0
+    assert c * find_gamma(c * E, A) == find_gamma(E, A)
+    # a singular A needs a nonzero shift; a general pair's norm ratio
+    # scales up to a few units in the last place
+    rng = make_rng(5)
+    E, A = rng.standard_normal((2, 3, 3))
+    E[2], A[:, 0] = 0.0, 0.0
+    gamma = find_gamma(E, A)
+    assert gamma != 0.0
+    assert find_gamma(c * E, c * A) == pytest.approx(gamma, rel=1e-14)
+    assert c * find_gamma(c * E, A) == pytest.approx(gamma, rel=1e-14)
+
+
 def test_find_gamma_no_candidate():
     with pytest.raises(NoRegularizingGamma):
         find_gamma(np.zeros((2, 2)), np.zeros((2, 2)))

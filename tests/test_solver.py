@@ -27,7 +27,7 @@ from singwave.pencil import build_pencil, build_propagators
 from singwave.solver import (
     ConsistencyReport,
     GridParams,
-    ModeCoefficients,
+    ModeAmplitudes,
     ProblemSpec,
     assemble_solution,
     build_boundary_matrix,
@@ -209,11 +209,14 @@ def test_mode_coefficients_zero_data():
     prop = build_propagators(pd, [spec.mode_rho(3, pairs[2].lam)],
                              mode_index=3)
     z = np.zeros((1, 3), dtype=complex)
-    [coeff] = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
-    assert coeff.l == 3
-    assert_allclose(coeff.P_l, 0.0, atol=1e-14)
-    assert_allclose(coeff.Q_l, 0.0, atol=1e-14)
-    assert coeff.residual <= 1e-14
+    amps = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
+    assert amps.mode_index == 3
+    assert amps.P.shape == amps.Q.shape == (1, 3)
+    assert_allclose(amps.P, 0.0, atol=1e-14)
+    assert_allclose(amps.Q, 0.0, atol=1e-14)
+    assert amps.residual.shape == amps.rho.shape == (1,)
+    assert amps.residual[0] <= 1e-14
+    assert amps.rho[0] == spec.mode_rho(3, pairs[2].lam)
 
 
 def test_mode_coefficients_branch_equations():
@@ -228,14 +231,15 @@ def test_mode_coefficients_branch_equations():
     rhos = [spec.mode_rho(l, pairs[l - 1].lam) for l in range(2, 8)]
     prop = build_propagators(pd, rhos, mode_index=2)
     modes = len(rhos)
-    coeffs = solve_mode_coefficients(spec, pd, prop,
-                                     fhat=np.tile(fhat, (modes, 1)),
-                                     ghat=np.tile(ghat, (modes, 1)))
-    assert [c.l for c in coeffs] == list(range(2, 8))
-    for idx, coeff in enumerate(coeffs):
-        assert_allclose(coeff.P_l + coeff.Q_l, fhat, atol=1e-9)
-        assert_allclose(prop.Z0[idx] @ coeff.P_l + prop.Z1[idx] @ coeff.Q_l,
-                        ghat, atol=1e-9)
+    amps = solve_mode_coefficients(spec, pd, prop,
+                                   fhat=np.tile(fhat, (modes, 1)),
+                                   ghat=np.tile(ghat, (modes, 1)))
+    assert amps.mode_index == 2
+    assert amps.P.shape == (modes, 3)
+    assert_allclose(amps.rho, rhos, rtol=0, atol=0)
+    assert_allclose(amps.P + amps.Q, np.tile(fhat, (modes, 1)), atol=1e-9)
+    step = prop.Z0 @ amps.P[..., None] + prop.Z1 @ amps.Q[..., None]
+    assert_allclose(step[..., 0], np.tile(ghat, (modes, 1)), atol=1e-9)
 
 
 def test_mode_coefficients_static_direction_mismatch():
@@ -266,13 +270,11 @@ def test_single_mode_data_isolates_one_mode():
                        F=_with_boundary(F_int, mats),
                        Gv=np.zeros((N + 1, 3), dtype=complex),
                        grid=GridParams.create(N, k, T))
-    sol = solve_problem(spec)
-    for coeff in sol.modes:
-        total = np.abs(coeff.P_l).sum() + np.abs(coeff.Q_l).sum()
-        if coeff.l == 2:
-            assert_allclose(coeff.P_l + coeff.Q_l, [0, 1, 0], atol=1e-9)
-        else:
-            assert total <= 1e-9
+    amps = solve_problem(spec).modes
+    assert amps.mode_index == 1
+    assert_allclose(amps.P[1] + amps.Q[1], [0, 1, 0], atol=1e-9)
+    others = np.delete(np.abs(amps.P) + np.abs(amps.Q), 1, axis=0)
+    assert others.sum(axis=1).max() <= 1e-9
 
 
 # ----------------------------------------------------------------- assembly
@@ -407,10 +409,10 @@ def test_boundary_extension_inconsistency_detected():
     pairs = solve_psd(SLProblem(N))
     pd = build_pencil(one, one, gamma=0.0)
     props = build_propagators(pd, [-0.1], mode_index=1)
-    coeff = ModeCoefficients(1, np.array([0.5 + 0j]), np.array([0.5 + 0j]),
-                             -0.1, 0.0)
+    amps = ModeAmplitudes(1, np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]]),
+                          np.array([-0.1]), np.array([0.0]))
     with pytest.raises(BoundaryExtensionInconsistent) as info:
-        assemble_solution(spec, props, [coeff], pairs)
+        assemble_solution(spec, props, amps, pairs)
     assert "left endpoint relation unsolvable at step j=0" in str(info.value)
 
 
@@ -467,10 +469,10 @@ def test_solution_reconstructs_from_modes():
     pd = build_pencil(spec.E, spec.A)
     # rebuild step j=M from the stored amplitudes and fresh propagators
     rebuilt = np.zeros((N - 1, spec.m), dtype=complex)
-    for coeff in sol.modes:
-        prop = build_propagators(pd, coeff.rho_l,
-                                 require_invertible_difference=False)
-        amp = (np.linalg.matrix_power(prop.Z0, M) @ coeff.P_l
-               + np.linalg.matrix_power(prop.Z1, M) @ coeff.Q_l)
-        rebuilt += np.outer(pairs[coeff.l - 1].v, amp)
+    amps = sol.modes
+    for idx, rho in enumerate(amps.rho):
+        prop = build_propagators(pd, rho, require_invertible_difference=False)
+        amp = (np.linalg.matrix_power(prop.Z0, M) @ amps.P[idx]
+               + np.linalg.matrix_power(prop.Z1, M) @ amps.Q[idx])
+        rebuilt += np.outer(pairs[amps.mode_index + idx - 1].v, amp)
     assert_allclose(rebuilt, sol.U[1:N, M], atol=1e-9)

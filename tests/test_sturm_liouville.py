@@ -189,20 +189,25 @@ def test_expand_shape_mismatch():
 def test_extended_mode_satisfies_recurrence(alpha, beta):
     for N in (4, 8, 16):
         prob = SLProblem(N, alpha, beta)
-        for pair in solve_psd(prob):
-            full = extend_eigenfunction(pair, prob)
-            res = np.abs(full[2:] - (2 - pair.lam) * full[1:-1] + full[:-2])
-            assert res.max() <= 1e-12 * max(1.0, np.abs(full).max())
+        pairs = solve_psd(prob)
+        full = extend_eigenfunction(pairs, prob)  # one row per mode
+        assert full.shape == (N - 1, N + 1)
+        lams = np.array([pair.lam for pair in pairs])[:, None]
+        res = np.abs(full[:, 2:] - (2 - lams) * full[:, 1:-1] + full[:, :-2])
+        assert np.all(res.max(axis=1)
+                      <= 1e-12 * np.maximum(1.0, np.abs(full).max(axis=1)))
 
 
 def test_extension_endpoint_relations():
     N, alpha, beta = 8, 2.0, 1.0
     prob = SLProblem(N, alpha, beta)
-    pair = solve_psd(prob)[2]
-    full = extend_eigenfunction(pair, prob)
-    assert_allclose(full[0] + alpha * N * (full[1] - full[0]), 0.0, atol=1e-12)
-    assert_allclose(full[N] + beta * N * (full[N] - full[N - 1]), 0.0,
+    pairs = solve_psd(prob)
+    full = extend_eigenfunction(pairs, prob)
+    assert_allclose(full[:, 1:N], [pair.v for pair in pairs], atol=0.0)
+    assert_allclose(full[:, 0] + alpha * N * (full[:, 1] - full[:, 0]), 0.0,
                     atol=1e-12)
+    assert_allclose(full[:, N] + beta * N * (full[:, N] - full[:, N - 1]),
+                    0.0, atol=1e-12)
 
 
 def test_cluster_stabilizer_orthonormalizes():
