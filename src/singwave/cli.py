@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -31,6 +32,7 @@ from .solver import (
     GridParams,
     ProblemSpec,
     Tolerances,
+    is_number,
     solve_problem,
 )
 from .sturm_liouville import solve_psd
@@ -42,10 +44,10 @@ _CSV_BLOCK = 4096
 
 
 def _entry_to_complex(value, key: str) -> complex:
-    if isinstance(value, (int, float)):
+    if is_number(value):
         return complex(value)
     if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(p, (int, float)) for p in value)):
+            and all(is_number(p) for p in value)):
         return complex(value[0], value[1])
     raise ParseError(
         f'"{key}": entries must be numbers or [re, im] pairs, got {value!r}')
@@ -79,7 +81,7 @@ def _parse_grid_data(doc: dict, key: str, N: int, m: int) -> np.ndarray:
 
 def _parse_number(doc: dict, key: str) -> float:
     value = doc.get(key)
-    if not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ParseError(f'"{key}" must be a real number, got {value!r}')
     return float(value)
 
@@ -99,10 +101,10 @@ def parse_problem(path: str) -> ProblemSpec:
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
     m = doc["m"]
-    if not isinstance(m, int) or m < 1:
+    if not is_number(m, int) or m < 1:
         raise ParseError(f'"m" must be a positive integer, got {m!r}')
     N_raw = doc["N"]
-    if not isinstance(N_raw, int):
+    if not is_number(N_raw, int):
         raise ParseError(f'"N" must be an integer, got {N_raw!r}')
     grid = GridParams.create(N_raw, _parse_number(doc, "k"),
                              _parse_number(doc, "T"))
@@ -122,17 +124,13 @@ def parse_problem(path: str) -> ProblemSpec:
         unknown = set(tdoc) - known
         if unknown:
             raise ParseError(f'"tolerances" has unknown keys {sorted(unknown)}')
-        tol = Tolerances(
-            rank=float(tdoc.get("rank", tol.rank)),
-            residual=float(tdoc.get("residual", tol.residual)),
-            consistency=float(tdoc.get("consistency", tol.consistency)))
+        tol = Tolerances(**tdoc)
     rho_override = None
     if "rho_override" in doc:
         raw = doc["rho_override"]
-        if isinstance(raw, (int, float)):
+        if is_number(raw):
             rho_override = float(raw)
-        elif isinstance(raw, list) and all(
-                isinstance(v, (int, float)) for v in raw):
+        elif isinstance(raw, list) and all(is_number(v) for v in raw):
             if len(raw) != grid.N - 1:
                 raise ShapeError(
                     f'"rho_override" must list {grid.N - 1} values')
@@ -240,12 +238,12 @@ def read_solution_csv(path: str) -> np.ndarray:
     return values.view(complex).reshape(i.max() + 1, j.max() + 1, m)
 
 
-def write_eigen_csv(pairs, path: str) -> None:
+def write_eigen_csv(eigenpairs: np.recarray, path: str) -> None:
+    """Eigenvalue table, one row per mode; repr decimal text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["l", "lambda"])
-        for idx, pair in enumerate(pairs, start=1):
-            writer.writerow([str(idx), repr(float(pair.lam))])
+        writer.writerows(enumerate(eigenpairs.lam.tolist(), start=1))
 
 
 def _fmt(value: float) -> str:
@@ -263,9 +261,8 @@ def build_report(spec: ProblemSpec, trace: dict,
                  f"T={grid.T!r} M={grid.M} r={grid.r!r}")
     lines.append(f"m={spec.m}")
     if "eigenpairs" in trace:
-        pairs = trace["eigenpairs"]
         lines.append("== spatial eigenvalues ==")
-        lines.append(" ".join(_fmt(p.lam) for p in pairs))
+        lines.append(" ".join(map(_fmt, trace["eigenpairs"].lam.tolist())))
     if "pencil" in trace:
         pd = trace["pencil"]
         lines.append("== pencil ==")
@@ -361,7 +358,9 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
 def run_verify(problem_path: str, solution_path: str,
                tol: float = 1e-8, quiet: bool = False) -> int:
     """Replay the residual oracle on a saved solution; exit 2 when any
-    residual exceeds the tolerance."""
+    residual exceeds the tolerance, which must be a valid residual
+    tolerance (ParseError otherwise)."""
+    tol = Tolerances(residual=tol).residual
     spec = parse_problem(problem_path)
     U = read_solution_csv(solution_path)
     expected = (spec.grid.N + 1, spec.grid.M + 1, spec.m)
@@ -384,11 +383,10 @@ def run_verify(problem_path: str, solution_path: str,
 
 
 def _apply_tolerance_flags(spec: ProblemSpec, args) -> ProblemSpec:
-    tol = spec.tolerances
-    if args.tol_rank is not None:
-        tol.rank = args.tol_rank
-    if args.tol_residual is not None:
-        tol.residual = args.tol_residual
+    flags = {"rank": args.tol_rank, "residual": args.tol_residual}
+    spec.tolerances = dataclasses.replace(
+        spec.tolerances,
+        **{name: value for name, value in flags.items() if value is not None})
     if getattr(args, "gamma", None) is not None:
         try:
             spec.gamma = complex(args.gamma)
@@ -449,10 +447,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               args.tol_residual, args.quiet)
         if args.command == "eigen":
             spec = parse_problem(args.input)
-            pairs = solve_psd(spec.sl_problem())
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, "eigen.csv")
-            write_eigen_csv(pairs, path)
+            write_eigen_csv(solve_psd(spec.sl_problem()), path)
             if not args.quiet:
                 print(path)
             return 0

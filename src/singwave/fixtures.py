@@ -56,7 +56,7 @@ def demo_problem(N: int = 8, k: float = 1.0 / 32.0,
     mats = demo_matrices()
     grid = GridParams.create(N, k, T)
     slp = SLProblem(N, mats["alpha"], mats["beta"])
-    pairs = solve_psd(slp)
+    V = solve_psd(slp).v
     x = np.arange(1, N) / N
     f1 = np.sin(np.pi * x)
     f2 = x * (1.0 - x)
@@ -64,7 +64,7 @@ def demo_problem(N: int = 8, k: float = 1.0 / 32.0,
     F_int[:, 0] = f1
     F_int[:, 1] = f2
     hi = min(4, N - 1)
-    g2 = 0.25 * pairs[1].v + 0.1 * pairs[hi - 1].v
+    g2 = 0.25 * V[1] + 0.1 * V[hi - 1]
     G_int = np.zeros((N - 1, 3), dtype=complex)
     G_int[:, 1] = g2
     return ProblemSpec(

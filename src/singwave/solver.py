@@ -43,7 +43,6 @@ from .pencil import (
     rho_condition_violations,
 )
 from .sturm_liouville import (
-    EigenPair,
     SLProblem,
     expand,
     extend_eigenfunction,
@@ -51,13 +50,32 @@ from .sturm_liouville import (
 )
 
 
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not, though
+    Python counts it as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass
 class Tolerances:
-    """Relative tolerances used throughout a solve."""
+    """Relative tolerances used throughout a solve.
+
+    Each must be a finite number greater than 0: a NaN would make every
+    gate comparison false and so pass anything.  Raises ParseError
+    otherwise.
+    """
 
     rank: float = DEFAULT_RANK_TOL
     residual: float = 1e-8
     consistency: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("rank", "residual", "consistency"):
+            value = getattr(self, name)
+            if not (is_number(value) and 0.0 < value < np.inf):
+                raise ParseError(f'tolerance "{name}" must be a finite '
+                                 f'number greater than 0, got {value!r}')
+            setattr(self, name, float(value))
 
 
 @dataclass
@@ -147,14 +165,14 @@ class ProblemSpec:
     def sl_problem(self) -> SLProblem:
         return SLProblem(self.grid.N, self.alpha, self.beta)
 
-    def mode_rho(self, l: int, lam: float) -> float:
-        """Step-ratio parameter for mode l (1-based): -r^2 * lambda_l
-        unless overridden."""
+    def mode_rho(self, l, lam):
+        """Step-ratio parameter of mode l (1-based) with eigenvalue lam:
+        -r^2 * lambda_l unless overridden.  l and lam are scalars or
+        arrays of modes; the result has their shape."""
         if self.rho_override is None:
-            return float(-self.grid.r ** 2 * lam + 0.0)
-        if np.isscalar(self.rho_override):
-            return float(self.rho_override)
-        return float(self.rho_override[l - 1])
+            return -self.grid.r ** 2 * np.asarray(lam, dtype=float) + 0.0
+        rho = np.asarray(self.rho_override, dtype=float)
+        return rho[np.asarray(l) - 1] if rho.ndim else np.full(np.shape(l), rho)
 
 
 @dataclass
@@ -352,13 +370,13 @@ class DiscreteSolution:
 
 
 def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
-                      amps: ModeAmplitudes,
-                      eigenpairs: Sequence[EigenPair]
+                      amps: ModeAmplitudes, eigenpairs: np.recarray
                       ) -> DiscreteSolution:
     """Superpose the modes on interior nodes and extend to the endpoints.
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
-    once.  Endpoint rows come from endpoint_maps, formed once here and
+    once, and the (modes, N-1) eigenvectors ``eigenpairs.v`` carry it to
+    the grid.  Endpoint rows come from endpoint_maps, formed once here and
     kept on the solution; inconsistency of either endpoint relation raises
     BoundaryExtensionInconsistent naming the first failing step.
     """
@@ -366,7 +384,6 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     N, M, m = grid.N, grid.M, spec.m
     tol = spec.tolerances.residual
     U = np.zeros((N + 1, M + 1, m), dtype=complex)
-    V = np.stack([pair.v for pair in eigenpairs], axis=0)  # (modes, N-1)
     # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
     # (branch, modes, m, 1) stack of columns
     Z = np.stack([propagators.Z0, propagators.Z1])
@@ -376,7 +393,7 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     for j in range(1, M + 1):
         cur = Z @ cur
         tables[:, j] = cur.sum(axis=0)[..., 0]
-    U[1:N] = np.einsum("li,ljm->ijm", V, tables)
+    U[1:N] = np.einsum("li,ljm->ijm", eigenpairs.v, tables)
 
     maps = endpoint_maps(spec.A1, spec.A2, spec.B1, spec.B2, N,
                          spec.tolerances.rank)
@@ -393,16 +410,11 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
         side = "left" if unsolved[0, j] else "right"
         raise BoundaryExtensionInconsistent(
             f"{side} endpoint relation unsolvable at step j={j}")
-
-    init_defect = float(np.abs(U[1:N, 0] - spec.F[1:N]).sum(axis=1).max())
-    sol = DiscreteSolution(U, amps, maps)
-    sol.reports["initial_match"] = init_defect / spec.data_scale()
-    return sol
+    return DiscreteSolution(U, amps, maps)
 
 
 def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
-                     amps: ModeAmplitudes,
-                     eigenpairs: Sequence[EigenPair],
+                     amps: ModeAmplitudes, eigenpairs: np.recarray,
                      sol: DiscreteSolution) -> StabilityReport:
     """Power growth of each mode's propagators and of the assembled grid.
 
@@ -482,8 +494,7 @@ def solve_problem(spec: ProblemSpec,
     gc = expand(spec.F[interior] + spec.grid.k * spec.Gv[interior],
                 eigenpairs, slp)
 
-    rhos = [spec.mode_rho(l, pair.lam)
-            for l, pair in enumerate(eigenpairs, start=1)]
+    rhos = spec.mode_rho(np.arange(1, len(eigenpairs) + 1), eigenpairs.lam)
     propagators = build_propagators(pd, rhos, mode_index=1,
                                     require_invertible_difference=False)
     amps = solve_mode_coefficients(spec, pd, propagators, fc, gc)

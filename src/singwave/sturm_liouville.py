@@ -10,7 +10,6 @@ and the endpoint extension of a mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -40,14 +39,6 @@ class SLProblem:
         if int(self.N) != self.N or self.N < 2:
             raise ValueError(f"N must be an integer >= 2, got {self.N}")
         self.N = int(self.N)
-
-
-@dataclass
-class EigenPair:
-    """One eigenvalue with its interior eigenvector (length N-1)."""
-
-    lam: float
-    v: np.ndarray
 
 
 def boundary_scalars(prob: SLProblem) -> tuple[float, float]:
@@ -80,27 +71,25 @@ def assemble_pencil(prob: SLProblem) -> np.ndarray:
     return S
 
 
-def solve_psd(prob: SLProblem) -> List[EigenPair]:
-    """All N-1 eigenpairs of S v = lambda v, ascending in lambda.
+def solve_psd(prob: SLProblem) -> np.recarray:
+    """All N-1 modes of S v = lambda v as one record, ascending in lambda.
 
-    Eigenvectors are orthonormal with the entry of largest magnitude made
-    positive.  Eigenvalues indistinguishable from zero at working
-    precision are flattened to exactly 0.0.
+    Field ``lam`` has shape (N-1,) and field ``v`` shape (N-1, N-1), one
+    row per mode; entry l is the record of mode l+1 with its own ``lam``
+    and ``v``.  Eigenvectors are orthonormal with the entry of largest
+    magnitude made positive.  Eigenvalues indistinguishable from zero at
+    working precision are flattened to exactly 0.0.
     """
-    import scipy.linalg  # here, so that importing the package stays light
-
     S = assemble_pencil(prob)
     try:
-        lams, vecs = scipy.linalg.eigh_tridiagonal(np.diag(S), np.diag(S, 1))
-    except Exception as exc:
+        lams, vecs = np.linalg.eigh(S)
+    except np.linalg.LinAlgError as exc:
         raise EigendecompositionFailure(
-            f"tridiagonal eigensolver failed: {exc}") from exc
+            f"symmetric eigensolver failed: {exc}") from exc
     scale = one_norm(S)
+    # snapping keeps eigh's ascending order
     lams = np.where(np.abs(lams) <= _SNAP_TOL * max(1.0, scale), 0.0, lams)
-
-    order = np.argsort(lams, kind="stable")
-    lams = lams[order]
-    vecs = _stabilize_clusters(lams, vecs[:, order], scale)
+    vecs = _stabilize_clusters(lams, vecs, scale)
 
     cols = np.arange(lams.size)
     peaks = np.argmax(np.abs(vecs), axis=0)
@@ -112,8 +101,8 @@ def solve_psd(prob: SLProblem) -> List[EigenPair]:
         idx = int(np.argmax(bad))
         raise EigendecompositionFailure(
             f"eigenpair {idx + 1} residual {res[idx]:.3e} too large")
-    # one contiguous row per mode
-    return [EigenPair(float(lam), v) for lam, v in zip(lams, vecs.T.copy())]
+    return np.rec.fromarrays([lams, vecs.T], dtype=[
+        ("lam", float), ("v", float, (lams.size,))])
 
 
 def _stabilize_clusters(lams: np.ndarray, vecs: np.ndarray,
@@ -141,59 +130,48 @@ def _stabilize_clusters(lams: np.ndarray, vecs: np.ndarray,
     return out
 
 
-def orthogonality_defect(pairs: Sequence[EigenPair],
-                         prob: SLProblem) -> float:
+def orthogonality_defect(modes: np.recarray, prob: SLProblem) -> float:
     """Largest normalized inner product between distinct modes.
 
     ``prob`` is not read: the modes of the unweighted problem are
     orthogonal in the plain inner product.
     """
-    V = np.stack([pair.v for pair in pairs], axis=1)
-    norms = np.linalg.norm(V, axis=0)
+    V = modes.v
+    norms = np.linalg.norm(V, axis=1)
     denom = np.outer(norms, norms)
-    cosines = np.divide(np.abs(V.T @ V), denom, out=np.zeros_like(denom),
+    cosines = np.divide(np.abs(V @ V.T), denom, out=np.zeros_like(denom),
                         where=denom > 0)
     return float(np.triu(cosines, 1).max(initial=0.0))
 
 
-def expand(u, pairs: Sequence[EigenPair], prob: SLProblem) -> np.ndarray:
+def expand(u, modes: np.recarray, prob: SLProblem) -> np.ndarray:
     """Coefficients of a grid function in the eigenbasis.
 
     ``u`` has shape (N-1,) for scalar grids or (N-1, m) for vector-valued
     ones; coefficient l is the projection onto mode l divided by that
-    mode's energy.  Returns shape (N-1,) or (N-1, m).
+    mode's energy, all modes in one product.  Returns shape (N-1,) or
+    (N-1, m).
     """
     U = np.asarray(u, dtype=complex)
     if U.shape[0] != prob.N - 1:
         raise ValueError(
             f"grid function has {U.shape[0]} rows, expected {prob.N - 1}")
-    # one product per mode: a single V @ U would sum in another order and
-    # change the last bits of every grid value
-    coeffs = []
-    for pair in pairs:
-        energy = float(np.sum(pair.v * pair.v))
-        if U.ndim == 1:
-            coeffs.append(np.sum(pair.v * U) / energy)
-        else:
-            coeffs.append(pair.v @ U / energy)
-    return np.asarray(coeffs)
+    energy = np.sum(modes.v * modes.v, axis=1)
+    return (modes.v @ U) / energy.reshape((-1,) + (1,) * (U.ndim - 1))
 
 
-def synthesize(coeffs, pairs: Sequence[EigenPair]) -> np.ndarray:
+def synthesize(coeffs, modes: np.recarray) -> np.ndarray:
     """Sum of modes with the given coefficients (inverse of expand)."""
     C = np.asarray(coeffs, dtype=complex)
-    if C.shape[0] != len(pairs):
+    if C.shape[0] != len(modes):
         raise ValueError(
-            f"{C.shape[0]} coefficients for {len(pairs)} modes")
-    V = np.stack([pair.v for pair in pairs], axis=1)  # (N-1, n_modes)
-    return V @ C
+            f"{C.shape[0]} coefficients for {len(modes)} modes")
+    return modes.v.T @ C
 
 
-def extend_eigenfunction(pairs: Sequence[EigenPair],
-                         prob: SLProblem) -> np.ndarray:
+def extend_eigenfunction(modes: np.recarray, prob: SLProblem) -> np.ndarray:
     """Values of a stack of modes on the full grid 0..N via the endpoint
-    eliminations; shape (len(pairs), N+1), one row per mode."""
+    eliminations; shape (len(modes), N+1), one row per mode."""
     a_eff, b_eff = boundary_scalars(prob)
-    V = np.array([pair.v for pair in pairs])
+    V = modes.v
     return np.hstack([a_eff * V[:, :1], V, b_eff * V[:, -1:]])
-

@@ -21,7 +21,11 @@ from singwave.cli import (
     write_solution_csv,
 )
 from singwave.errors import ParseError, ShapeError
-from singwave.fixtures import demo_problem, reject_projector_mismatch
+from singwave.fixtures import (
+    demo_problem,
+    reject_projector_mismatch,
+    reject_rho_degenerate,
+)
 from singwave.solver import GridParams
 
 
@@ -40,19 +44,38 @@ def test_problem_file_roundtrip(tmp_path):
     assert back.tolerances == spec.tolerances
 
 
-def test_problem_file_plain_numbers(tmp_path):
-    doc = {
+def _plain_scalar_doc():
+    return {
         "m": 1, "E": [[1.0]], "A": [[1]], "A1": [[1]], "A2": [[0]],
         "B1": [[1]], "B2": [[0]], "alpha": 0, "beta": 0,
         "N": 2, "k": 0.25, "T": 0.5,
         "F": [[0], [1.0], [0]], "G": [[0], [0.5], [0]],
     }
+
+
+def test_problem_file_plain_numbers(tmp_path):
     path = tmp_path / "scalar.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_plain_scalar_doc()))
     spec = parse_problem(str(path))
     assert spec.m == 1
     assert_allclose(spec.F[1, 0], 1.0, atol=1e-15)
     assert_allclose(spec.Gv[1, 0], 0.5, atol=1e-15)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("m", True), ("N", True), ("E", [[True]]), ("A", [[[True, 0.0]]]),
+    ("alpha", True), ("k", True), ("F", [[0], [True], [0]]),
+    ("gamma", True), ("rho_override", True), ("rho_override", [False]),
+    ("tolerances", {"rank": True}),
+])
+def test_problem_file_rejects_booleans_as_numbers(tmp_path, key, value):
+    # bool is an int to Python, but a JSON true is not a number
+    doc = _plain_scalar_doc()
+    doc[key] = value
+    problem = tmp_path / "bool.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 3
 
 
 def test_problem_file_pair_entries(tmp_path):
@@ -296,6 +319,38 @@ def test_solve_invalid_grid_exits_3(tmp_path):
                  "--out-dir", str(tmp_path), "--quiet"]) == 3
 
 
+@pytest.mark.parametrize("tolerances,flags", [
+    ({"residual": float("nan")}, []),
+    ({"consistency": float("inf")}, []),
+    ({"rank": "abc"}, []),
+    ({"rank": None}, []),
+    ({"rank": -1}, []),
+    ({"residual": 0}, []),
+    ({}, ["--tol-rank=-1"]),
+    ({}, ["--tol-residual", "nan"]),
+], ids=["nan", "inf", "text", "null", "negative", "zero", "rank-flag",
+        "residual-flag"])
+def test_solve_bad_tolerance_exits_3(tmp_path, tolerances, flags):
+    # a NaN tolerance would make every gate comparison false
+    doc = serialize_problem(reject_rho_degenerate())
+    doc["tolerances"].update(tolerances)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(problem), "--out-dir",
+                 str(tmp_path), "--quiet", *flags]) == 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_verify_bad_tolerance_exits_3(tmp_path, tol):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(tmp_path / "solution.csv"), f"--tol-residual={tol}",
+                 "--quiet"]) == 3
+
+
 def test_verify_detects_tampering(tmp_path):
     problem = tmp_path / "problem.json"
     write_problem(demo_problem(8, 1.0 / 32.0, 1.0), str(problem))
@@ -363,3 +418,24 @@ def test_importing_the_cli_leaves_scipy_out():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_eigen_and_verify_leave_scipy_out(tmp_path):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    src = pathlib.Path(singwave.__file__).resolve().parents[1]
+    code = ("import sys, singwave.cli as cli\n"
+            "problem, solution, out = sys.argv[1:]\n"
+            "codes = [cli.main(['eigen', '--input', problem, '--out-dir',"
+            " out, '--quiet']),\n"
+            "         cli.main(['verify', '--input', problem, '--solution',"
+            " solution, '--quiet'])]\n"
+            "print(codes, 'scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(problem),
+         str(tmp_path / "solution.csv"), str(tmp_path / "eigen")],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[0, 0] False"

@@ -37,6 +37,7 @@ from singwave.solver import (
     solve_problem,
 )
 from singwave.sturm_liouville import SLProblem, solve_psd
+from singwave.verify import residual_report
 
 
 # ------------------------------------------------------------------ grid
@@ -106,10 +107,17 @@ def test_mode_rho_default_and_override():
     assert_allclose(spec.mode_rho(1, lam), -spec.grid.r ** 2 * lam,
                     atol=1e-15)
     assert spec.mode_rho(1, 0.0) == 0.0  # normalized, not -0.0
+    modes, lams = np.arange(1, 8), np.linspace(0.0, 3.0, 7)
+    rhos = spec.mode_rho(modes, lams)  # all modes in one call
+    assert np.array_equal(rhos, [spec.mode_rho(l, x)
+                                 for l, x in zip(modes, lams)])
+    assert not np.signbit(rhos[0])
     spec.rho_override = -0.2
     assert spec.mode_rho(3, lam) == -0.2
+    assert np.array_equal(spec.mode_rho(modes, lams), np.full(7, -0.2))
     spec.rho_override = [-0.1 * l for l in range(1, 8)]
     assert spec.mode_rho(2, lam) == -0.2
+    assert np.array_equal(spec.mode_rho(modes, lams), spec.rho_override)
 
 
 # -------------------------------------------------------- endpoint matrix
@@ -284,7 +292,7 @@ def test_solution_matches_initial_data():
     sol = solve_problem(spec)
     N = spec.grid.N
     assert_allclose(sol.U[1:N, 0], spec.F[1:N], atol=1e-9)
-    assert sol.reports["initial_match"] <= 1e-10
+    assert residual_report(sol.U, spec).init_pos_max <= 1e-10
 
 
 def test_solution_first_step_velocity():
