@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fixtures import demo_problem
 from .solver import (
+    MATRIX_KEYS,
     GridParams,
     ProblemSpec,
     Tolerances,
@@ -38,56 +39,40 @@ from .solver import (
 from .sturm_liouville import solve_psd
 from .verify import ResidualReport, residual_report
 
-_MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
 # nodes per block written by write_solution_csv
 _CSV_BLOCK = 4096
 
 
 def _entry_to_complex(value, key: str) -> complex:
-    if is_number(value):
-        return complex(value)
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(is_number(p) for p in value)):
-        return complex(value[0], value[1])
+    """A cell of the file, a number or an [re, im] pair, as a complex."""
+    try:
+        if is_number(value):
+            return complex(value)
+        if (isinstance(value, list) and len(value) == 2
+                and all(is_number(p) for p in value)):
+            return complex(value[0], value[1])
+    except OverflowError:  # an integer too large for a float
+        pass
     raise ParseError(
         f'"{key}": entries must be numbers or [re, im] pairs, got {value!r}')
 
 
-def _parse_matrix(doc: dict, key: str, m: int) -> np.ndarray:
-    rows = doc.get(key)
-    if not isinstance(rows, list) or len(rows) != m:
-        raise ShapeError(f'"{key}" must be a {m}x{m} matrix')
-    M = np.zeros((m, m), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise ShapeError(f'"{key}" row {i} must have {m} entries')
-        for j, cell in enumerate(row):
-            M[i, j] = _entry_to_complex(cell, key)
-    return M
-
-
-def _parse_grid_data(doc: dict, key: str, N: int, m: int) -> np.ndarray:
-    rows = doc.get(key)
-    if not isinstance(rows, list) or len(rows) != N + 1:
-        raise ShapeError(f'"{key}" must list {N + 1} nodal vectors')
-    out = np.zeros((N + 1, m), dtype=complex)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise ShapeError(f'"{key}" node {i} must have {m} components')
-        for c, cell in enumerate(row):
-            out[i, c] = _entry_to_complex(cell, key)
-    return out
-
-
-def _parse_number(doc: dict, key: str) -> float:
-    value = doc.get(key)
-    if not is_number(value):
-        raise ParseError(f'"{key}" must be a real number, got {value!r}')
-    return float(value)
+def _parse_table(doc: dict, key: str) -> list:
+    """A table of the file, a list of rows of cells, with each cell read
+    by _entry_to_complex; its shape is ProblemSpec's to check."""
+    rows = doc[key]
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)):
+        raise ParseError(f'"{key}" must be a list of rows, got {rows!r}')
+    # a row of plain numbers needs no reading; ProblemSpec converts it
+    return [row if all(map(is_number, row))
+            else [_entry_to_complex(cell, key) for cell in row]
+            for row in rows]
 
 
 def parse_problem(path: str) -> ProblemSpec:
-    """Load and fully validate a problem file."""
+    """Read a problem file: check the document's structure and read its
+    cells; the ProblemSpec it builds validates every value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -96,52 +81,26 @@ def parse_problem(path: str) -> ProblemSpec:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     missing = [key for key in
-               ("m", *_MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
+               ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
                if key not in doc]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
-    m = doc["m"]
-    if not is_number(m, int) or m < 1:
-        raise ParseError(f'"m" must be a positive integer, got {m!r}')
-    N_raw = doc["N"]
-    if not is_number(N_raw, int):
-        raise ParseError(f'"N" must be an integer, got {N_raw!r}')
-    grid = GridParams.create(N_raw, _parse_number(doc, "k"),
-                             _parse_number(doc, "T"))
-    matrices = {key: _parse_matrix(doc, key, m) for key in _MATRIX_KEYS}
-    F = _parse_grid_data(doc, "F", grid.N, m)
-    Gv = _parse_grid_data(doc, "G", grid.N, m)
-
-    gamma: Optional[complex] = None
-    if "gamma" in doc:
-        gamma = _entry_to_complex(doc["gamma"], "gamma")
-    tol = Tolerances()
-    if "tolerances" in doc:
-        tdoc = doc["tolerances"]
-        if not isinstance(tdoc, dict):
-            raise ParseError('"tolerances" must be an object')
-        known = {"rank", "residual", "consistency"}
-        unknown = set(tdoc) - known
-        if unknown:
-            raise ParseError(f'"tolerances" has unknown keys {sorted(unknown)}')
-        tol = Tolerances(**tdoc)
-    rho_override = None
-    if "rho_override" in doc:
-        raw = doc["rho_override"]
-        if is_number(raw):
-            rho_override = float(raw)
-        elif isinstance(raw, list) and all(is_number(v) for v in raw):
-            if len(raw) != grid.N - 1:
-                raise ShapeError(
-                    f'"rho_override" must list {grid.N - 1} values')
-            rho_override = [float(v) for v in raw]
-        else:
-            raise ParseError('"rho_override" must be a number or number list')
-
+    # an optional key set to null reads as absent
+    gamma, tdoc = doc.get("gamma"), doc.get("tolerances")
+    optional = {"rho_override": doc.get("rho_override")}
+    if gamma is not None:
+        optional["gamma"] = _entry_to_complex(gamma, "gamma")
+    if tdoc is not None:
+        known = [f.name for f in dataclasses.fields(Tolerances)]
+        if not (isinstance(tdoc, dict) and set(tdoc) <= set(known)):
+            raise ParseError(f'"tolerances" must be an object with keys '
+                             f'from {known}, got {tdoc!r}')
+        optional["tolerances"] = Tolerances(**tdoc)
     return ProblemSpec(
-        m=m, alpha=_parse_number(doc, "alpha"), beta=_parse_number(doc, "beta"),
-        F=F, Gv=Gv, grid=grid, gamma=gamma, rho_override=rho_override,
-        tolerances=tol, **matrices)
+        m=doc["m"], alpha=doc["alpha"], beta=doc["beta"],
+        F=_parse_table(doc, "F"), Gv=_parse_table(doc, "G"),
+        grid=GridParams.create(doc["N"], doc["k"], doc["T"]),
+        **{key: _parse_table(doc, key) for key in MATRIX_KEYS}, **optional)
 
 
 def _complex_pair(z: complex) -> List[float]:
@@ -151,7 +110,7 @@ def _complex_pair(z: complex) -> List[float]:
 def serialize_problem(spec: ProblemSpec) -> dict:
     """Problem file document for a spec (entries always [re, im])."""
     doc: Dict[str, object] = {"m": spec.m}
-    for key in _MATRIX_KEYS:
+    for key in MATRIX_KEYS:
         M = getattr(spec, key)
         doc[key] = [[_complex_pair(M[i, j]) for j in range(spec.m)]
                     for i in range(spec.m)]
@@ -203,8 +162,8 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
 def read_solution_csv(path: str) -> np.ndarray:
     """Inverse of write_solution_csv; returns the (N+1, M+1, m) grid.
 
-    Raises ParseError on a malformed header or cell, on an index that is
-    not a non-negative integer, and on repeated or missing (i, j) rows.
+    Raises ParseError on a bad header, a malformed or non-finite cell, an
+    index that is not a non-negative integer, or repeated or missing rows.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
@@ -218,6 +177,8 @@ def read_solution_csv(path: str) -> np.ndarray:
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
             except ValueError as exc:
                 raise ParseError(f"{path}: {exc}") from exc
+    if not np.isfinite(table).all():
+        raise ParseError(f"{path}: non-finite cell")
     rows = len(table)
     if rows == 0 or table.shape[1] != len(header):
         raise ParseError(f"{path}: expected rows of {len(header)} numbers")
@@ -373,7 +334,7 @@ def run_verify(problem_path: str, solution_path: str,
                      "init_pos_max", "init_vel_max"):
             print(f"{name}={_fmt(getattr(rep, name))}")
         print(f"normalizer={rep.normalizer!r}")
-    if rep.worst > tol:
+    if not rep.worst <= tol:  # a NaN residual fails
         if not quiet:
             print(f"FAIL: worst residual {_fmt(rep.worst)} exceeds {tol:g}")
         return 2
@@ -383,16 +344,17 @@ def run_verify(problem_path: str, solution_path: str,
 
 
 def _apply_tolerance_flags(spec: ProblemSpec, args) -> ProblemSpec:
+    """The spec with the solve flags applied, checked like file values."""
     flags = {"rank": args.tol_rank, "residual": args.tol_residual}
-    spec.tolerances = dataclasses.replace(
+    changes = {"tolerances": dataclasses.replace(
         spec.tolerances,
-        **{name: value for name, value in flags.items() if value is not None})
-    if getattr(args, "gamma", None) is not None:
+        **{name: value for name, value in flags.items() if value is not None})}
+    if args.gamma is not None:
         try:
-            spec.gamma = complex(args.gamma)
+            changes["gamma"] = complex(args.gamma)
         except ValueError as exc:
             raise ParseError(f"--gamma: {args.gamma!r} is not a number") from exc
-    return spec
+    return dataclasses.replace(spec, **changes)
 
 
 def _make_parser() -> argparse.ArgumentParser:

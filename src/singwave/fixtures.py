@@ -10,6 +10,8 @@ it.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .solver import GridParams, ProblemSpec, Tolerances, endpoint_maps
@@ -96,9 +98,7 @@ def reject_projector_mismatch(N: int = 8, k: float = 1.0 / 32.0,
     spec = demo_problem(N, k, T)
     F = spec.F.copy()
     F[1:N, 2] += 0.5
-    return ProblemSpec(m=spec.m, E=spec.E, A=spec.A, A1=spec.A1, A2=spec.A2,
-                       B1=spec.B1, B2=spec.B2, alpha=spec.alpha,
-                       beta=spec.beta, F=F, Gv=spec.Gv, grid=spec.grid)
+    return replace(spec, F=F)
 
 
 def reject_kernel_violation(N: int = 8, k: float = 1.0 / 32.0,
@@ -106,9 +106,7 @@ def reject_kernel_violation(N: int = 8, k: float = 1.0 / 32.0,
     """Endpoint matrix with a smaller kernel than the data occupies."""
     spec = demo_problem(N, k, T)
     B2 = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    return ProblemSpec(m=spec.m, E=spec.E, A=spec.A, A1=spec.A1, A2=spec.A2,
-                       B1=spec.B1, B2=B2, alpha=spec.alpha, beta=spec.beta,
-                       F=spec.F, Gv=spec.Gv, grid=spec.grid)
+    return replace(spec, B2=B2)
 
 
 def reject_full_rank(N: int = 8, k: float = 1.0 / 32.0,
@@ -128,12 +126,6 @@ def reject_full_rank(N: int = 8, k: float = 1.0 / 32.0,
 def reject_rho_degenerate() -> ProblemSpec:
     """Scalar wave tuned so the propagator roots coincide with data that
     needs both branches."""
-    one = np.array([[1.0]], dtype=complex)
-    zero = np.array([[0.0]], dtype=complex)
     k = np.sqrt(2.0) / 2.0
-    grid = GridParams.create(2, k, 4.0 * k)
-    F = np.zeros((3, 1), dtype=complex)
-    F[1, 0] = 1.0
-    Gv = np.zeros((3, 1), dtype=complex)
-    return ProblemSpec(m=1, E=one, A=one, A1=one, A2=zero, B1=one, B2=zero,
-                       alpha=0.0, beta=0.0, F=F, Gv=Gv, grid=grid)
+    spec = scalar_wave_problem(2, k, 4.0 * k)  # F = 1 at the interior node
+    return replace(spec, Gv=np.zeros((3, 1), dtype=complex))

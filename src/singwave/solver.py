@@ -13,6 +13,8 @@ checked before any mode is solved.
 
 from __future__ import annotations
 
+import cmath
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -29,7 +31,6 @@ from .errors import (
 )
 from .matrix_core import (
     DEFAULT_RANK_TOL,
-    as_matrix,
     kernel_invariance_defect,
     min_norm_solve,
     one_norm,
@@ -56,6 +57,19 @@ def is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _finite_number(value, name: str, kind=numbers.Real):
+    """``value`` as a finite float, or complex if ``kind`` is
+    numbers.Complex; raises ParseError for anything else."""
+    cast = complex if kind is numbers.Complex else float
+    try:
+        if is_number(value, kind) and cmath.isfinite(cast(value)):
+            return cast(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ParseError(
+        f'"{name}" must be a finite {cast.__name__}, got {value!r}')
+
+
 @dataclass
 class Tolerances:
     """Relative tolerances used throughout a solve.
@@ -71,11 +85,11 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank", "residual", "consistency"):
-            value = getattr(self, name)
-            if not (is_number(value) and 0.0 < value < np.inf):
-                raise ParseError(f'tolerance "{name}" must be a finite '
-                                 f'number greater than 0, got {value!r}')
-            setattr(self, name, float(value))
+            value = _finite_number(getattr(self, name), f"tolerances.{name}")
+            if not value > 0.0:
+                raise ParseError(
+                    f'"tolerances.{name}" must be > 0, got {value!r}')
+            setattr(self, name, value)
 
 
 @dataclass
@@ -90,34 +104,49 @@ class GridParams:
 
     @classmethod
     def create(cls, N: int, k: float, T: float) -> "GridParams":
-        if int(N) != N or N < 2:
-            raise ParseError(f"N must be an integer >= 2, got {N}")
+        """Raises ParseError unless N >= 2 is an integer, not a bool or a
+        float, k and T are finite and positive, and T/k is whole."""
+        if not is_number(N, numbers.Integral) or N < 2:
+            raise ParseError(f'"N" must be an integer >= 2, got {N!r}')
         N = int(N)
-        if not (k > 0) or not np.isfinite(k):
-            raise ParseError(f"time step k must be positive, got {k}")
-        if not (T > 0) or not np.isfinite(T):
-            raise ParseError(f"horizon T must be positive, got {T}")
+        k, T = _finite_number(k, "k"), _finite_number(T, "T")
+        if not (k > 0.0 and T > 0.0):
+            raise ParseError(f'"k" and "T" must be > 0, got {k!r} and {T!r}')
         steps = T / k
         M = int(round(steps))
         if M < 1 or abs(steps - M) > 1e-9 * max(1.0, steps):
             raise ParseError(
                 f"T/k = {steps!r} is not an integer number of steps")
-        return cls(N=N, k=float(k), T=float(T), M=M, r=float(k) * N)
+        return cls(N=N, k=k, T=T, M=M, r=k * N)
 
 
-def _as_grid_data(values, N: int, m: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.shape != (N + 1, m):
+MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
+
+
+def _finite_table(value, name: str, shape: tuple) -> np.ndarray:
+    """``value`` as a complex array of ``shape`` with finite entries."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # rows of unequal length
         raise ShapeError(
-            f"{name} must have shape ({N + 1}, {m}), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{name} contains non-finite entries")
-    return arr
+            f'"{name}" must have shape {shape}, got uneven rows') from exc
+    if arr.dtype.kind not in "iufc":
+        raise ParseError(f'"{name}" entries must be numbers, got {arr.dtype}')
+    if arr.shape != shape:
+        raise ShapeError(f'"{name}" must have shape {shape}, got {arr.shape}')
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f'"{name}" contains non-finite entries')
+    return arr.astype(complex, copy=False)
 
 
 @dataclass
 class ProblemSpec:
-    """Complete description of one discrete mixed problem."""
+    """Complete description of one discrete mixed problem.
+
+    Construction, dataclasses.replace included, is the one validator of a
+    problem's values (GridParams.create checks the grid again); it raises
+    ShapeError, NonFiniteValue or ParseError.
+    """
 
     m: int
     E: np.ndarray
@@ -136,19 +165,32 @@ class ProblemSpec:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 1:
-            raise ShapeError(f"system dimension must be >= 1, got {self.m}")
-        self.m = int(self.m)
-        for name in ("E", "A", "A1", "A2", "B1", "B2"):
-            M = as_matrix(getattr(self, name), name)
-            if M.shape != (self.m, self.m):
-                raise ShapeError(
-                    f"{name} must be {self.m}x{self.m}, got {M.shape}")
-            setattr(self, name, M)
-        self.alpha = float(self.alpha)
-        self.beta = float(self.beta)
-        self.F = _as_grid_data(self.F, self.grid.N, self.m, "F")
-        self.Gv = _as_grid_data(self.Gv, self.grid.N, self.m, "Gv")
+        if not is_number(self.m, numbers.Integral) or self.m < 1:
+            raise ParseError(f'"m" must be an integer >= 1, got {self.m!r}')
+        m = self.m = int(self.m)
+        if not isinstance(self.grid, GridParams):
+            raise ParseError(f'"grid" must be a GridParams, got {self.grid!r}')
+        grid = self.grid = GridParams.create(self.grid.N, self.grid.k,
+                                             self.grid.T)
+        for name in MATRIX_KEYS:
+            setattr(self, name, _finite_table(getattr(self, name), name,
+                                              (m, m)))
+        self.F = _finite_table(self.F, "F", (grid.N + 1, m))
+        self.Gv = _finite_table(self.Gv, "Gv", (grid.N + 1, m))
+        self.alpha = _finite_number(self.alpha, "alpha")
+        self.beta = _finite_number(self.beta, "beta")
+        if self.gamma is not None:
+            self.gamma = _finite_number(self.gamma, "gamma", numbers.Complex)
+        rho = self.rho_override
+        rho = rho.tolist() if isinstance(rho, np.ndarray) else rho
+        if is_number(rho, numbers.Real):
+            self.rho_override = _finite_number(rho, "rho_override")
+        elif rho is not None:
+            if not isinstance(rho, (list, tuple)) or len(rho) != grid.N - 1:
+                raise ShapeError('"rho_override" must be a number or a list '
+                                 f'of {grid.N - 1} numbers, got {rho!r}')
+            self.rho_override = [_finite_number(v, "rho_override")
+                                 for v in rho]
 
     def data_scale(self) -> float:
         """1 + largest nodal 1-norm over both data grids.
@@ -158,8 +200,8 @@ class ProblemSpec:
         residual oracle measures grid increments, where the velocity data
         enter as k*Gv.
         """
-        fmax = float(np.abs(self.F).sum(axis=1).max()) if self.F.size else 0.0
-        gmax = float(np.abs(self.Gv).sum(axis=1).max()) if self.Gv.size else 0.0
+        fmax = float(np.abs(self.F).sum(axis=1).max())
+        gmax = float(np.abs(self.Gv).sum(axis=1).max())
         return 1.0 + max(fmax, gmax)
 
     def sl_problem(self) -> SLProblem:

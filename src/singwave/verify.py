@@ -56,8 +56,10 @@ class ResidualReport:
 
     @property
     def worst(self) -> float:
-        return max(self.interior_max, self.left_bc_max, self.right_bc_max,
-                   self.init_pos_max, self.init_vel_max)
+        """The largest of the five defects, or NaN if any is NaN."""
+        return float(np.max([self.interior_max, self.left_bc_max,
+                             self.right_bc_max, self.init_pos_max,
+                             self.init_vel_max]))
 
 
 def _node_norms(rows: np.ndarray) -> float:

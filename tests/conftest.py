@@ -1,7 +1,19 @@
 """Shared helpers for the test suite."""
 
+import pathlib
+
 import numpy as np
 import pytest
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def pytest_collection_modifyitems(items):
+    # any warning fails a test of this directory; the benchmark's own
+    # tests keep the default filters when run in the same session
+    for item in items:
+        if TESTS in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 def make_rng(seed: int) -> np.random.Generator:

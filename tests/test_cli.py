@@ -1,6 +1,7 @@
 """Problem file parsing, output formats, and end-to-end command flow."""
 
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -20,13 +21,14 @@ from singwave.cli import (
     write_problem,
     write_solution_csv,
 )
-from singwave.errors import ParseError, ShapeError
+from singwave.errors import InputError, ParseError, ShapeError
 from singwave.fixtures import (
     demo_problem,
     reject_projector_mismatch,
     reject_rho_degenerate,
 )
-from singwave.solver import GridParams
+from singwave.solver import GridParams, ProblemSpec
+from singwave.verify import ResidualReport
 
 
 # ------------------------------------------------------------ file formats
@@ -76,6 +78,49 @@ def test_problem_file_rejects_booleans_as_numbers(tmp_path, key, value):
     problem.write_text(json.dumps(doc))
     assert main(["solve", "--input", str(problem),
                  "--out-dir", str(tmp_path), "--quiet"]) == 3
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("edit,flags,override", [
+    ({"alpha": NAN}, [], {"alpha": NAN}),
+    ({"beta": INF}, [], {"beta": INF}),
+    ({"alpha": 10 ** 400}, [], {"alpha": 10 ** 400}),
+    ({"gamma": NAN}, [], {"gamma": NAN}),
+    ({"gamma": [NAN, 0]}, [], {"gamma": complex(NAN, 0)}),
+    ({}, ["--gamma", "nan"], {"gamma": complex("nan")}),
+    ({}, ["--gamma", "inf"], {"gamma": complex("inf")}),
+    ({"rho_override": NAN}, [], {"rho_override": NAN}),
+    ({"rho_override": INF}, [], {"rho_override": INF}),
+    ({"rho_override": [NAN]}, [], {"rho_override": [NAN]}),
+    ({"rho_override": [0.1, 0.2]}, [], {"rho_override": [0.1, 0.2]}),
+    ({"m": 1.0}, [], {"m": 1.0}),
+    ({"m": True}, [], {"m": True}),
+    ({"N": 2.0}, [], {"grid": GridParams(N=2.0, k=0.25, T=0.5, M=2,
+                                         r=0.5)}),
+    ({"E": [1.0]}, [], {"E": np.ones(1)}),
+    ({"E": [[10 ** 400]]}, [], {"E": [[10 ** 400]]}),
+], ids=["alpha-nan", "beta-inf", "alpha-huge", "gamma-nan", "gamma-pair-nan",
+        "gamma-flag-nan", "gamma-flag-inf", "rho-nan", "rho-inf",
+        "rho-list-nan", "rho-length", "m-float", "m-bool", "N-float",
+        "E-1d", "E-huge"])
+def test_file_and_library_reject_the_same_values(tmp_path, edit, flags,
+                                                  override):
+    # one validator: a value the file may not hold, the library may not
+    # take either
+    doc = _plain_scalar_doc()
+    spec = ProblemSpec(m=1, E=[[1.0]], A=[[1.0]], A1=[[1.0]], A2=[[0.0]],
+                       B1=[[1.0]], B2=[[0.0]], alpha=0.0, beta=0.0,
+                       F=doc["F"], Gv=doc["G"],
+                       grid=GridParams.create(2, 0.25, 0.5))
+    doc.update(edit)
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(problem), "--out-dir",
+                 str(tmp_path), "--quiet", *flags]) == 3
+    with pytest.raises(InputError):
+        dataclasses.replace(spec, **override)
 
 
 def test_problem_file_pair_entries(tmp_path):
@@ -204,6 +249,37 @@ def test_verify_malformed_solution_exits_3(tmp_path, capsys):
     path.write_text("\n".join([header, "abc" + first[1:], *rest]) + "\n")
     assert main(["verify", "--input", str(problem), "--solution",
                  str(path), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("node", [(1, 1), (0, 0), (0, 1)])
+def test_verify_rejects_a_non_finite_cell(tmp_path, node):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "solution.csv"
+    header, *body = path.read_text().splitlines()
+    row = body[node[0] * 5 + node[1]].split(",")  # M + 1 = 5 nodes a row
+    assert (int(row[0]), int(row[1])) == node
+    row[4] = "nan"
+    body[node[0] * 5 + node[1]] = ",".join(row)
+    path.write_text("\n".join([header, *body]) + "\n")
+    with pytest.raises(ParseError):
+        read_solution_csv(str(path))
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(path), "--quiet"]) == 3
+
+
+def test_verify_gate_fails_a_nan_residual(tmp_path, monkeypatch):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    nan_report = ResidualReport(np.nan, 0.0, 0.0, 0.0, 0.0, 1.0)
+    monkeypatch.setattr("singwave.cli.residual_report",
+                        lambda U, spec: nan_report)
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(tmp_path / "solution.csv"), "--quiet"]) == 2
 
 
 # ------------------------------------------------------------ command flow

@@ -1,5 +1,7 @@
 """Problem validation, admissibility gates, mode amplitudes, assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -112,10 +114,11 @@ def test_mode_rho_default_and_override():
     assert np.array_equal(rhos, [spec.mode_rho(l, x)
                                  for l, x in zip(modes, lams)])
     assert not np.signbit(rhos[0])
-    spec.rho_override = -0.2
+    spec = dataclasses.replace(spec, rho_override=-0.2)
     assert spec.mode_rho(3, lam) == -0.2
     assert np.array_equal(spec.mode_rho(modes, lams), np.full(7, -0.2))
-    spec.rho_override = [-0.1 * l for l in range(1, 8)]
+    spec = dataclasses.replace(spec,
+                               rho_override=[-0.1 * l for l in range(1, 8)])
     assert spec.mode_rho(2, lam) == -0.2
     assert np.array_equal(spec.mode_rho(modes, lams), spec.rho_override)
 

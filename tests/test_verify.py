@@ -23,6 +23,7 @@ from singwave.matrix_core import mitra_solve, rank_and_kernel
 from singwave.pencil import build_pencil
 from singwave.solver import GridParams, ProblemSpec, solve_problem
 from singwave.verify import (
+    ResidualReport,
     boundary_residual,
     brute_force_reference,
     data_normalizer,
@@ -119,6 +120,15 @@ def test_residual_report_solver_output():
         rep = residual_report(solve_problem(spec).U, spec)
         assert rep.worst <= 1e-8
         assert rep.normalizer >= 1.0
+
+
+@pytest.mark.parametrize("position", range(5))
+def test_worst_residual_keeps_a_nan(position):
+    # the verify gate compares worst with the tolerance; a NaN dropped
+    # here would pass it
+    defects = [1e-12] * 5
+    defects[position] = np.nan
+    assert np.isnan(ResidualReport(*defects, normalizer=1.0).worst)
 
 
 # ------------------------------------------------------ marched reference
