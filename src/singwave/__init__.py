@@ -9,8 +9,8 @@ everything else is imported from its module.
 from .errors import (
     SingwaveError, InputError, ModelRejection, NumericalFailure,
     ParseError, ShapeError, NonFiniteValue, SizeCapExceeded,
-    RankFull, ConsistencyViolation, RhoDegenerate, DegenerateBoundary,
-    BoundaryExtensionInconsistent, InconsistentSystem,
+    RankFull, ConsistencyViolation, RhoDegenerate, UnstableStepRatio,
+    DegenerateBoundary, BoundaryExtensionInconsistent, InconsistentSystem,
     EigendecompositionFailure, NoSquareRoot, NoRegularizingGamma,
     SingularShift, SingularLevelOperator,
 )
@@ -23,8 +23,8 @@ __all__ = [
     "solve_problem", "residual_report", "__version__",
     "SingwaveError", "InputError", "ModelRejection", "NumericalFailure",
     "ParseError", "ShapeError", "NonFiniteValue", "SizeCapExceeded",
-    "RankFull", "ConsistencyViolation", "RhoDegenerate", "DegenerateBoundary",
-    "BoundaryExtensionInconsistent", "InconsistentSystem",
+    "RankFull", "ConsistencyViolation", "RhoDegenerate", "UnstableStepRatio",
+    "DegenerateBoundary", "BoundaryExtensionInconsistent",
     "EigendecompositionFailure", "NoSquareRoot", "NoRegularizingGamma",
-    "SingularShift", "SingularLevelOperator",
+    "SingularShift", "SingularLevelOperator", "InconsistentSystem",
 ]

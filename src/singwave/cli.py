@@ -20,8 +20,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .errors import (
-    InputError,
-    ModelRejection,
     NumericalFailure,
     ParseError,
     ShapeError,
@@ -150,8 +148,8 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        # whole blocks of rows, so the Python floats held at once stay
-        # bounded; csv writes each Python float as its repr
+        # whole blocks of rows, so few Python floats are held at once;
+        # csv writes each Python float as its repr
         for start in range(0, len(values), _CSV_BLOCK):
             block = values[start:start + _CSV_BLOCK]
             i, j = np.divmod(np.arange(start, start + len(block)), M + 1)
@@ -264,17 +262,15 @@ def build_report(spec: ProblemSpec, trace: dict,
     if "stability" in trace:
         st = trace["stability"]
         lines.append("== stability ==")
+        lines.append(f"max|p|={_fmt(st.max_root_modulus)} "
+                     f"root_margin={_fmt(st.root_margin)} "
+                     f"power_bound_ok={st.power_bound_ok}")
         lines.append(f"growth_rate={_fmt(st.growth_rate)} "
-                     f"sup_norm={_fmt(st.sup_norm)} "
-                     f"envelope={_fmt(st.envelope)}")
-        lines.append(f"power_bound_ok={st.power_bound_ok} "
-                     f"bounded={st.bounded}")
-        lines.append("l rho max|Z0^j| max|Z1^j| rate bound_ok")
-        for row in st.modes:
-            lines.append(f"{row.l} {row.rho_l!r} "
-                         f"{_fmt(row.max_power_norm_plus)} "
-                         f"{_fmt(row.max_power_norm_minus)} "
-                         f"{_fmt(row.growth_rate)} {row.bound_ok}")
+                     f"sup_norm={_fmt(st.sup_norm)}")
+        lines.append("l rho max|Z0^j| max|Z1^j| rate")
+        for l, rho, plus, minus, rate in st.modes.tolist():
+            lines.append(f"{l} {rho!r} {_fmt(plus)} {_fmt(minus)} "
+                         f"{_fmt(rate)}")
     lines.append("== result ==")
     if error is None:
         lines.append("ACCEPTED")
@@ -288,7 +284,8 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     """Solve and write solution.csv, eigen.csv, report.txt into out_dir.
 
     The report is written even when the problem is rejected, naming the
-    rejection condition.
+    rejection condition.  A grid that fails verify's residual gate is a
+    NumericalFailure (residual-gate) and writes no solution.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     trace: dict = {}
@@ -298,6 +295,11 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     try:
         sol = solve_problem(spec, trace)
         residuals = residual_report(sol.U, spec)
+        tol = spec.tolerances.residual
+        if not residuals.worst <= tol:  # a NaN residual fails
+            raise NumericalFailure(
+                f"worst residual {_fmt(residuals.worst)} exceeds {tol:g}",
+                condition="residual-gate")
     except SingwaveError as exc:
         error = exc
         status = exc.exit_code
@@ -424,14 +426,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(path)
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except ModelRejection as exc:
-        print(f"rejected [{exc.condition}]: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except InputError as exc:
-        print(f"input error [{exc.condition}]: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except NumericalFailure as exc:
-        print(f"numerical failure [{exc.condition}]: {exc}", file=sys.stderr)
+    except SingwaveError as exc:
+        kind = {2: "rejected", 3: "input error"}.get(exc.exit_code,
+                                                     "numerical failure")
+        print(f"{kind} [{exc.condition}]: {exc}", file=sys.stderr)
         return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -18,8 +18,8 @@ class SingwaveError(Exception):
             self.condition = condition
 
 
-class InputError(SingwaveError):
-    """Malformed or unusable input data."""
+class InputError(SingwaveError, ValueError):
+    """Malformed or unusable input data (a ValueError too)."""
 
     condition = "invalid-input"
     exit_code = 3
@@ -58,6 +58,10 @@ class ConsistencyViolation(ModelRejection):
 
 class RhoDegenerate(ModelRejection):
     condition = "rho-degenerate"
+
+
+class UnstableStepRatio(ModelRejection):
+    condition = "unstable-step-ratio"
 
 
 class DegenerateBoundary(ModelRejection):

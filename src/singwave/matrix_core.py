@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigendecompositionFailure, NoSquareRoot, NonFiniteValue
+from .errors import (EigendecompositionFailure, NoSquareRoot, NonFiniteValue,
+                     ShapeError)
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -33,7 +34,7 @@ def as_matrix(M, name: str = "matrix", dtype=complex) -> np.ndarray:
     """Validate and convert to a 2-D ndarray, complex by default."""
     A = np.asarray(M, dtype=dtype)
     if A.ndim != 2:
-        raise ValueError(f"{name} must be two dimensional, got shape {A.shape}")
+        raise ShapeError(f"{name} must be two dimensional, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
         raise NonFiniteValue(f"{name} contains non-finite entries")
     return A
@@ -41,7 +42,7 @@ def as_matrix(M, name: str = "matrix", dtype=complex) -> np.ndarray:
 
 def _require_square(A: np.ndarray, name: str = "matrix") -> int:
     if A.shape[0] != A.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {A.shape}")
+        raise ShapeError(f"{name} must be square, got shape {A.shape}")
     return A.shape[0]
 
 
@@ -142,7 +143,7 @@ def mitra_solve(A, b, tol: float = 1e-8,
         A = as_matrix(A.real, dtype=float)
         rhs = b.view(float).reshape(-1, 2)
     if b.shape[0] != A.shape[0]:
-        raise ValueError(
+        raise ShapeError(
             f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
     U, s, Vh, rank = _svd_rank(A, rank_tol)
     x = _solve_kept(U, s, Vh, rank, rhs)
@@ -292,7 +293,7 @@ def matrix_function(T) -> np.ndarray:
     """
     A = np.asarray(T, dtype=complex)
     if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
-        raise ValueError(
+        raise ShapeError(
             f"expected a stack of square matrices, got shape {A.shape}")
     p = A.shape[-1]
     idx = np.arange(p)
@@ -324,6 +325,6 @@ def kernel_invariance_defect(B, A, kernel) -> float:
     Bm, Am, K = as_matrix(B, "B"), as_matrix(A, "A"), as_matrix(kernel, "K")
     _require_square(Am, "A")
     if not Bm.shape[1] == Am.shape[0] == K.shape[0]:
-        raise ValueError(f"B {Bm.shape}, A {Am.shape} and K {K.shape} "
+        raise ShapeError(f"B {Bm.shape}, A {Am.shape} and K {K.shape} "
                          "do not conform")
     return one_norm((Bm @ Am @ K) @ K.conj().T)

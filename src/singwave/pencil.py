@@ -22,7 +22,7 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (NoRegularizingGamma, NoSquareRoot, RhoDegenerate,
-                     SingularShift)
+                     ShapeError, SingularShift, UnstableStepRatio)
 from .matrix_core import (
     DEFAULT_RANK_TOL,
     as_matrix,
@@ -53,6 +53,15 @@ def _candidate_ladder(limit: int = 8) -> List[complex]:
     return ladder
 
 
+def _square_pair(E, A) -> tuple[np.ndarray, np.ndarray]:
+    """E and A as complex matrices of one square shape (else ShapeError)."""
+    Em, Am = as_matrix(E, "E"), as_matrix(A, "A")
+    if Em.shape != Am.shape or Em.shape[0] != Em.shape[1]:
+        raise ShapeError(f"E and A must be square with equal shapes, "
+                         f"got {Em.shape} and {Am.shape}")
+    return Em, Am
+
+
 def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
     """First shift from a fixed candidate ladder making gamma*E + A
     well conditioned.
@@ -61,13 +70,10 @@ def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
     one_norm(E) (by 1 when either is zero), so the chosen position on the
     ladder does not change when E, or the pair, is rescaled;
     deterministic for fixed inputs.  Raises NoRegularizingGamma
-    when no candidate brings the 1-norm condition number under the limit.
+    when no candidate brings the 1-norm condition number under the limit,
+    ShapeError unless E and A are square with one shape.
     """
-    Em = as_matrix(E, "E")
-    Am = as_matrix(A, "A")
-    if Em.shape != Am.shape or Em.shape[0] != Em.shape[1]:
-        raise ValueError(
-            f"E and A must be square with equal shapes, got {Em.shape} and {Am.shape}")
+    Em, Am = _square_pair(E, A)
     e_norm = one_norm(Em)
     scale = (one_norm(Am) / e_norm if e_norm else 0.0) or 1.0
     for cand in _candidate_ladder():
@@ -130,8 +136,7 @@ def build_pencil(E, A, gamma: Optional[complex] = None,
     of Ehat with core K gives EhatD and, as EhatD Ahat = EhatD (I - gamma
     Ehat), the reduced operator's triangular core K^-1 - gamma I.
     """
-    Em = as_matrix(E, "E")
-    Am = as_matrix(A, "A")
+    Em, Am = _square_pair(E, A)
     if gamma is None:
         gamma = find_gamma(Em, Am)
     gamma = complex(gamma)
@@ -227,3 +232,27 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0,
     Z0 = pd.basis @ (C + S) @ pd.coords
     Z1 = pd.basis @ (C - S) @ pd.coords
     return PropagatorPair(mode_index, rhos, Z0, Z1, C, S)
+
+
+def propagator_roots(pp: PropagatorPair) -> tuple[np.ndarray, np.ndarray]:
+    """z = rho*d and the larger root modulus for every (mode, d): the
+    roots c +- s of p^2 - (2 + z) p + 1 = 0 sit on the diagonals of C and
+    S.  Both lie on the unit circle exactly when z is real and in [-4, 0]
+    (the von Neumann root condition); their product is 1."""
+    c, s = (np.diagonal(X, axis1=-2, axis2=-1) for X in (pp.C, pp.S))
+    return 2.0 * (c - 1.0), np.maximum(np.abs(c + s), np.abs(c - s))
+
+
+def raise_on_unstable_roots(pd: PencilData, pp: PropagatorPair) -> None:
+    """UnstableStepRatio at the first (mode, d) with Re z < -4 outside the
+    band where the roots coincide (rho-degenerate decides there): then
+    |p+ + p-| = |2 + z| > 2, so a root leaves the unit circle."""
+    z, modulus = np.atleast_2d(*propagator_roots(pp))  # (modes, p)
+    beyond = np.argwhere((z.real < -4.0) & ~_roots_coincide(z))
+    if beyond.size:
+        idx, row = beyond[0]
+        raise UnstableStepRatio(
+            f"mode {pp.mode_index + idx}: z = rho*d = "
+            f"{complex(z[idx, row]):.6g} lies beyond -4 at reduced "
+            f"eigenvalue d={complex(pd.core[row, row]):.6g}; propagator "
+            f"root |p| = {modulus[idx, row]:.6e} > 1")

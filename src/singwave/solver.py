@@ -7,8 +7,8 @@ The displacement grid U(i, j) in C^m on i = 0..N, j = 0..M satisfies
 on interior nodes, first-order coupled endpoint relations at i = 0 and
 i = N, and initial position/velocity data F, Gv.  The solve separates
 space through the discrete eigenbasis, propagates each mode with the
-pencil propagators, and reassembles, with admissibility of the data
-checked before any mode is solved.
+pencil propagators, and reassembles, with admissibility of the data and
+the step-ratio root condition checked before any mode is solved.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import cmath
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -37,18 +37,16 @@ from .matrix_core import (
     rank_and_kernel,
 )
 from .pencil import (
+    _EZ_TOL,
     PencilData,
     PropagatorPair,
     build_pencil,
     build_propagators,
+    propagator_roots,
+    raise_on_unstable_roots,
     rho_condition_violations,
 )
-from .sturm_liouville import (
-    SLProblem,
-    expand,
-    extend_eigenfunction,
-    solve_psd,
-)
+from .sturm_liouville import SLProblem, expand, solve_psd
 
 
 def is_number(value, kind=(int, float)) -> bool:
@@ -377,37 +375,30 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
 
 
 @dataclass
-class ModeStability:
-    """Propagator power growth for one mode."""
-
-    l: int
-    rho_l: float
-    max_power_norm_plus: float
-    max_power_norm_minus: float
-    growth_rate: float
-    bound_ok: bool
-
-
-@dataclass
 class StabilityReport:
-    """Growth of the propagator powers and of the assembled solution."""
+    """Propagator roots and power growth, and the grid's sup-norm.
 
-    modes: List[ModeStability]
+    modes holds one record per mode: l, rho_l, the largest 1-norms
+    max_power_norm_plus/minus of Z0^j and Z1^j, and growth_rate.
+    power_bound_ok: no root modulus above 1 + _EZ_TOL; root_margin:
+    min Re(z) + 4 over every (mode, d), negative beyond the limit.
+    """
+
+    modes: np.recarray
     growth_rate: float
     sup_norm: float
-    envelope: float
+    max_root_modulus: float
+    root_margin: float
     power_bound_ok: bool
-    bounded: bool
 
 
 @dataclass
 class DiscreteSolution:
-    """Solved grid with every mode's stacked amplitudes, the two
-    endpoint_maps that extended it to the endpoints, and quality reports."""
+    """Solved grid with every mode's stacked amplitudes and quality
+    reports."""
 
     U: np.ndarray  # (N+1, M+1, m) complex
     modes: ModeAmplitudes
-    endpoint_maps: tuple[np.ndarray, np.ndarray]
     reports: Dict[str, object] = field(default_factory=dict)
 
 
@@ -418,9 +409,9 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
     once, and the (modes, N-1) eigenvectors ``eigenpairs.v`` carry it to
-    the grid.  Endpoint rows come from endpoint_maps, formed once here and
-    kept on the solution; inconsistency of either endpoint relation raises
-    BoundaryExtensionInconsistent naming the first failing step.
+    the grid.  Endpoint rows come from endpoint_maps; inconsistency of
+    either endpoint relation raises BoundaryExtensionInconsistent naming
+    the first failing step.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
@@ -452,62 +443,42 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
         side = "left" if unsolved[0, j] else "right"
         raise BoundaryExtensionInconsistent(
             f"{side} endpoint relation unsolvable at step j={j}")
-    return DiscreteSolution(U, amps, maps)
+    return DiscreteSolution(U, amps)
 
 
 def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
-                     amps: ModeAmplitudes, eigenpairs: np.recarray,
                      sol: DiscreteSolution) -> StabilityReport:
-    """Power growth of each mode's propagators and of the assembled grid.
+    """Root verdict and power growth of every mode's propagators.
 
-    The growth rate of a mode is (max_j |Z^j|^(1/j) - 1)/k over both
-    branches; the power norms must stay under exp(T * rate) up to a small
-    slack, and the solution sup-norm under the mode-wise envelope.  The
-    powers of the (modes, m, m) stacks, the bounds and the envelope are
-    formed for all modes at once.
+    A mode's growth rate is log(max|p|)/k over its propagator roots
+    (propagator_roots), so |p|^j = exp(rate * j*k).  The peak 1-norms of
+    Z0^j and Z1^j over j = 1..M are stepped for all modes at once.
     """
-    grid = spec.grid
-    k, T, M = grid.k, grid.T, grid.M
+    k = spec.grid.k
+    z, modulus = propagator_roots(propagators)
+    top = modulus.max(axis=-1, initial=1.0)  # one per mode
     Z = np.stack([propagators.Z0, propagators.Z1])  # (branch, modes, m, m)
-    power = Z.copy()
-    peak = np.zeros(Z.shape[:2])
-    rate = np.full(Z.shape[1], -np.inf)
-    for j in range(1, M + 1):
-        norms = np.abs(power).sum(axis=-2).max(axis=-1)  # 1-norms of Z^j
-        np.maximum(peak, norms, out=peak)
-        grown = np.where(norms > 0, (norms ** (1.0 / j) - 1.0) / k, -np.inf)
-        rate = np.maximum(rate, grown.max(axis=0))
-        if j < M:
+    power, peak = Z, np.zeros(Z.shape[:2])
+    for j in range(1, spec.grid.M + 1):
+        np.maximum(peak, np.abs(power).sum(axis=-2).max(axis=-1), out=peak)
+        if j < spec.grid.M:
             power = power @ Z
-    # -1/k where both propagators are identically zero
-    rate = np.where(np.isfinite(rate), rate, -1.0 / k)
-    max0, max1 = peak
-    bound = np.where(rate >= 0, np.exp(T * np.maximum(rate, 0.0))
-                     * (1.0 + 1e-6), 1.0)
-    ok = np.maximum(max0, max1) <= bound
-    rows = [ModeStability(l, *vals) for l, *vals in zip(
-        range(amps.mode_index, amps.mode_index + ok.size), amps.rho.tolist(),
-        max0.tolist(), max1.tolist(), rate.tolist(), ok.tolist())]
-    all_ok = bool(ok.all())
-
-    vmax = np.abs(extend_eigenfunction(eigenpairs, spec.sl_problem())
-                  ).max(axis=1)
-    envelope = float(((np.maximum(max0, 1.0) * np.abs(amps.P).sum(axis=1)
-                       + np.maximum(max1, 1.0) * np.abs(amps.Q).sum(axis=1))
-                      * vmax).sum())
-    boundary_amp = max(1.0, *(one_norm(side) for side in sol.endpoint_maps))
-    envelope = boundary_amp * envelope + 1e-9
-
+    modes = np.rec.fromarrays(
+        [propagators.mode_index + np.arange(top.size), propagators.rho.real,
+         *peak, np.log(top) / k],
+        names="l,rho_l,max_power_norm_plus,max_power_norm_minus,growth_rate")
     sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
-    rate_all = max(rate.tolist(), default=0.0)
-    return StabilityReport(rows, rate_all, sup, envelope, all_ok,
-                           bool(sup <= envelope and all_ok))
+    worst = float(top.max(initial=1.0))
+    return StabilityReport(modes, float(np.log(worst) / k), sup, worst,
+                           float(z.real.min(initial=np.inf)) + 4.0,
+                           worst <= 1.0 + _EZ_TOL)
 
 
 def solve_problem(spec: ProblemSpec,
                   trace: Optional[Dict[str, object]] = None
                   ) -> DiscreteSolution:
-    """Full pipeline: eigenbasis, pencil, admissibility, modes, assembly.
+    """Full pipeline: eigenbasis, pencil, admissibility, step-ratio root
+    condition, modes, assembly.
 
     When ``trace`` is a dict, intermediate objects are recorded under the
     keys eigenpairs/pencil/boundary/consistency/modes/stability as they
@@ -539,11 +510,12 @@ def solve_problem(spec: ProblemSpec,
     rhos = spec.mode_rho(np.arange(1, len(eigenpairs) + 1), eigenpairs.lam)
     propagators = build_propagators(pd, rhos, mode_index=1,
                                     require_invertible_difference=False)
+    raise_on_unstable_roots(pd, propagators)
     amps = solve_mode_coefficients(spec, pd, propagators, fc, gc)
     note("modes", amps)
 
     sol = assemble_solution(spec, propagators, amps, eigenpairs)
-    stab = stability_report(spec, propagators, amps, eigenpairs, sol)
+    stab = stability_report(spec, propagators, sol)
     sol.reports["stability"] = stab
     note("stability", stab)
     note("solution", sol)

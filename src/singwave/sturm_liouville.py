@@ -3,8 +3,8 @@
 The second difference on the interior nodes 1..N-1 of a grid with N
 subintervals, with Robin-type endpoint couplings folded into the corner
 entries, gives a symmetric tridiagonal eigenproblem S v = lambda v.  This
-module assembles it, solves it, and provides the expansion/synthesis maps
-and the endpoint extension of a mode.
+module assembles it, solves it, and provides the expansion/synthesis
+maps.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBoundary, EigendecompositionFailure
+from .errors import (DegenerateBoundary, EigendecompositionFailure,
+                     ParseError, ShapeError)
 from .matrix_core import one_norm
 
 _BOUNDARY_TOL = 1e-12
@@ -37,7 +38,7 @@ class SLProblem:
 
     def __post_init__(self):
         if int(self.N) != self.N or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N}")
+            raise ParseError(f"N must be an integer >= 2, got {self.N}")
         self.N = int(self.N)
 
 
@@ -154,7 +155,7 @@ def expand(u, modes: np.recarray, prob: SLProblem) -> np.ndarray:
     """
     U = np.asarray(u, dtype=complex)
     if U.shape[0] != prob.N - 1:
-        raise ValueError(
+        raise ShapeError(
             f"grid function has {U.shape[0]} rows, expected {prob.N - 1}")
     energy = np.sum(modes.v * modes.v, axis=1)
     return (modes.v @ U) / energy.reshape((-1,) + (1,) * (U.ndim - 1))
@@ -164,14 +165,6 @@ def synthesize(coeffs, modes: np.recarray) -> np.ndarray:
     """Sum of modes with the given coefficients (inverse of expand)."""
     C = np.asarray(coeffs, dtype=complex)
     if C.shape[0] != len(modes):
-        raise ValueError(
+        raise ShapeError(
             f"{C.shape[0]} coefficients for {len(modes)} modes")
     return modes.v.T @ C
-
-
-def extend_eigenfunction(modes: np.recarray, prob: SLProblem) -> np.ndarray:
-    """Values of a stack of modes on the full grid 0..N via the endpoint
-    eliminations; shape (len(modes), N+1), one row per mode."""
-    a_eff, b_eff = boundary_scalars(prob)
-    V = modes.v
-    return np.hstack([a_eff * V[:, :1], V, b_eff * V[:, -1:]])

@@ -1,9 +1,12 @@
-"""Shared helpers for the test suite."""
+"""Warnings as errors and the seeded ``rng`` fixture for the test suite;
+the random-matrix helpers are in random_matrices.py."""
 
 import pathlib
 
 import numpy as np
 import pytest
+
+from random_matrices import make_rng
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -14,31 +17,6 @@ def pytest_collection_modifyitems(items):
     for item in items:
         if TESTS in item.path.parents:
             item.add_marker(pytest.mark.filterwarnings("error"))
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def random_complex(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_rank_matrix(rng: np.random.Generator, n: int,
-                       rank: int) -> np.ndarray:
-    """n x n complex matrix of the requested rank."""
-    if rank == 0:
-        return np.zeros((n, n), dtype=complex)
-    X = random_complex(rng, n, rank)
-    Y = random_complex(rng, rank, n)
-    return X @ Y
-
-
-def random_real_rank_matrix(rng: np.random.Generator, rows: int, cols: int,
-                            rank: int) -> np.ndarray:
-    """rows x cols real matrix of the requested rank."""
-    return rng.standard_normal((rows, rank)) @ rng.standard_normal(
-        (rank, cols))
 
 
 @pytest.fixture

@@ -39,7 +39,7 @@ from singwave.verify import (
     residual_report,
 )
 
-from conftest import make_rng, random_rank_matrix
+from random_matrices import make_rng, random_rank_matrix
 
 
 def test_criterion_1_golden_pencil_matrices():

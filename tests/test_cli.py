@@ -26,6 +26,7 @@ from singwave.fixtures import (
     demo_problem,
     reject_projector_mismatch,
     reject_rho_degenerate,
+    scalar_wave_problem,
 )
 from singwave.solver import GridParams, ProblemSpec
 from singwave.verify import ResidualReport
@@ -323,6 +324,40 @@ def test_solve_rejection_writes_report(tmp_path):
     assert "REJECTED: projector-data-mismatch" in report
     assert not (tmp_path / "solution.csv").exists()
     assert (tmp_path / "eigen.csv").exists()
+
+
+def test_solve_beyond_the_step_ratio_limit_rejected(tmp_path):
+    # r = 2: the scalar wave's high modes have z = -r^2 lambda < -4, so a
+    # propagator root leaves the unit circle; rejected before any stepping
+    problem = tmp_path / "problem.json"
+    write_problem(scalar_wave_problem(16, 0.125, 20.0), str(problem))
+    code = main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 2
+    report = (tmp_path / "report.txt").read_text()
+    assert "REJECTED: unstable-step-ratio" in report
+    message = report.splitlines()[-1]
+    for part in ("mode 6:", "d=1+0j", "|p| = 2.545716e+00"):
+        assert part in message, part
+    assert "== modes ==" not in report
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def test_solve_residual_gate_exits_4(tmp_path, monkeypatch):
+    # ACCEPTED must mean that verify passes: a solve whose residuals fail
+    # verify's gate writes no solution.csv and reports its residuals
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    failing = ResidualReport(1e-6, 0.0, 0.0, 0.0, 0.0, 1.0)
+    monkeypatch.setattr("singwave.cli.residual_report",
+                        lambda U, spec: failing)
+    code = main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 4
+    report = (tmp_path / "report.txt").read_text()
+    assert "REJECTED: residual-gate" in report
+    assert "interior_max=1.000000e-06" in report
+    assert not (tmp_path / "solution.csv").exists()
 
 
 def _clamped_pair_doc(A, N=4):

@@ -1,0 +1,33 @@
+"""Malformed input to a library entry point raises an InputError, which is
+also a ValueError."""
+
+import numpy as np
+import pytest
+
+from singwave.errors import InputError, ParseError, ShapeError
+from singwave.matrix_core import _require_square, as_matrix
+from singwave.pencil import build_pencil, find_gamma
+from singwave.sturm_liouville import SLProblem, expand, solve_psd, synthesize
+
+
+def _modes():
+    return solve_psd(SLProblem(5))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: SLProblem(1), ParseError),
+    (lambda: expand(np.zeros(7), _modes(), SLProblem(5)), ShapeError),
+    (lambda: synthesize(np.zeros(7), _modes()), ShapeError),
+    (lambda: as_matrix(np.zeros(3)), ShapeError),
+    (lambda: _require_square(np.zeros((2, 3))), ShapeError),
+    (lambda: find_gamma(np.eye(2), np.eye(3)), ShapeError),
+    (lambda: find_gamma(np.zeros((2, 3)), np.zeros((2, 3))), ShapeError),
+    (lambda: build_pencil(np.eye(2), np.eye(3)), ShapeError),
+    (lambda: build_pencil(np.zeros((2, 3)), np.zeros((2, 3)), gamma=1.0),
+     ShapeError),
+])
+def test_malformed_input_raises_an_input_error(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, InputError)
+    assert isinstance(info.value, ValueError)

@@ -20,7 +20,7 @@ from singwave.matrix_core import (
     rank_and_kernel,
 )
 
-from conftest import (
+from random_matrices import (
     make_rng,
     random_complex,
     random_rank_matrix,

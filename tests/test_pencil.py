@@ -18,7 +18,7 @@ from singwave.pencil import (
     rho_condition_violations,
 )
 
-from conftest import make_rng
+from random_matrices import make_rng
 
 
 GOLDEN_EHAT = np.array([[1.0, 0.0, 1.0],

@@ -12,13 +12,12 @@ from singwave.sturm_liouville import (
     assemble_pencil,
     boundary_scalars,
     expand,
-    extend_eigenfunction,
     orthogonality_defect,
     solve_psd,
     synthesize,
 )
 
-from conftest import make_rng, random_complex
+from random_matrices import make_rng, random_complex
 
 
 def closed_form_eigenvalues(N: int) -> np.ndarray:
@@ -183,12 +182,20 @@ def test_expand_shape_mismatch():
 
 # ------------------------------------------------------------- extension
 
+def extend_modes(pairs, prob: SLProblem) -> np.ndarray:
+    """The modes on the full grid 0..N, one row per mode, through the
+    endpoint eliminations u(0) = a_eff*u(1) and u(N) = b_eff*u(N-1)."""
+    a_eff, b_eff = boundary_scalars(prob)
+    V = pairs.v
+    return np.hstack([a_eff * V[:, :1], V, b_eff * V[:, -1:]])
+
+
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (2.0, 1.0)])
 def test_extended_mode_satisfies_recurrence(alpha, beta):
     for N in (4, 8, 16):
         prob = SLProblem(N, alpha, beta)
         pairs = solve_psd(prob)
-        full = extend_eigenfunction(pairs, prob)  # one row per mode
+        full = extend_modes(pairs, prob)  # one row per mode
         assert full.shape == (N - 1, N + 1)
         lams = np.array([pair.lam for pair in pairs])[:, None]
         res = np.abs(full[:, 2:] - (2 - lams) * full[:, 1:-1] + full[:, :-2])
@@ -200,7 +207,7 @@ def test_extension_endpoint_relations():
     N, alpha, beta = 8, 2.0, 1.0
     prob = SLProblem(N, alpha, beta)
     pairs = solve_psd(prob)
-    full = extend_eigenfunction(pairs, prob)
+    full = extend_modes(pairs, prob)
     assert_allclose(full[:, 1:N], [pair.v for pair in pairs], atol=0.0)
     assert_allclose(full[:, 0] + alpha * N * (full[:, 1] - full[:, 0]), 0.0,
                     atol=1e-12)

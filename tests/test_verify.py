@@ -33,7 +33,7 @@ from singwave.verify import (
     residual_report,
 )
 
-from conftest import random_real_rank_matrix
+from random_matrices import random_real_rank_matrix
 from stacked_system import stacked_system
 
 MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
