@@ -39,6 +39,8 @@ from .verify import ResidualReport, residual_report
 
 # nodes per block written by write_solution_csv
 _CSV_BLOCK = 4096
+# keys every problem file holds; "tolerances" is the one optional key
+_REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
 
 
 def _entry_to_complex(value, key: str) -> complex:
@@ -78,27 +80,25 @@ def parse_problem(path: str) -> ProblemSpec:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    missing = [key for key in
-               ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
-               if key not in doc]
+    missing = [key for key in _REQUIRED_KEYS if key not in doc]
     if missing:
         raise ParseError(f"{path}: missing keys {missing}")
-    # an optional key set to null reads as absent
-    gamma, tdoc = doc.get("gamma"), doc.get("tolerances")
-    optional = {"rho_override": doc.get("rho_override")}
-    if gamma is not None:
-        optional["gamma"] = _entry_to_complex(gamma, "gamma")
-    if tdoc is not None:
-        known = [f.name for f in dataclasses.fields(Tolerances)]
-        if not (isinstance(tdoc, dict) and set(tdoc) <= set(known)):
-            raise ParseError(f'"tolerances" must be an object with keys '
-                             f'from {known}, got {tdoc!r}')
-        optional["tolerances"] = Tolerances(**tdoc)
+    unknown = [key for key in doc
+               if key not in _REQUIRED_KEYS and key != "tolerances"]
+    if unknown:
+        raise ParseError(f"{path}: unknown keys {unknown}")
+    tdoc = doc.get("tolerances")
+    tdoc = {} if tdoc is None else tdoc  # null reads as absent
+    known = [f.name for f in dataclasses.fields(Tolerances)]
+    if not (isinstance(tdoc, dict) and set(tdoc) <= set(known)):
+        raise ParseError(f'"tolerances" must be an object with keys '
+                         f'from {known}, got {tdoc!r}')
     return ProblemSpec(
         m=doc["m"], alpha=doc["alpha"], beta=doc["beta"],
         F=_parse_table(doc, "F"), Gv=_parse_table(doc, "G"),
         grid=GridParams.create(doc["N"], doc["k"], doc["T"]),
-        **{key: _parse_table(doc, key) for key in MATRIX_KEYS}, **optional)
+        tolerances=Tolerances(**tdoc),
+        **{key: _parse_table(doc, key) for key in MATRIX_KEYS})
 
 
 def _complex_pair(z: complex) -> List[float]:
@@ -119,10 +119,6 @@ def serialize_problem(spec: ProblemSpec) -> dict:
     doc["T"] = spec.grid.T
     doc["F"] = [[_complex_pair(z) for z in row] for row in spec.F]
     doc["G"] = [[_complex_pair(z) for z in row] for row in spec.Gv]
-    if spec.gamma is not None:
-        doc["gamma"] = _complex_pair(spec.gamma)
-    if spec.rho_override is not None:
-        doc["rho_override"] = spec.rho_override
     doc["tolerances"] = {"rank": spec.tolerances.rank,
                          "residual": spec.tolerances.residual,
                          "consistency": spec.tolerances.consistency}
@@ -348,19 +344,23 @@ def run_verify(problem_path: str, solution_path: str,
 def _apply_tolerance_flags(spec: ProblemSpec, args) -> ProblemSpec:
     """The spec with the solve flags applied, checked like file values."""
     flags = {"rank": args.tol_rank, "residual": args.tol_residual}
-    changes = {"tolerances": dataclasses.replace(
+    return dataclasses.replace(spec, tolerances=dataclasses.replace(
         spec.tolerances,
-        **{name: value for name, value in flags.items() if value is not None})}
-    if args.gamma is not None:
-        try:
-            changes["gamma"] = complex(args.gamma)
-        except ValueError as exc:
-            raise ParseError(f"--gamma: {args.gamma!r} is not a number") from exc
-    return dataclasses.replace(spec, **changes)
+        **{name: value for name, value in flags.items() if value is not None}))
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError, so they exit 3 like
+    every other input error (argparse itself would exit 2, the code of a
+    model rejection); subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="singwave",
         description="Solve coupled two-level difference systems with a "
                     "singular time-coefficient matrix.")
@@ -379,8 +379,6 @@ def _make_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--tol-rank", type=float, default=None)
     p_solve.add_argument("--tol-residual", type=float, default=None)
-    p_solve.add_argument("--gamma", default=None,
-                         help="override the pencil shift (complex literal)")
 
     p_verify = sub.add_parser("verify",
                               help="check a saved solution's residuals")
@@ -400,9 +398,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _make_parser().parse_args(argv)
         if args.command == "solve":
             spec = _apply_tolerance_flags(parse_problem(args.input), args)
             return run_solve(spec, args.out_dir, args.quiet)

@@ -62,7 +62,7 @@ def _square_pair(E, A) -> tuple[np.ndarray, np.ndarray]:
     return Em, Am
 
 
-def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
+def find_gamma(E, A) -> complex:
     """First shift from a fixed candidate ladder making gamma*E + A
     well conditioned.
 
@@ -78,7 +78,7 @@ def find_gamma(E, A, cond_limit: float = _COND_LIMIT) -> complex:
     scale = (one_norm(Am) / e_norm if e_norm else 0.0) or 1.0
     for cand in _candidate_ladder():
         gamma = cand * scale
-        if _cond1(gamma * Em + Am) <= cond_limit:
+        if _cond1(gamma * Em + Am) <= _COND_LIMIT:
             return complex(gamma)
     raise NoRegularizingGamma(
         "no shift in the candidate ladder makes the pair invertible")

@@ -13,10 +13,10 @@ the step-ratio root condition checked before any mode is solved.
 
 from __future__ import annotations
 
-import cmath
+import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -55,17 +55,14 @@ def is_number(value, kind=(int, float)) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _finite_number(value, name: str, kind=numbers.Real):
-    """``value`` as a finite float, or complex if ``kind`` is
-    numbers.Complex; raises ParseError for anything else."""
-    cast = complex if kind is numbers.Complex else float
+def _finite_number(value, name: str) -> float:
+    """``value`` as a finite float; raises ParseError for anything else."""
     try:
-        if is_number(value, kind) and cmath.isfinite(cast(value)):
-            return cast(value)
+        if is_number(value, numbers.Real) and math.isfinite(float(value)):
+            return float(value)
     except OverflowError:  # an int too large for a float
         pass
-    raise ParseError(
-        f'"{name}" must be a finite {cast.__name__}, got {value!r}')
+    raise ParseError(f'"{name}" must be a finite float, got {value!r}')
 
 
 @dataclass
@@ -158,8 +155,6 @@ class ProblemSpec:
     F: np.ndarray
     Gv: np.ndarray
     grid: GridParams
-    gamma: Optional[complex] = None
-    rho_override: Optional[Union[float, Sequence[float]]] = None
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
@@ -177,18 +172,6 @@ class ProblemSpec:
         self.Gv = _finite_table(self.Gv, "Gv", (grid.N + 1, m))
         self.alpha = _finite_number(self.alpha, "alpha")
         self.beta = _finite_number(self.beta, "beta")
-        if self.gamma is not None:
-            self.gamma = _finite_number(self.gamma, "gamma", numbers.Complex)
-        rho = self.rho_override
-        rho = rho.tolist() if isinstance(rho, np.ndarray) else rho
-        if is_number(rho, numbers.Real):
-            self.rho_override = _finite_number(rho, "rho_override")
-        elif rho is not None:
-            if not isinstance(rho, (list, tuple)) or len(rho) != grid.N - 1:
-                raise ShapeError('"rho_override" must be a number or a list '
-                                 f'of {grid.N - 1} numbers, got {rho!r}')
-            self.rho_override = [_finite_number(v, "rho_override")
-                                 for v in rho]
 
     def data_scale(self) -> float:
         """1 + largest nodal 1-norm over both data grids.
@@ -206,13 +189,10 @@ class ProblemSpec:
         return SLProblem(self.grid.N, self.alpha, self.beta)
 
     def mode_rho(self, l, lam):
-        """Step-ratio parameter of mode l (1-based) with eigenvalue lam:
-        -r^2 * lambda_l unless overridden.  l and lam are scalars or
-        arrays of modes; the result has their shape."""
-        if self.rho_override is None:
-            return -self.grid.r ** 2 * np.asarray(lam, dtype=float) + 0.0
-        rho = np.asarray(self.rho_override, dtype=float)
-        return rho[np.asarray(l) - 1] if rho.ndim else np.full(np.shape(l), rho)
+        """Step-ratio parameter -r^2 * lam of the mode with eigenvalue lam,
+        a scalar or an array of modes; the result has its shape.  The mode
+        number l is not read."""
+        return -self.grid.r ** 2 * np.asarray(lam, dtype=float) + 0.0
 
 
 @dataclass
@@ -426,7 +406,9 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     for j in range(1, M + 1):
         cur = Z @ cur
         tables[:, j] = cur.sum(axis=0)[..., 0]
-    U[1:N] = np.einsum("li,ljm->ijm", eigenpairs.v, tables)
+    # one BLAS product carries every mode to every interior node
+    U[1:N] = (eigenpairs.v.T @ tables.reshape(len(tables), -1)).reshape(
+        N - 1, M + 1, m)
 
     maps = endpoint_maps(spec.A1, spec.A2, spec.B1, spec.B2, N,
                          spec.tolerances.rank)
@@ -492,7 +474,7 @@ def solve_problem(spec: ProblemSpec,
     eigenpairs = solve_psd(slp)
     note("eigenpairs", eigenpairs)
 
-    pd = build_pencil(spec.E, spec.A, spec.gamma, spec.tolerances.rank)
+    pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
     note("pencil", pd)
 
     bm = build_boundary_matrix(spec)

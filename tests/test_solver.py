@@ -114,13 +114,6 @@ def test_mode_rho_default_and_override():
     assert np.array_equal(rhos, [spec.mode_rho(l, x)
                                  for l, x in zip(modes, lams)])
     assert not np.signbit(rhos[0])
-    spec = dataclasses.replace(spec, rho_override=-0.2)
-    assert spec.mode_rho(3, lam) == -0.2
-    assert np.array_equal(spec.mode_rho(modes, lams), np.full(7, -0.2))
-    spec = dataclasses.replace(spec,
-                               rho_override=[-0.1 * l for l in range(1, 8)])
-    assert spec.mode_rho(2, lam) == -0.2
-    assert np.array_equal(spec.mode_rho(modes, lams), spec.rho_override)
 
 
 # -------------------------------------------------------- endpoint matrix
