@@ -1,13 +1,15 @@
-"""Dense complex matrix algebra.
+"""Dense complex matrix algebra on numpy alone.
 
 Norms, generalized (Moore-Penrose) and Drazin inverses, solvability of
 singular linear systems, core-nilpotent splittings, and principal square
 roots of stacks of upper-triangular matrices (the Schur method, which
 needs no eigenvector basis).  Everything works on plain numpy arrays and
-is a pure function of its inputs.  Numerical rank has one definition,
-in _svd_rank: the count of singular values above a relative tolerance
-times the largest of their matrix.  Every minimum-norm solve, the
-Moore-Penrose inverse included, inverts just those values (min_norm_solve).
+is a pure function of its inputs.  Numerical rank comes from an SVD.
+_svd_rank counts the singular values above a relative tolerance times
+the largest of their matrix, and every minimum-norm solve, the
+Moore-Penrose inverse included, inverts just those (min_norm_solve).
+The kernel chain of core_nilpotent cuts each of its blocks at one fixed
+threshold, the tolerance times the 1-norm of the whole matrix.
 """
 
 from __future__ import annotations
@@ -157,8 +159,10 @@ def mitra_solve(A, b, tol: float = 1e-8,
 class CoreNilpotentDecomposition:
     """Similarity split M = T diag(C, Nblock) T^-1.
 
-    C is invertible (p x p), Nblock strictly upper triangular (q x q),
-    and index_k is the nilpotency index of Nblock (0 when q == 0).
+    C is invertible and upper triangular (p x p), Nblock strictly upper
+    triangular (q x q), and index_k is the nilpotency index of Nblock,
+    the length of the kernel chain (0 when q == 0).  The first p columns
+    of T are an orthonormal basis of the core subspace.
     """
 
     T: np.ndarray
@@ -170,87 +174,85 @@ class CoreNilpotentDecomposition:
     T_inv: np.ndarray
 
     def core_inverse(self) -> np.ndarray:
-        """C^-1, upper triangular like C."""
-        import scipy.linalg  # here, so that importing the package stays light
-
-        return scipy.linalg.solve_triangular(
-            self.C, np.eye(self.p, dtype=complex))
+        """C^-1, upper triangular like C: LU with partial pivoting makes no
+        row exchange on a triangular matrix."""
+        return np.linalg.solve(self.C, np.eye(self.p, dtype=complex))
 
     def reconstruct(self) -> np.ndarray:
         m = self.p + self.q
         B = np.zeros((m, m), dtype=complex)
-        if self.p:
-            B[: self.p, : self.p] = self.C
-        if self.q:
-            B[self.p:, self.p:] = self.Nblock
+        B[: self.p, : self.p] = self.C
+        B[self.p:, self.p:] = self.Nblock
         return self.T @ B @ self.T_inv
 
 
-def _nilpotency_index(N: np.ndarray) -> int:
-    q = N.shape[0]
-    if q == 0:
-        return 0
-    power = N.copy()
-    k = 1
-    # strictly upper triangular, so the loop ends after at most q steps
-    while one_norm(power) != 0.0:
-        power = power @ N
-        k += 1
-    return k
+def _rotate(H: np.ndarray, Q: np.ndarray, V: np.ndarray, lo: int,
+            hi: int) -> None:
+    """H <- W^H H W and Q <- Q W in place, where the unitary W is V on the
+    index range lo:hi and the identity elsewhere."""
+    H[:, lo:hi] = H[:, lo:hi] @ V
+    H[lo:hi] = V.conj().T @ H[lo:hi]
+    Q[:, lo:hi] = Q[:, lo:hi] @ V
 
 
 def core_nilpotent(M, tol: float = DEFAULT_RANK_TOL) -> CoreNilpotentDecomposition:
     """Split a square matrix into an invertible core and a nilpotent part.
 
-    Eigenvalues with modulus at most ``tol * one_norm(M)`` are clustered
-    into the nilpotent block.  Computed by a sorted complex Schur form
-    followed by a Sylvester-equation block decoupling; no Jordan form is
-    attempted.
+    Rank, not eigenvalue size, decides the split (the staircase of Golub
+    and Wilkinson, 1976, and Van Dooren, 1979), in three steps:
+
+    1. The kernel chain of M^H.  Singular values of the trailing block at
+       most ``tol * one_norm(M)`` span its kernel, which the unitary from
+       the same SVD moves to the front; this repeats until the trailing
+       block has no kernel.  The number of steps is the nilpotency index.
+       The trailing columns then span the core subspace, which M leaves
+       invariant, and the leading ones its orthogonal complement.
+    2. The invertible core goes to upper-triangular (Schur) form one
+       eigenvalue mu at a time: the smallest right singular vector of the
+       trailing block minus mu I, completed to a unitary by the same SVD.
+    3. The two blocks decouple by a column recurrence, as the nilpotent
+       block is strictly upper triangular.
+
+    EigendecompositionFailure when T diag(C, Nblock) T^-1 misses M.
     """
     A = as_matrix(M)
     m = _require_square(A)
-    if m == 0:
-        eye0 = np.zeros((0, 0), dtype=complex)
-        return CoreNilpotentDecomposition(eye0, eye0, eye0, 0, 0, 0, eye0)
     scale = one_norm(A)
-    if scale == 0.0:
-        eye = np.eye(m, dtype=complex)
-        zero = np.zeros((m, m), dtype=complex)
-        return CoreNilpotentDecomposition(
-            eye, np.zeros((0, 0), dtype=complex), zero, 1, 0, m, eye)
     thresh = tol * scale
-    import scipy.linalg  # here, so that importing the package stays light
-
-    try:
-        Tschur, Z, sdim = scipy.linalg.schur(
-            A, output="complex", sort=lambda z: abs(z) > thresh)
-    except Exception as exc:  # pragma: no cover - LAPACK convergence failure
-        raise EigendecompositionFailure(
-            f"Schur decomposition failed: {exc}") from exc
-    p = int(sdim)
-    q = m - p
-    C = Tschur[:p, :p].copy()
-    Nblock = Tschur[p:, p:].copy()
-    if q:
-        # the clustered eigenvalues are numerical zeros; dropping them makes
-        # the block exactly nilpotent
-        np.fill_diagonal(Nblock, 0.0)
-    top = np.eye(m, dtype=complex)
-    if p and q:
-        B12 = Tschur[:p, p:]
-        try:
-            Y = scipy.linalg.solve_sylvester(C, -Nblock, -B12)
-        except Exception as exc:
-            raise EigendecompositionFailure(
-                f"block decoupling failed: {exc}") from exc
-        top[:p, p:] = Y
-    T = Z @ top
-    top_inv = np.eye(m, dtype=complex)
-    if p and q:
-        top_inv[:p, p:] = -top[:p, p:]
-    T_inv = top_inv @ Z.conj().T
-    dec = CoreNilpotentDecomposition(T, C, Nblock, _nilpotency_index(Nblock),
-                                     p, q, T_inv)
+    # 1. H = Q^H A^H Q: its leading q columns hold zero diagonal blocks
+    H, Q = A.conj().T, np.eye(m, dtype=complex)
+    q = index = 0
+    while q < m:
+        _, s, Vh = np.linalg.svd(H[q:, q:])
+        kernel = np.count_nonzero(s <= thresh)
+        if not kernel:
+            break
+        _rotate(H, Q, Vh[::-1].conj().T, q, m)
+        H[q:, q:q + kernel] = 0.0
+        q += kernel
+        index += 1
+    p = m - q
+    # in the order [core, complement reversed] Q^H A Q = H^H is block upper
+    # triangular with a strictly upper-triangular nilpotent block
+    order = np.concatenate([np.arange(q, m), np.arange(q - 1, -1, -1)])
+    Z = Q[:, order]
+    G = H.conj().T[np.ix_(order, order)]
+    # 2. Schur form of the core block G[:p, :p]
+    for j in range(p - 1):
+        block = G[j:p, j:p]
+        mu = np.linalg.eigvals(block)[0]
+        _, _, Vh = np.linalg.svd(block - mu * np.eye(p - j))
+        _rotate(G, Z, Vh[::-1].conj().T, j, p)
+        G[j + 1:p, j] = 0.0
+    C, B12, Nblock = G[:p, :p], G[:p, p:], G[p:, p:]
+    # 3. C Y - Y Nblock = -B12, column by column
+    Y = np.zeros((p, q), dtype=complex)
+    for j in range(q):
+        Y[:, j] = np.linalg.solve(C, Y[:, :j] @ Nblock[:j, j] - B12[:, j])
+    top, top_inv = np.eye(m, dtype=complex), np.eye(m, dtype=complex)
+    top[:p, p:], top_inv[:p, p:] = Y, -Y
+    dec = CoreNilpotentDecomposition(Z @ top, C, Nblock, index, p, q,
+                                     top_inv @ Z.conj().T)
     err = one_norm(dec.reconstruct() - A)
     if err > max(tol * (1.0 + scale), 64 * np.finfo(float).eps * scale):
         raise EigendecompositionFailure(

@@ -544,7 +544,7 @@ def test_missing_input_file_exits_3(tmp_path):
 # ---------------------------------------------------------------- start-up
 
 def test_importing_the_cli_leaves_scipy_out():
-    # scipy is imported by the solves that need it; verify needs none
+    # the package runs on numpy alone, and importing the CLI loads no more
     src = pathlib.Path(singwave.__file__).resolve().parents[1]
     code = "import sys, singwave.cli; print('scipy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -554,21 +554,24 @@ def test_importing_the_cli_leaves_scipy_out():
 
 
 def test_eigen_and_verify_leave_scipy_out(tmp_path):
+    # a None entry in sys.modules makes any import of scipy fail, so
+    # solve, eigen and verify all run with scipy blocked
     problem = tmp_path / "problem.json"
     write_problem(demo_problem(4, 0.125, 0.5), str(problem))
-    assert main(["solve", "--input", str(problem),
-                 "--out-dir", str(tmp_path), "--quiet"]) == 0
     src = pathlib.Path(singwave.__file__).resolve().parents[1]
-    code = ("import sys, singwave.cli as cli\n"
-            "problem, solution, out = sys.argv[1:]\n"
-            "codes = [cli.main(['eigen', '--input', problem, '--out-dir',"
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import singwave.cli as cli\n"
+            "problem, out = sys.argv[1:]\n"
+            "codes = [cli.main(['solve', '--input', problem, '--out-dir',"
+            " out, '--quiet']),\n"
+            "         cli.main(['eigen', '--input', problem, '--out-dir',"
             " out, '--quiet']),\n"
             "         cli.main(['verify', '--input', problem, '--solution',"
-            " solution, '--quiet'])]\n"
-            "print(codes, 'scipy' in sys.modules)")
+            " out + '/solution.csv', '--quiet'])]\n"
+            "print(codes)")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, "-c", code, str(problem),
-         str(tmp_path / "solution.csv"), str(tmp_path / "eigen")],
+        [sys.executable, "-c", code, str(problem), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[0, 0] False"
+    assert out.stdout.strip() == "[0, 0, 0]"

@@ -22,6 +22,7 @@ from singwave.matrix_core import (
 
 from random_matrices import (
     make_rng,
+    perturbed_jordan,
     random_complex,
     random_rank_matrix,
     random_real_rank_matrix,
@@ -268,6 +269,8 @@ def test_core_nilpotent_shift_block():
 def test_core_nilpotent_zero_matrix():
     dec = core_nilpotent(np.zeros((3, 3)))
     assert (dec.p, dec.q, dec.index_k) == (0, 3, 1)
+    dec = core_nilpotent(np.zeros((0, 0)))
+    assert (dec.p, dec.q, dec.index_k, dec.T.shape) == (0, 0, 0, (0, 0))
 
 
 def test_core_nilpotent_mixed_spectrum():
@@ -288,6 +291,31 @@ def test_core_nilpotent_reconstruction_random(rng):
         dec = core_nilpotent(A)
         assert dec.p + dec.q == n
         assert one_norm(dec.reconstruct() - A) <= 1e-9 * (1 + one_norm(A))
+
+
+
+def test_core_nilpotent_index_is_the_kernel_chain_length():
+    # J_3(0) + J_1(0) + [2]: rank M^j = 5, 3, 2, 1, 1, so the chain has
+    # three steps although the nilpotent block has four rows
+    M = np.zeros((5, 5), dtype=complex)
+    M[0, 1] = M[1, 2] = 1.0
+    M[4, 4] = 2.0
+    dec = core_nilpotent(M)
+    assert (dec.p, dec.q, dec.index_k) == (1, 4, 3)
+    assert_allclose(dec.C, [[2.0]], atol=1e-14)
+
+
+def test_core_nilpotent_perturbed_jordan_stress():
+    # round-off in S J S^-1 moves the eigenvalues of a nilpotent block of
+    # size 4 by up to (eps cond)^(1/4), far above the cut; its rank does not
+    rng = make_rng(5)
+    misses = []
+    for idx in range(300):
+        M, q, index = perturbed_jordan(rng)
+        dec = core_nilpotent(M)  # raises on a failed reconstruction
+        if (dec.q, dec.index_k) != (q, index):
+            misses.append((idx, dec.q, q, dec.index_k, index))
+    assert not misses, misses
 
 
 # ------------------------------------------------------------- drazin_inverse

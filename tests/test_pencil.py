@@ -112,6 +112,43 @@ def test_build_pencil_zero_mass():
     assert not pd.core_active
 
 
+
+def _orthogonal(rng, m):
+    Q, R = np.linalg.qr(rng.standard_normal((m, m)))
+    return Q * np.sign(np.diag(R))
+
+
+def test_coupled_pencil_reports_index_1():
+    # four demo systems under a random orthogonal change of variables:
+    # rank Ehat^j = 12, 8, 8, 8 for j = 0..3, so the index is 1
+    mats = demo_matrices()
+    E, A = (np.kron(np.eye(4), mats[key]) for key in ("E", "A"))
+    Q = _orthogonal(make_rng(7), 12)
+    pd = build_pencil(Q @ E @ Q.T, Q @ A @ Q.T)
+    assert pd.index_k == 1
+    assert_allclose(pd.spectrum_reduced, [0.0] * 8 + [1.0] * 4, atol=1e-12)
+
+
+def test_rotated_index_2_pencil():
+    # E = J_2(0) + I_3 and A = diag(1, 1, 2, 1, 1): an infinite eigenvalue
+    # of index 2 and the finite ones 1, 1, 2, whatever the orthogonal
+    # similarity (Q E Q^T, Q A Q^T)
+    E = np.zeros((5, 5))
+    E[0, 1] = 1.0
+    E[2:, 2:] = np.eye(3)
+    A = np.diag([1.0, 1.0, 2.0, 1.0, 1.0])
+    spectrum = [0.0, 0.0, 1.0, 1.0, 2.0]
+    pd = build_pencil(E, A)
+    assert pd.index_k == 2
+    assert_allclose(pd.spectrum_reduced, spectrum, atol=1e-12)
+    rng = make_rng(11)
+    for _ in range(200):
+        Q = _orthogonal(rng, 5)
+        pd = build_pencil(Q @ E @ Q.T, Q @ A @ Q.T)
+        assert pd.index_k == 2
+        assert_allclose(pd.spectrum_reduced, spectrum, atol=1e-12)
+
+
 def test_build_pencil_identity_defect():
     E, A = demo_EA()
     pd = build_pencil(E, A)
