@@ -10,7 +10,7 @@ from .errors import (
     SingwaveError, InputError, ModelRejection, NumericalFailure,
     ParseError, ShapeError, NonFiniteValue, SizeCapExceeded,
     RankFull, ConsistencyViolation, RhoDegenerate, UnstableStepRatio,
-    DegenerateBoundary, BoundaryExtensionInconsistent, InconsistentSystem,
+    DegenerateBoundary, InconsistentSystem,
     EigendecompositionFailure, NoSquareRoot, NoRegularizingGamma,
     SingularShift, SingularLevelOperator,
 )
@@ -24,7 +24,7 @@ __all__ = [
     "SingwaveError", "InputError", "ModelRejection", "NumericalFailure",
     "ParseError", "ShapeError", "NonFiniteValue", "SizeCapExceeded",
     "RankFull", "ConsistencyViolation", "RhoDegenerate", "UnstableStepRatio",
-    "DegenerateBoundary", "BoundaryExtensionInconsistent",
+    "DegenerateBoundary",
     "EigendecompositionFailure", "NoSquareRoot", "NoRegularizingGamma",
     "SingularShift", "SingularLevelOperator", "InconsistentSystem",
 ]

@@ -240,6 +240,8 @@ def build_report(spec: ProblemSpec, trace: dict,
                      f"(defect {_fmt(rep.kernel_defect)})")
         lines.append(f"kernel_invariant={rep.kernel_invariant} "
                      f"(defect {_fmt(rep.invariance_defect)})")
+        lines.append(f"ends_match={rep.ends_match} "
+                     f"(defect {_fmt(rep.ends_defect)})")
     if "modes" in trace:
         lines.append("== modes ==")
         lines.append("l rho residual")

@@ -68,10 +68,6 @@ class DegenerateBoundary(ModelRejection):
     condition = "degenerate-boundary-scalars"
 
 
-class BoundaryExtensionInconsistent(ModelRejection):
-    condition = "boundary-extension-inconsistent"
-
-
 class InconsistentSystem(ModelRejection):
     condition = "inconsistent-discrete-system"
 

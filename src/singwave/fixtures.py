@@ -2,10 +2,10 @@
 
 The demo problem is a three-component system whose time-coefficient
 matrix is singular and whose endpoint couplings mix all components; its
-initial data is built from the discrete eigenbasis so that every
-admissibility gate passes.  A classical scalar wave instance and four
-deliberately inadmissible variants (one per rejection path) accompany
-it.
+initial data is built from the discrete eigenbasis, endpoint rows
+included, so that every admissibility gate passes.  A classical scalar
+wave instance and four deliberately inadmissible variants (one per
+rejection path) accompany it.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .solver import GridParams, ProblemSpec, Tolerances, endpoint_maps
-from .sturm_liouville import SLProblem, solve_psd
+from .solver import GridParams, ProblemSpec
+from .sturm_liouville import SLProblem, boundary_scalars, solve_psd
 
 
 def demo_matrices() -> dict:
@@ -35,14 +35,14 @@ def demo_matrices() -> dict:
 
 
 def _with_boundary(interior: np.ndarray, mats: dict) -> np.ndarray:
-    """Stack endpoint rows derived from the first/last interior rows."""
+    """Stack the eigenfunctions' endpoint rows, a times the first and b
+    times the last interior row (boundary_scalars of mats' alpha, beta)."""
     N = interior.shape[0] + 1
     full = np.zeros((N + 1, interior.shape[1]), dtype=complex)
     full[1:N] = interior
-    left, right = endpoint_maps(mats["A1"], mats["A2"], mats["B1"],
-                                mats["B2"], N, Tolerances.rank)
-    full[0] = left @ interior[0]
-    full[N] = right @ interior[-1]
+    a, b = boundary_scalars(SLProblem(N, mats["alpha"], mats["beta"]))
+    full[0] = a * interior[0]
+    full[N] = b * interior[-1]
     return full
 
 

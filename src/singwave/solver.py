@@ -8,7 +8,10 @@ on interior nodes, first-order coupled endpoint relations at i = 0 and
 i = N, and initial position/velocity data F, Gv.  The solve separates
 space through the discrete eigenbasis, propagates each mode with the
 pencil propagators, and reassembles, with admissibility of the data and
-the step-ratio root condition checked before any mode is solved.
+the step-ratio root condition checked before any mode is solved.  The
+endpoint rows are the eigenfunctions' own, U(0) = a U(1) and
+U(N) = b U(N-1) with the scalars of sturm_liouville.boundary_scalars;
+on the kernel of the endpoint matrix they satisfy the matrix relations.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .errors import (
     ConsistencyViolation,
-    BoundaryExtensionInconsistent,
     NonFiniteValue,
     ParseError,
     RankFull,
@@ -46,7 +48,7 @@ from .pencil import (
     raise_on_unstable_roots,
     rho_condition_violations,
 )
-from .sturm_liouville import SLProblem, expand, solve_psd
+from .sturm_liouville import SLProblem, boundary_scalars, expand, solve_psd
 
 
 def is_number(value, kind=(int, float)) -> bool:
@@ -221,19 +223,6 @@ def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
     return BoundaryMatrix(Gab, rank, kernel)
 
 
-def endpoint_maps(A1, A2, B1, B2, N: int,
-                  rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The m x m maps taking U(1,j) to U(0,j) and U(N-1,j) to U(N,j).
-
-    Each endpoint row is the minimum-norm solution, with singular values
-    below rank_tol (relative) cut, of the discrete endpoint relation
-    (A1 - N*A2) U(0,j) = -N*A2 U(1,j) or (B1 + N*B2) U(N,j) = N*B2 U(N-1,j);
-    both maps come from one stacked solve.
-    """
-    return tuple(min_norm_solve(np.stack([A1 - N * A2, B1 + N * B2]),
-                                np.stack([-N * A2, N * B2]), rank_tol))
-
-
 @dataclass
 class ConsistencyReport:
     """Admissibility of the initial data for the separated solve."""
@@ -244,21 +233,25 @@ class ConsistencyReport:
     kernel_defect: float
     kernel_invariant: bool
     invariance_defect: float
+    ends_match: bool
+    ends_defect: float
     scale: float
 
     @property
     def passed(self) -> bool:
         return (self.projector_fixes_data and self.data_in_kernel
-                and self.kernel_invariant)
+                and self.kernel_invariant and self.ends_match)
 
 
 def check_consistency(spec: ProblemSpec, pd: PencilData,
                       bm: BoundaryMatrix) -> ConsistencyReport:
-    """Three admissibility checks, reported rather than raised.
+    """Four admissibility checks, reported rather than raised.
 
     (a) the pencil projector fixes every data vector, (b) interior data
     lies in the kernel of the endpoint matrix, (c) that kernel is
-    invariant under the reduced operator.
+    invariant under the reduced operator, (d) the data's endpoint rows
+    are those of the eigenfunction series, a and b times the adjacent
+    rows.
     """
     tol = spec.tolerances.consistency
     scale = spec.data_scale()
@@ -274,9 +267,17 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
     inv_defect = kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel)
     inv_ok = inv_defect <= tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))
 
+    N = spec.grid.N
+    a, b = boundary_scalars(spec.sl_problem())
+    ends_defect = float(np.abs(np.stack([data[:, 0] - a * data[:, 1],
+                                         data[:, N] - b * data[:, N - 1]])
+                               ).sum(axis=-1).max())
+    ends_ok = ends_defect <= tol * (1.0 + max(abs(a), abs(b))) * scale
+
     return ConsistencyReport(bool(proj_ok), proj_defect,
                              bool(kernel_ok), kernel_defect,
-                             bool(inv_ok), inv_defect, scale)
+                             bool(inv_ok), inv_defect,
+                             bool(ends_ok), ends_defect, scale)
 
 
 def raise_on_inconsistency(report: ConsistencyReport) -> None:
@@ -295,6 +296,11 @@ def raise_on_inconsistency(report: ConsistencyReport) -> None:
             f"endpoint kernel is not invariant under the reduced operator "
             f"(defect {report.invariance_defect:.3e})",
             condition="boundary-kernel-not-invariant")
+    if not report.ends_match:
+        raise ConsistencyViolation(
+            f"endpoint data differ from the eigenfunction endpoint rows "
+            f"(defect {report.ends_defect:.3e})",
+            condition="endpoint-data-mismatch")
 
 
 @dataclass
@@ -389,13 +395,13 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
     once, and the (modes, N-1) eigenvectors ``eigenpairs.v`` carry it to
-    the grid.  Endpoint rows come from endpoint_maps; inconsistency of
-    either endpoint relation raises BoundaryExtensionInconsistent naming
-    the first failing step.
+    the grid.  The endpoint rows are the eigenfunctions' own,
+    U(0) = a U(1) and U(N) = b U(N-1) (boundary_scalars).  Amplitudes in
+    the kernel of the endpoint matrix, which check_consistency gates,
+    make them satisfy the matrix endpoint relations exactly.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
-    tol = spec.tolerances.residual
     U = np.zeros((N + 1, M + 1, m), dtype=complex)
     # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
     # (branch, modes, m, 1) stack of columns
@@ -410,21 +416,11 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     U[1:N] = (eigenpairs.v.T @ tables.reshape(len(tables), -1)).reshape(
         N - 1, M + 1, m)
 
-    maps = endpoint_maps(spec.A1, spec.A2, spec.B1, spec.B2, N,
-                         spec.tolerances.rank)
-    U[0] = U[1] @ maps[0].T
-    U[N] = U[N - 1] @ maps[1].T
-    relations = ((spec.A1 - N * spec.A2, U[0], -N * (U[1] @ spec.A2.T)),
-                 (spec.B1 + N * spec.B2, U[N], N * (U[N - 1] @ spec.B2.T)))
-    unsolved = np.array([
-        np.abs(vals @ op.T - rhs).sum(axis=1)
-        > tol * (1.0 + np.abs(rhs).sum(axis=1))
-        for op, vals, rhs in relations])  # (side, M+1)
-    if unsolved.any():
-        j = int(np.argmax(unsolved.any(axis=0)))
-        side = "left" if unsolved[0, j] else "right"
-        raise BoundaryExtensionInconsistent(
-            f"{side} endpoint relation unsolvable at step j={j}")
+    a, b = boundary_scalars(spec.sl_problem())
+    # at a Dirichlet end a zero scalar times a negative value is -0.0;
+    # + 0.0 writes it as 0.0
+    U[0] = a * U[1] + 0.0
+    U[N] = b * U[N - 1] + 0.0
     return DiscreteSolution(U, amps)
 
 

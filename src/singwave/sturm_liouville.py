@@ -45,7 +45,10 @@ class SLProblem:
 def boundary_scalars(prob: SLProblem) -> tuple[float, float]:
     """Endpoint elimination factors (u(0) = a_eff*u(1), u(N) = b_eff*u(N-1)).
 
-    Raises DegenerateBoundary when either elimination denominator vanishes.
+    They fold the endpoints into the eigenproblem's corner entries, and
+    the solver takes the solution's and the data's endpoint rows from
+    them.  Raises DegenerateBoundary when either elimination denominator
+    vanishes.
     """
     aN = prob.alpha * prob.N
     bN = prob.beta * prob.N

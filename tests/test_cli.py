@@ -23,12 +23,14 @@ from singwave.cli import (
 )
 from singwave.errors import InputError, ParseError, ShapeError
 from singwave.fixtures import (
+    _with_boundary,
     demo_problem,
     reject_projector_mismatch,
     reject_rho_degenerate,
     scalar_wave_problem,
 )
 from singwave.solver import GridParams, ProblemSpec, Tolerances
+from singwave.sturm_liouville import SLProblem, solve_psd
 from singwave.verify import ResidualReport
 
 
@@ -318,6 +320,49 @@ def test_solve_rejection_writes_report(tmp_path):
     assert "REJECTED: projector-data-mismatch" in report
     assert not (tmp_path / "solution.csv").exists()
     assert (tmp_path / "eigen.csv").exists()
+
+
+def test_solve_endpoint_data_off_the_series_rejected(tmp_path):
+    # an endpoint row that is not a times its neighbour cannot come from
+    # the eigenfunction series: named as a rejection, not a residual failure
+    spec = demo_problem(4, 0.125, 0.5)
+    F = spec.F.copy()
+    F[0, 1] += 0.1
+    problem = tmp_path / "problem.json"
+    write_problem(dataclasses.replace(spec, F=F), str(problem))
+    code = main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 2
+    report = (tmp_path / "report.txt").read_text()
+    assert "ends_match=False" in report
+    assert "REJECTED: endpoint-data-mismatch" in report
+    assert not (tmp_path / "solution.csv").exists()
+
+
+def test_solve_with_singular_left_endpoint_operator(tmp_path, capsys):
+    # A1 and A2 share the kernel vector e0, so A1 - N*A2 is singular and
+    # the left relation leaves U(0) free in component 0; the endpoint row
+    # must still be the eigenfunctions' a*U(1)
+    N, alpha, beta = 8, 0.3, 1.0
+    eye = np.eye(2)
+    mats = {"alpha": alpha, "beta": beta}
+    V = solve_psd(SLProblem(N, alpha, beta)).v
+    F_int = np.zeros((N - 1, 2))
+    F_int[:, 0] = V[1] + 0.5 * V[2]
+    spec = ProblemSpec(m=2, E=eye, A=eye, A1=np.diag([0.0, 5.0]),
+                       A2=np.diag([0.0, 1.0]), B1=eye, B2=eye, alpha=alpha,
+                       beta=beta, F=_with_boundary(F_int, mats),
+                       Gv=np.zeros((N + 1, 2)),
+                       grid=GridParams.create(N, 1.0 / 32.0, 0.5))
+    assert np.linalg.matrix_rank(spec.A1 - N * spec.A2) == 1
+    problem = tmp_path / "problem.json"
+    write_problem(spec, str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(tmp_path / "solution.csv")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "OK"
 
 
 def test_solve_beyond_the_step_ratio_limit_rejected(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from singwave.errors import (
-    BoundaryExtensionInconsistent,
     SingwaveError,
     ConsistencyViolation,
     NonFiniteValue,
@@ -29,9 +28,7 @@ from singwave.pencil import build_pencil, build_propagators
 from singwave.solver import (
     ConsistencyReport,
     GridParams,
-    ModeAmplitudes,
     ProblemSpec,
-    assemble_solution,
     build_boundary_matrix,
     check_consistency,
     raise_on_inconsistency,
@@ -188,7 +185,8 @@ def test_consistency_flags_kernel_violation():
 def test_raise_on_inconsistency_slugs():
     base = dict(projector_fixes_data=True, projector_defect=0.0,
                 data_in_kernel=True, kernel_defect=0.0,
-                kernel_invariant=True, invariance_defect=0.0, scale=1.0)
+                kernel_invariant=True, invariance_defect=0.0,
+                ends_match=True, ends_defect=0.0, scale=1.0)
     raise_on_inconsistency(ConsistencyReport(**base))  # no raise
     with pytest.raises(ConsistencyViolation) as info:
         raise_on_inconsistency(ConsistencyReport(
@@ -201,6 +199,15 @@ def test_raise_on_inconsistency_slugs():
     with pytest.raises(ConsistencyViolation) as info:
         raise_on_inconsistency(ConsistencyReport(
             **{**base, "kernel_invariant": False}))
+    assert info.value.condition == "boundary-kernel-not-invariant"
+    with pytest.raises(ConsistencyViolation) as info:
+        raise_on_inconsistency(ConsistencyReport(
+            **{**base, "ends_match": False}))
+    assert info.value.condition == "endpoint-data-mismatch"
+    # every earlier condition keeps its name when the ends fail too
+    with pytest.raises(ConsistencyViolation) as info:
+        raise_on_inconsistency(ConsistencyReport(
+            **{**base, "kernel_invariant": False, "ends_match": False}))
     assert info.value.condition == "boundary-kernel-not-invariant"
 
 
@@ -399,27 +406,14 @@ def test_outcome_invariant_under_rescaling(make, expected):
             assert outcome == expected, (coef, data)
 
 
-def test_boundary_extension_inconsistency_detected():
-    N = 2
-    grid = GridParams.create(N, 0.25, 0.5)
-    one = np.array([[1.0]], dtype=complex)
-    spec = ProblemSpec(m=1, E=one, A=one,
-                       A1=np.array([[float(N)]], dtype=complex),
-                       A2=one, B1=one,
-                       B2=np.array([[0.0]], dtype=complex),
-                       alpha=0.0, beta=0.0,
-                       F=np.zeros((N + 1, 1), dtype=complex),
-                       Gv=np.zeros((N + 1, 1), dtype=complex), grid=grid)
-    # A1 - N*A2 == 0 while A2 couples to a nonzero interior trace, so no
-    # left endpoint value can satisfy the discrete boundary relation
-    pairs = solve_psd(SLProblem(N))
-    pd = build_pencil(one, one, gamma=0.0)
-    props = build_propagators(pd, [-0.1], mode_index=1)
-    amps = ModeAmplitudes(1, np.array([[0.5 + 0j]]), np.array([[0.5 + 0j]]),
-                          np.array([-0.1]), np.array([0.0]))
-    with pytest.raises(BoundaryExtensionInconsistent) as info:
-        assemble_solution(spec, props, amps, pairs)
-    assert "left endpoint relation unsolvable at step j=0" in str(info.value)
+def test_dirichlet_ends_write_no_negative_zero():
+    # a clamped end has a = -0.0; its rows must be +0.0, which
+    # solution.csv writes as 0.0 rather than -0.0
+    spec = _jordan_problem()
+    N = spec.grid.N
+    ends = solve_problem(spec).U[[0, N]].view(float)
+    assert not ends.any()
+    assert not np.signbit(ends).any()
 
 
 # ---------------------------------------------------------------- stability
