@@ -9,7 +9,6 @@ rejection, 3 input/parse error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -37,7 +36,8 @@ from .solver import (
 from .sturm_liouville import solve_psd
 from .verify import ResidualReport, residual_report
 
-# nodes per block written by write_solution_csv
+# grid values per block of write_solution_csv (_CSV_BLOCK // m nodes); it
+# holds the text of one block at a time, so its memory is flat in N, M, m
 _CSV_BLOCK = 4096
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
@@ -131,9 +131,23 @@ def write_problem(spec: ProblemSpec, path: str) -> None:
         fh.write("\n")
 
 
+def _repr_each(column: np.ndarray) -> List[str]:
+    """repr of each float of a column, called once per distinct bit
+    pattern; the int64 view keeps -0.0 apart from 0.0."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) for v in bits.view(float).tolist()],
+                     dtype=object)
+    return texts[inverse].tolist()
+
+
 def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     """Grid values, one row per (i, j), i outer; shortest-round-trip
-    decimal text."""
+    (repr) decimal text and CRLF line ends.
+
+    Each x = i/N and t = j*k is formatted once, and each value column of
+    a block once per distinct value, so a column of zeros (the imaginary
+    parts of a real grid) costs one repr per block.
+    """
     N, M, m = U.shape[0] - 1, U.shape[1] - 1, U.shape[2]
     header = ["i", "j", "x", "t"]
     for c in range(m):
@@ -141,16 +155,18 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
         -1, 2 * m)
+    xs = list(map(repr, (np.arange(N + 1) / N).tolist()))
+    ts = list(map(repr, (np.arange(M + 1) * grid.k).tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # whole blocks of rows, so few Python floats are held at once;
-        # csv writes each Python float as its repr
-        for start in range(0, len(values), _CSV_BLOCK):
-            block = values[start:start + _CSV_BLOCK]
+        fh.write(",".join(header) + "\r\n")
+        step = max(1, _CSV_BLOCK // m)
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
             i, j = np.divmod(np.arange(start, start + len(block)), M + 1)
-            writer.writerows(zip(i.tolist(), j.tolist(), (i / N).tolist(),
-                                 (j * grid.k).tolist(), *block.T.tolist()))
+            nodes = [f"{a},{b},{xs[a]},{ts[b]}"
+                     for a, b in zip(i.tolist(), j.tolist())]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(
+                nodes, *map(_repr_each, block.T))]))
 
 
 def read_solution_csv(path: str) -> np.ndarray:
@@ -196,9 +212,9 @@ def read_solution_csv(path: str) -> np.ndarray:
 def write_eigen_csv(eigenpairs: np.recarray, path: str) -> None:
     """Eigenvalue table, one row per mode; repr decimal text."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "lambda"])
-        writer.writerows(enumerate(eigenpairs.lam.tolist(), start=1))
+        fh.write("l,lambda\r\n")
+        fh.write("".join([f"{l},{lam!r}\r\n" for l, lam in enumerate(
+            eigenpairs.lam.tolist(), start=1)]))
 
 
 def _fmt(value: float) -> str:
