@@ -199,7 +199,8 @@ def read_solution_csv(path: str) -> np.ndarray:
                          f"from 0 to {rows - 1}")
     i, j = ij.T.astype(np.int64)
     flat = i * (j.max() + 1) + j
-    if np.unique(flat).size != rows:
+    ordered = np.sort(flat)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ParseError(f"{path}: repeated grid rows")
     if rows != (i.max() + 1) * (j.max() + 1):
         raise ParseError(f"{path}: missing grid rows")
@@ -281,10 +282,9 @@ def build_report(spec: ProblemSpec, trace: dict,
                      f"power_bound_ok={st.power_bound_ok}")
         lines.append(f"growth_rate={_fmt(st.growth_rate)} "
                      f"sup_norm={_fmt(st.sup_norm)}")
-        lines.append("l rho max|Z0^j| max|Z1^j| rate")
-        for l, rho, plus, minus, rate in st.modes.tolist():
-            lines.append(f"{l} {rho!r} {_fmt(plus)} {_fmt(minus)} "
-                         f"{_fmt(rate)}")
+        lines.append("l rho rate")
+        for l, rho, rate in st.modes.tolist():
+            lines.append(f"{l} {rho!r} {_fmt(rate)}")
     lines.append("== result ==")
     if error is None:
         lines.append("ACCEPTED")

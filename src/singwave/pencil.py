@@ -188,8 +188,7 @@ def rho_condition_violations(pd: PencilData, rho: complex) -> List[complex]:
     return [complex(x) for x in d[active & _roots_coincide(complex(rho) * d)]]
 
 
-def build_propagators(pd: PencilData, rho, mode_index: int = 0,
-                      require_invertible_difference: bool = True
+def build_propagators(pd: PencilData, rho, mode_index: int = 0
                       ) -> PropagatorPair:
     """The two propagator matrices Z0, Z1 for one rho or a vector of them.
 
@@ -198,18 +197,12 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0,
     diagonal where they coincide.  Every mode and branch comes from the
     pencil's one triangular core; a vector rho gives (modes, m, m) stacks.
     When the roots collide at some active eigenvalue the difference
-    Z1 - Z0 degenerates there; by default this raises RhoDegenerate.  It
-    is raised always on a Jordan block at coinciding roots, where no
-    square root exists.
+    Z1 - Z0 degenerates there, and the mode solve decides whether that
+    leaves the amplitudes unsolvable (RhoDegenerate).  RhoDegenerate is
+    raised here on a Jordan block at coinciding roots, where no square
+    root exists.
     """
     rhos = np.asarray(rho, dtype=complex)
-    if require_invertible_difference:
-        for r in rhos.reshape(-1):
-            bad = rho_condition_violations(pd, r)
-            if bad:
-                raise RhoDegenerate(
-                    f"propagator roots coincide at reduced eigenvalue(s) "
-                    f"{bad} for rho={complex(r)}")
     flat = rhos.reshape(-1, 1, 1)
     p = pd.core.shape[0]
     diag = np.arange(p)

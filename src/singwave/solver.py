@@ -362,10 +362,9 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
 
 @dataclass
 class StabilityReport:
-    """Propagator roots and power growth, and the grid's sup-norm.
+    """Propagator roots, their growth rates, and the grid's sup-norm.
 
-    modes holds one record per mode: l, rho_l, the largest 1-norms
-    max_power_norm_plus/minus of Z0^j and Z1^j, and growth_rate.
+    modes holds one record per mode: l, rho_l and growth_rate.
     power_bound_ok: no root modulus above 1 + _EZ_TOL; root_margin:
     min Re(z) + 4 over every (mode, d), negative beyond the limit.
     """
@@ -426,25 +425,18 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
 
 def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
                      sol: DiscreteSolution) -> StabilityReport:
-    """Root verdict and power growth of every mode's propagators.
+    """Root verdict of every mode's propagators, read off their roots.
 
     A mode's growth rate is log(max|p|)/k over its propagator roots
-    (propagator_roots), so |p|^j = exp(rate * j*k).  The peak 1-norms of
-    Z0^j and Z1^j over j = 1..M are stepped for all modes at once.
+    (propagator_roots), so |p|^j = exp(rate * j*k).
     """
     k = spec.grid.k
     z, modulus = propagator_roots(propagators)
     top = modulus.max(axis=-1, initial=1.0)  # one per mode
-    Z = np.stack([propagators.Z0, propagators.Z1])  # (branch, modes, m, m)
-    power, peak = Z, np.zeros(Z.shape[:2])
-    for j in range(1, spec.grid.M + 1):
-        np.maximum(peak, np.abs(power).sum(axis=-2).max(axis=-1), out=peak)
-        if j < spec.grid.M:
-            power = power @ Z
     modes = np.rec.fromarrays(
         [propagators.mode_index + np.arange(top.size), propagators.rho.real,
-         *peak, np.log(top) / k],
-        names="l,rho_l,max_power_norm_plus,max_power_norm_minus,growth_rate")
+         np.log(top) / k],
+        names="l,rho_l,growth_rate")
     sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
     worst = float(top.max(initial=1.0))
     return StabilityReport(modes, float(np.log(worst) / k), sup, worst,
@@ -486,8 +478,7 @@ def solve_problem(spec: ProblemSpec,
                 eigenpairs, slp)
 
     rhos = spec.mode_rho(np.arange(1, len(eigenpairs) + 1), eigenpairs.lam)
-    propagators = build_propagators(pd, rhos, mode_index=1,
-                                    require_invertible_difference=False)
+    propagators = build_propagators(pd, rhos, mode_index=1)
     raise_on_unstable_roots(pd, propagators)
     amps = solve_mode_coefficients(spec, pd, propagators, fc, gc)
     note("modes", amps)

@@ -309,6 +309,25 @@ def test_solve_outputs_deterministic(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_solve_report_stability_rows_come_from_the_roots(tmp_path):
+    # one row per mode of l, rho and growth rate; no power norms
+    spec = demo_problem(8, 1.0 / 32.0, 1.0)
+    problem = tmp_path / "problem.json"
+    write_problem(spec, str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "report.txt").read_text().splitlines()
+    start = lines.index("== stability ==")
+    assert lines[start + 3] == "l rho rate"
+    rows = [row.split() for row in
+            lines[start + 4:lines.index("== result ==")]]
+    assert [int(row[0]) for row in rows] == list(range(1, spec.grid.N))
+    assert all(len(row) == 3 for row in rows)
+    src = pathlib.Path(singwave.__file__).parent
+    assert not any("max|Z" in path.read_text(encoding="utf-8")
+                   for path in src.glob("*.py"))
+
+
 def test_solve_rejection_writes_report(tmp_path):
     problem = tmp_path / "problem.json"
     write_problem(reject_projector_mismatch(8, 1.0 / 32.0, 1.0),
