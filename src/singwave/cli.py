@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -27,6 +28,7 @@ from .errors import (
 from .fixtures import demo_problem
 from .solver import (
     MATRIX_KEYS,
+    DiscreteSolution,
     GridParams,
     ProblemSpec,
     Tolerances,
@@ -222,7 +224,7 @@ def _fmt(value: float) -> str:
     return f"{value:.6e}"
 
 
-def build_report(spec: ProblemSpec, trace: dict,
+def build_report(spec: ProblemSpec, sol: DiscreteSolution,
                  residuals: Optional[ResidualReport],
                  error: Optional[SingwaveError]) -> str:
     """Human-readable run summary; sections appear as far as the run got."""
@@ -232,37 +234,30 @@ def build_report(spec: ProblemSpec, trace: dict,
     lines.append(f"N={grid.N} h={1.0 / grid.N!r} k={grid.k!r} "
                  f"T={grid.T!r} M={grid.M} r={grid.r!r}")
     lines.append(f"m={spec.m}")
-    if "eigenpairs" in trace:
+    if sol.eigenpairs is not None:
         lines.append("== spatial eigenvalues ==")
-        lines.append(" ".join(map(_fmt, trace["eigenpairs"].lam.tolist())))
-    if "pencil" in trace:
-        pd = trace["pencil"]
+        lines.append(" ".join(map(_fmt, sol.eigenpairs.lam.tolist())))
+    if sol.pencil is not None:
+        pd = sol.pencil
         lines.append("== pencil ==")
         lines.append(f"gamma={pd.gamma}")
         lines.append("reduced spectrum: "
                      + " ".join(str(z) for z in pd.spectrum_reduced))
         lines.append(f"nilpotency index={pd.index_k} "
                      f"core_active={pd.core_active}")
-    if "boundary" in trace:
-        bm = trace["boundary"]
+    if sol.boundary is not None:
+        bm = sol.boundary
         lines.append("== endpoint matrix ==")
         lines.append(f"rank={bm.rank} of m={spec.m} "
                      f"(kernel dimension {bm.kernel.shape[1]})")
-    if "consistency" in trace:
-        rep = trace["consistency"]
+    if sol.gates is not None:
         lines.append("== admissibility ==")
-        lines.append(f"projector_fixes_data={rep.projector_fixes_data} "
-                     f"(defect {_fmt(rep.projector_defect)})")
-        lines.append(f"data_in_kernel={rep.data_in_kernel} "
-                     f"(defect {_fmt(rep.kernel_defect)})")
-        lines.append(f"kernel_invariant={rep.kernel_invariant} "
-                     f"(defect {_fmt(rep.invariance_defect)})")
-        lines.append(f"ends_match={rep.ends_match} "
-                     f"(defect {_fmt(rep.ends_defect)})")
-    if "modes" in trace:
+        lines.extend(f"{gate.name}={gate.passed} (defect {_fmt(gate.defect)})"
+                     for gate in sol.gates)
+    if sol.modes is not None:
         lines.append("== modes ==")
         lines.append("l rho residual")
-        amps = trace["modes"]
+        amps = sol.modes
         for idx, (rho, res) in enumerate(zip(amps.rho.tolist(),
                                              amps.residual.tolist())):
             lines.append(f"{amps.mode_index + idx} {rho!r} {_fmt(res)}")
@@ -274,8 +269,8 @@ def build_report(spec: ProblemSpec, trace: dict,
         lines.append(f"init_pos_max={_fmt(residuals.init_pos_max)}")
         lines.append(f"init_vel_max={_fmt(residuals.init_vel_max)}")
         lines.append(f"normalizer={residuals.normalizer!r}")
-    if "stability" in trace:
-        st = trace["stability"]
+    if sol.stability is not None:
+        st = sol.stability
         lines.append("== stability ==")
         lines.append(f"max|p|={_fmt(st.max_root_modulus)} "
                      f"root_margin={_fmt(st.root_margin)} "
@@ -302,12 +297,12 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     NumericalFailure (residual-gate) and writes no solution.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
-    trace: dict = {}
+    sol = DiscreteSolution()
     residuals: Optional[ResidualReport] = None
     error: Optional[SingwaveError] = None
     status = 0
     try:
-        sol = solve_problem(spec, trace)
+        solve_problem(spec, sol)
         residuals = residual_report(sol.U, spec)
         tol = spec.tolerances.residual
         if not residuals.worst <= tol:  # a NaN residual fails
@@ -317,13 +312,12 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     except SingwaveError as exc:
         error = exc
         status = exc.exit_code
-    if "eigenpairs" in trace:
-        write_eigen_csv(trace["eigenpairs"],
-                        os.path.join(out_dir, "eigen.csv"))
+    if sol.eigenpairs is not None:
+        write_eigen_csv(sol.eigenpairs, os.path.join(out_dir, "eigen.csv"))
     if error is None:
-        write_solution_csv(trace["solution"].U, spec.grid,
+        write_solution_csv(sol.U, spec.grid,
                            os.path.join(out_dir, "solution.csv"))
-    report = build_report(spec, trace, residuals, error)
+    report = build_report(spec, sol, residuals, error)
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8", newline="\n") as fh:
         fh.write(report)
@@ -377,7 +371,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=None)
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = _ArgumentParser(
         prog="singwave",
         description="Solve coupled two-level difference systems with a "

@@ -1,6 +1,6 @@
 """Exception taxonomy.
 
-Every error carries a stable ``condition`` slug (used by reports and the CLI
+Every error carries a stable ``condition`` slug (used by report.txt and the CLI
 to name the failure) and an ``exit_code`` consumed by the command line front
 end: 2 for model rejection, 3 for input problems, 4 for numerical failure.
 """

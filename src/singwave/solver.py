@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -224,28 +224,30 @@ def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
 
 
 @dataclass
-class ConsistencyReport:
-    """Admissibility of the initial data for the separated solve."""
+class Gate:
+    """One admissibility condition: it passes when defect <= limit, so a
+    NaN defect fails; a failing gate rejects the problem as ``condition``
+    with ``message``."""
 
-    projector_fixes_data: bool
-    projector_defect: float
-    data_in_kernel: bool
-    kernel_defect: float
-    kernel_invariant: bool
-    invariance_defect: float
-    ends_match: bool
-    ends_defect: float
-    scale: float
+    name: str
+    condition: str
+    message: str
+    defect: float
+    limit: float
 
     @property
     def passed(self) -> bool:
-        return (self.projector_fixes_data and self.data_in_kernel
-                and self.kernel_invariant and self.ends_match)
+        return bool(self.defect <= self.limit)
+
+
+def _peak(rows: np.ndarray) -> float:
+    """Largest 1-norm over the rows (last axis) of ``rows``."""
+    return float(np.abs(rows).sum(axis=-1).max())
 
 
 def check_consistency(spec: ProblemSpec, pd: PencilData,
-                      bm: BoundaryMatrix) -> ConsistencyReport:
-    """Four admissibility checks, reported rather than raised.
+                      bm: BoundaryMatrix) -> List[Gate]:
+    """Four admissibility gates, reported rather than raised.
 
     (a) the pencil projector fixes every data vector, (b) interior data
     lies in the kernel of the endpoint matrix, (c) that kernel is
@@ -255,52 +257,37 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
     """
     tol = spec.tolerances.consistency
     scale = spec.data_scale()
-
-    data = np.stack([spec.F, spec.Gv])  # both grids, every node
-    proj_defect = float(np.abs(data @ pd.projector.T - data).sum(axis=2).max())
-    proj_ok = proj_defect <= tol * (1.0 + one_norm(pd.projector)) * scale
-
-    kernel_defect = float(np.abs(data[:, 1:spec.grid.N] @ bm.Gab.T
-                                 ).sum(axis=2).max())
-    kernel_ok = kernel_defect <= tol * (1.0 + one_norm(bm.Gab)) * scale
-
-    inv_defect = kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel)
-    inv_ok = inv_defect <= tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))
-
     N = spec.grid.N
+    data = np.stack([spec.F, spec.Gv])  # both grids, every node
     a, b = boundary_scalars(spec.sl_problem())
-    ends_defect = float(np.abs(np.stack([data[:, 0] - a * data[:, 1],
-                                         data[:, N] - b * data[:, N - 1]])
-                               ).sum(axis=-1).max())
-    ends_ok = ends_defect <= tol * (1.0 + max(abs(a), abs(b))) * scale
+    ends = np.stack([data[:, 0] - a * data[:, 1],
+                     data[:, N] - b * data[:, N - 1]])
+    return [
+        Gate("projector_fixes_data", "projector-data-mismatch",
+             "pencil projector alters the initial data",
+             _peak(data @ pd.projector.T - data),
+             tol * (1.0 + one_norm(pd.projector)) * scale),
+        Gate("data_in_kernel", "data-outside-boundary-kernel",
+             "interior data leaves the endpoint kernel",
+             _peak(data[:, 1:N] @ bm.Gab.T),
+             tol * (1.0 + one_norm(bm.Gab)) * scale),
+        Gate("kernel_invariant", "boundary-kernel-not-invariant",
+             "endpoint kernel is not invariant under the reduced operator",
+             kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel),
+             tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))),
+        Gate("ends_match", "endpoint-data-mismatch",
+             "endpoint data differ from the eigenfunction endpoint rows",
+             _peak(ends), tol * (1.0 + max(abs(a), abs(b))) * scale),
+    ]
 
-    return ConsistencyReport(bool(proj_ok), proj_defect,
-                             bool(kernel_ok), kernel_defect,
-                             bool(inv_ok), inv_defect,
-                             bool(ends_ok), ends_defect, scale)
 
-
-def raise_on_inconsistency(report: ConsistencyReport) -> None:
-    if not report.projector_fixes_data:
-        raise ConsistencyViolation(
-            f"pencil projector alters the initial data "
-            f"(defect {report.projector_defect:.3e})",
-            condition="projector-data-mismatch")
-    if not report.data_in_kernel:
-        raise ConsistencyViolation(
-            f"interior data leaves the endpoint kernel "
-            f"(defect {report.kernel_defect:.3e})",
-            condition="data-outside-boundary-kernel")
-    if not report.kernel_invariant:
-        raise ConsistencyViolation(
-            f"endpoint kernel is not invariant under the reduced operator "
-            f"(defect {report.invariance_defect:.3e})",
-            condition="boundary-kernel-not-invariant")
-    if not report.ends_match:
-        raise ConsistencyViolation(
-            f"endpoint data differ from the eigenfunction endpoint rows "
-            f"(defect {report.ends_defect:.3e})",
-            condition="endpoint-data-mismatch")
+def raise_on_inconsistency(gates: Sequence[Gate]) -> None:
+    """Raise ConsistencyViolation for the first gate that fails."""
+    for gate in gates:
+        if not gate.passed:
+            raise ConsistencyViolation(
+                f"{gate.message} (defect {gate.defect:.3e})",
+                condition=gate.condition)
 
 
 @dataclass
@@ -379,17 +366,21 @@ class StabilityReport:
 
 @dataclass
 class DiscreteSolution:
-    """Solved grid with every mode's stacked amplitudes and quality
-    reports."""
+    """The record of one solve: each stage's result, None until the
+    stage has run."""
 
-    U: np.ndarray  # (N+1, M+1, m) complex
-    modes: ModeAmplitudes
-    reports: Dict[str, object] = field(default_factory=dict)
+    eigenpairs: Optional[np.recarray] = None
+    pencil: Optional[PencilData] = None
+    boundary: Optional[BoundaryMatrix] = None
+    gates: Optional[List[Gate]] = None
+    modes: Optional[ModeAmplitudes] = None
+    U: Optional[np.ndarray] = None  # (N+1, M+1, m) complex
+    stability: Optional[StabilityReport] = None
 
 
 def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
                       amps: ModeAmplitudes, eigenpairs: np.recarray
-                      ) -> DiscreteSolution:
+                      ) -> np.ndarray:
     """Superpose the modes on interior nodes and extend to the endpoints.
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
@@ -420,11 +411,11 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     # + 0.0 writes it as 0.0
     U[0] = a * U[1] + 0.0
     U[N] = b * U[N - 1] + 0.0
-    return DiscreteSolution(U, amps)
+    return U
 
 
 def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
-                     sol: DiscreteSolution) -> StabilityReport:
+                     U: np.ndarray) -> StabilityReport:
     """Root verdict of every mode's propagators, read off their roots.
 
     A mode's growth rate is log(max|p|)/k over its propagator roots
@@ -437,7 +428,7 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
         [propagators.mode_index + np.arange(top.size), propagators.rho.real,
          np.log(top) / k],
         names="l,rho_l,growth_rate")
-    sup = float(np.abs(sol.U).sum(axis=2).max()) if sol.U.size else 0.0
+    sup = float(np.abs(U).sum(axis=2).max()) if U.size else 0.0
     worst = float(top.max(initial=1.0))
     return StabilityReport(modes, float(np.log(worst) / k), sup, worst,
                            float(z.real.min(initial=np.inf)) + 4.0,
@@ -445,32 +436,22 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
 
 
 def solve_problem(spec: ProblemSpec,
-                  trace: Optional[Dict[str, object]] = None
+                  sol: Optional[DiscreteSolution] = None
                   ) -> DiscreteSolution:
     """Full pipeline: eigenbasis, pencil, admissibility, step-ratio root
-    condition, modes, assembly.
+    condition, modes, assembly, stability.
 
-    When ``trace`` is a dict, intermediate objects are recorded under the
-    keys eigenpairs/pencil/boundary/consistency/modes/stability as they
-    are produced, including on failure part-way through.
+    Each stage's result goes into ``sol`` (a new record when None) as the
+    stage finishes, so a caller's own record keeps the stages that ran
+    before a rejection.
     """
-    def note(key: str, value) -> None:
-        if trace is not None:
-            trace[key] = value
-
+    sol = DiscreteSolution() if sol is None else sol
     slp = spec.sl_problem()
-    eigenpairs = solve_psd(slp)
-    note("eigenpairs", eigenpairs)
-
-    pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
-    note("pencil", pd)
-
-    bm = build_boundary_matrix(spec)
-    note("boundary", bm)
-
-    report = check_consistency(spec, pd, bm)
-    note("consistency", report)
-    raise_on_inconsistency(report)
+    sol.eigenpairs = eigenpairs = solve_psd(slp)
+    sol.pencil = pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
+    sol.boundary = build_boundary_matrix(spec)
+    sol.gates = check_consistency(spec, pd, sol.boundary)
+    raise_on_inconsistency(sol.gates)
 
     interior = slice(1, spec.grid.N)
     fc = expand(spec.F[interior], eigenpairs, slp)
@@ -480,12 +461,7 @@ def solve_problem(spec: ProblemSpec,
     rhos = spec.mode_rho(np.arange(1, len(eigenpairs) + 1), eigenpairs.lam)
     propagators = build_propagators(pd, rhos, mode_index=1)
     raise_on_unstable_roots(pd, propagators)
-    amps = solve_mode_coefficients(spec, pd, propagators, fc, gc)
-    note("modes", amps)
-
-    sol = assemble_solution(spec, propagators, amps, eigenpairs)
-    stab = stability_report(spec, propagators, sol)
-    sol.reports["stability"] = stab
-    note("stability", stab)
-    note("solution", sol)
+    sol.modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
+    sol.U = assemble_solution(spec, propagators, sol.modes, eigenpairs)
+    sol.stability = stability_report(spec, propagators, sol.U)
     return sol

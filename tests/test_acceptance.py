@@ -182,7 +182,7 @@ def test_criterion_6_step_refinement_stability():
     for denom in (32, 64, 128, 256):
         spec = demo_problem(8, 1.0 / denom, 1.0)
         sol = solve_problem(spec)
-        stab = sol.reports["stability"]
+        stab = sol.stability
         sups.append(stab.sup_norm)
         bound = float(np.exp(spec.grid.T * max(stab.growth_rate, 0.0))
                       * (1.0 + 1e-6))

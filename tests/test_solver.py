@@ -26,7 +26,8 @@ from singwave.fixtures import (
 )
 from singwave.pencil import build_pencil, build_propagators
 from singwave.solver import (
-    ConsistencyReport,
+    DiscreteSolution,
+    Gate,
     GridParams,
     ProblemSpec,
     build_boundary_matrix,
@@ -147,69 +148,81 @@ def test_boundary_matrix_full_rank_rejected():
 
 # ----------------------------------------------------------- admissibility
 
-def test_consistency_demo_passes():
-    spec = demo_problem(8, 1.0 / 32.0, 1.0)
+def _gates(spec):
+    """check_consistency's rows of ``spec``, by name."""
     pd = build_pencil(spec.E, spec.A)
     bm = build_boundary_matrix(spec)
-    report = check_consistency(spec, pd, bm)
-    assert report.passed
-    assert report.projector_defect <= 1e-12 * report.scale
-    assert report.kernel_defect <= 1e-12 * report.scale
-    assert report.invariance_defect <= 1e-12
+    return {gate.name: gate for gate in check_consistency(spec, pd, bm)}
+
+
+def test_consistency_demo_passes():
+    spec = demo_problem(8, 1.0 / 32.0, 1.0)
+    gates = _gates(spec)
+    assert all(gate.passed for gate in gates.values())
+    assert gates["projector_fixes_data"].defect <= 1e-12 * spec.data_scale()
+    assert gates["data_in_kernel"].defect <= 1e-12 * spec.data_scale()
+    assert gates["kernel_invariant"].defect <= 1e-12
 
 
 def test_consistency_zero_data_passes():
-    spec = _zero_data_spec()
-    pd = build_pencil(spec.E, spec.A)
-    bm = build_boundary_matrix(spec)
-    assert check_consistency(spec, pd, bm).passed
+    gates = _gates(_zero_data_spec())
+    assert all(gate.passed for gate in gates.values())
 
 
 def test_consistency_flags_projector_mismatch():
-    spec = reject_projector_mismatch(8, 1.0 / 32.0, 1.0)
-    pd = build_pencil(spec.E, spec.A)
-    bm = build_boundary_matrix(spec)
-    report = check_consistency(spec, pd, bm)
-    assert not report.projector_fixes_data
-    assert report.projector_defect > 0.5
+    gate = _gates(reject_projector_mismatch(8, 1.0 / 32.0, 1.0))[
+        "projector_fixes_data"]
+    assert not gate.passed
+    assert gate.defect > 0.5
 
 
 def test_consistency_flags_kernel_violation():
-    spec = reject_kernel_violation(8, 1.0 / 32.0, 1.0)
-    pd = build_pencil(spec.E, spec.A)
-    bm = build_boundary_matrix(spec)
-    report = check_consistency(spec, pd, bm)
-    assert report.projector_fixes_data
-    assert not report.data_in_kernel
-    assert report.kernel_defect > 0.1
+    gates = _gates(reject_kernel_violation(8, 1.0 / 32.0, 1.0))
+    assert gates["projector_fixes_data"].passed
+    assert not gates["data_in_kernel"].passed
+    assert gates["data_in_kernel"].defect > 0.1
+
+
+def test_gate_limits_and_defects():
+    """Every gate of the demo holds with room to spare; each rejection
+    fixture fails its gate, and that gate's condition is what
+    solve_problem raises; a NaN defect fails."""
+    for gate in _gates(demo_problem(8, 1.0 / 32.0, 1.0)).values():
+        assert 0.0 <= gate.defect <= gate.limit
+        assert gate.limit > 0.0
+    for make in (reject_projector_mismatch, reject_kernel_violation):
+        spec = make(8, 1.0 / 32.0, 1.0)
+        failing = [gate for gate in _gates(spec).values()
+                   if not gate.passed]
+        assert failing and failing[0].defect > failing[0].limit
+        with pytest.raises(ConsistencyViolation) as info:
+            solve_problem(spec)
+        assert info.value.condition == failing[0].condition
+    nan = Gate("ends_match", "endpoint-data-mismatch", "ends", np.nan, 1.0)
+    assert not nan.passed
+    with pytest.raises(ConsistencyViolation):
+        raise_on_inconsistency([nan])
 
 
 def test_raise_on_inconsistency_slugs():
-    base = dict(projector_fixes_data=True, projector_defect=0.0,
-                data_in_kernel=True, kernel_defect=0.0,
-                kernel_invariant=True, invariance_defect=0.0,
-                ends_match=True, ends_defect=0.0, scale=1.0)
-    raise_on_inconsistency(ConsistencyReport(**base))  # no raise
-    with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(ConsistencyReport(
-            **{**base, "projector_fixes_data": False}))
-    assert info.value.condition == "projector-data-mismatch"
-    with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(ConsistencyReport(
-            **{**base, "data_in_kernel": False}))
-    assert info.value.condition == "data-outside-boundary-kernel"
-    with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(ConsistencyReport(
-            **{**base, "kernel_invariant": False}))
-    assert info.value.condition == "boundary-kernel-not-invariant"
-    with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(ConsistencyReport(
-            **{**base, "ends_match": False}))
-    assert info.value.condition == "endpoint-data-mismatch"
+    conditions = ("projector-data-mismatch", "data-outside-boundary-kernel",
+                  "boundary-kernel-not-invariant", "endpoint-data-mismatch")
+
+    def rows(*failing):
+        """One row per gate, in check_consistency's order; the rows at
+        the ``failing`` positions have defect > limit."""
+        return [Gate(f"gate{idx}", condition, "gate fails",
+                     2.0 if idx in failing else 0.0, 1.0)
+                for idx, condition in enumerate(conditions)]
+
+    raise_on_inconsistency(rows())  # no raise
+    for idx, condition in enumerate(conditions):
+        with pytest.raises(ConsistencyViolation) as info:
+            raise_on_inconsistency(rows(idx))
+        assert info.value.condition == condition
     # every earlier condition keeps its name when the ends fail too
     with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(ConsistencyReport(
-            **{**base, "kernel_invariant": False, "ends_match": False}))
+        raise_on_inconsistency(rows(2, 3))
     assert info.value.condition == "boundary-kernel-not-invariant"
 
 
@@ -311,7 +324,7 @@ def test_solution_first_step_velocity():
 def test_solution_zero_data_is_zero():
     sol = solve_problem(_zero_data_spec())
     assert_allclose(sol.U, 0.0, atol=1e-14)
-    stab = sol.reports["stability"]
+    stab = sol.stability
     assert stab.sup_norm == 0.0
     assert stab.power_bound_ok
 
@@ -423,7 +436,7 @@ def test_dirichlet_ends_write_no_negative_zero():
 def test_stability_demo_report():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     sol = solve_problem(spec)
-    stab = sol.reports["stability"]
+    stab = sol.stability
     assert stab.growth_rate <= 1e-10
     assert stab.max_root_modulus <= 1.0 + 1e-12
     assert stab.root_margin > 0.0
@@ -437,7 +450,7 @@ def test_stability_demo_report():
 
 def test_stability_scalar_wave():
     sol = solve_problem(scalar_wave_problem())
-    stab = sol.reports["stability"]
+    stab = sol.stability
     assert stab.power_bound_ok
     assert stab.root_margin > 0.0
     assert abs(stab.growth_rate) <= 1e-10
@@ -445,24 +458,22 @@ def test_stability_scalar_wave():
 
 # --------------------------------------------------------------- pipeline
 
-def test_solve_problem_trace_on_success():
-    trace = {}
-    solve_problem(demo_problem(8, 1.0 / 32.0, 0.5), trace=trace)
-    for key in ("eigenpairs", "pencil", "boundary", "consistency",
-                "modes", "stability", "solution"):
-        assert key in trace
+def test_solve_problem_record_on_success():
+    sol = solve_problem(demo_problem(8, 1.0 / 32.0, 0.5))
+    for name in ("eigenpairs", "pencil", "boundary", "gates", "modes", "U",
+                 "stability"):
+        assert getattr(sol, name) is not None
 
 
-def test_solve_problem_trace_on_rejection():
-    trace = {}
+def test_solve_problem_record_on_rejection():
+    sol = DiscreteSolution()
     with pytest.raises(ConsistencyViolation) as info:
-        solve_problem(reject_projector_mismatch(8, 1.0 / 32.0, 1.0),
-                      trace=trace)
+        solve_problem(reject_projector_mismatch(8, 1.0 / 32.0, 1.0), sol)
     assert info.value.condition == "projector-data-mismatch"
-    for key in ("eigenpairs", "pencil", "boundary", "consistency"):
-        assert key in trace
-    assert "modes" not in trace
-    assert "solution" not in trace
+    for name in ("eigenpairs", "pencil", "boundary", "gates"):
+        assert getattr(sol, name) is not None
+    for name in ("modes", "U", "stability"):
+        assert getattr(sol, name) is None
 
 
 def test_solution_reconstructs_from_modes():
