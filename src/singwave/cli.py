@@ -38,8 +38,9 @@ from .solver import (
 from .sturm_liouville import solve_psd
 from .verify import ResidualReport, residual_report
 
-# grid values per block of write_solution_csv (_CSV_BLOCK // m nodes); it
-# holds the text of one block at a time, so its memory is flat in N, M, m
+# grid values per block of write_solution_csv (_CSV_BLOCK // m nodes, which
+# may start and end inside an i row); it holds the text of one block at a
+# time, so its memory is flat in N, M, m
 _CSV_BLOCK = 4096
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
@@ -133,22 +134,31 @@ def write_problem(spec: ProblemSpec, path: str) -> None:
         fh.write("\n")
 
 
-def _repr_each(column: np.ndarray) -> List[str]:
-    """repr of each float of a column, called once per distinct bit
-    pattern; the int64 view keeps -0.0 apart from 0.0."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) for v in bits.view(float).tolist()],
-                     dtype=object)
-    return texts[inverse].tolist()
+def _repr_runs(column: np.ndarray) -> List[str]:
+    """repr of each float of a column, called once per run of equal bit
+    patterns; the int64 view keeps -0.0 apart from 0.0."""
+    bits = column.view(np.int64)
+    starts = np.flatnonzero(np.not_equal(bits[1:], bits[:-1])) + 1
+    if len(starts) == len(bits) - 1:
+        return list(map(repr, column.tolist()))
+    starts = np.concatenate(([0], starts))
+    texts = np.empty(len(starts), dtype=object)
+    texts[:] = list(map(repr, column[starts].tolist()))
+    return np.repeat(texts, np.diff(starts, append=len(bits))).tolist()
 
 
 def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     """Grid values, one row per (i, j), i outer; shortest-round-trip
     (repr) decimal text and CRLF line ends.
 
-    Each x = i/N and t = j*k is formatted once, and each value column of
-    a block once per distinct value, so a column of zeros (the imaginary
-    parts of a real grid) costs one repr per block.
+    Each value column of a block is formatted once per run of equal
+    values, so a column of zeros (the imaginary parts of a real grid)
+    costs one repr per block; a value that repeats apart from its run is
+    formatted again, to the same text.  A block's rows are grouped by i,
+    and "i," and ",x," with x = i/N are formatted once per group.  The
+    texts of j and t = j*k are formatted once per file when all M + 1
+    levels fit in one block, and else once per node, so that the memory
+    held stays flat in N, M and m.
     """
     N, M, m = U.shape[0] - 1, U.shape[1] - 1, U.shape[2]
     header = ["i", "j", "x", "t"]
@@ -157,18 +167,31 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
         -1, 2 * m)
-    xs = list(map(repr, (np.arange(N + 1) / N).tolist()))
-    ts = list(map(repr, (np.arange(M + 1) * grid.k).tolist()))
+    step = max(1, _CSV_BLOCK // m)
+    t = np.arange(M + 1) * grid.k
+    if M < step:
+        js, ts = list(map(str, range(M + 1))), list(map(repr, t.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        step = max(1, _CSV_BLOCK // m)
         for start in range(0, len(values), step):
-            block = values[start:start + step]
-            i, j = np.divmod(np.arange(start, start + len(block)), M + 1)
-            nodes = [f"{a},{b},{xs[a]},{ts[b]}"
-                     for a, b in zip(i.tolist(), j.tolist())]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(
-                nodes, *map(_repr_each, block.T))]))
+            stop = min(start + step, len(values))
+            vals = list(map(",".join, zip(*map(
+                _repr_runs, values[start:stop].T))))
+            rows = []
+            for i in range(start // (M + 1), (stop - 1) // (M + 1) + 1):
+                # nodes a to b of the block lie on row i, at levels j0 to j1
+                a = max(start, i * (M + 1))
+                b = min(stop, (i + 1) * (M + 1))
+                j0, j1 = a - i * (M + 1), b - i * (M + 1)
+                head, mid = f"{i},", f",{i / N!r},"
+                if M < step:
+                    jt, tt = js[j0:j1], ts[j0:j1]
+                else:
+                    jt = map(str, range(j0, j1))
+                    tt = map(repr, t[j0:j1].tolist())
+                rows += [f"{head}{j}{mid}{tj},{v}\r\n" for j, tj, v in zip(
+                    jt, tt, vals[a - start:b - start])]
+            fh.write("".join(rows))
 
 
 def read_solution_csv(path: str) -> np.ndarray:

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,24 @@ def test_solution_csv_spans_several_blocks(tmp_path, monkeypatch):
     small = tmp_path / "small_blocks.csv"
     write_solution_csv(U, grid, str(small))
     assert small.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 20001, 3), (65, 9, 12)],
+                         ids=["one-row-over-several-blocks", "m=12"])
+def test_solution_csv_memory_stays_flat(tmp_path, shape):
+    # all values distinct, so that no text is shared; one i row of the
+    # first grid is 20001 rows, about 15 blocks, and holding it as text
+    # would take several MB
+    rng = np.random.default_rng(12)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    grid = GridParams.create(shape[0] - 1, 1e-3, (shape[1] - 1) * 1e-3)
+    tracemalloc.start()
+    try:
+        write_solution_csv(U, grid, str(tmp_path / "solution.csv"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_solution_csv_rejects_bad_header(tmp_path):

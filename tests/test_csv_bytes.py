@@ -68,6 +68,34 @@ def _non_dyadic():
     return _pool_values((11, 4, 2), seed=3), GridParams.create(10, 0.1, 0.3)
 
 
+def _alternating():
+    # two values take turns down every column: each repeats, never next
+    # to itself
+    U = np.empty((3, 40, 2), dtype=complex)
+    U.view(float).reshape(-1, 4)[:] = np.where(
+        np.arange(120)[:, None] % 2, [1.5, -0.0, 0.1, 7.0],
+        [2.5, 0.0, 0.2, -7.0])
+    return U, _grid(2, 39)
+
+
+def _signed_zero_runs():
+    # runs of -0.0 and of 0.0 of lengths 1 to 4, side by side, in every
+    # column
+    signs = np.repeat(np.arange(104) % 2, np.tile([3, 1, 4, 2], 26))
+    parts = np.where(signs[:252], -0.0, 0.0).reshape(6, 21, 2)
+    return parts.view(complex), _grid(5, 20)
+
+
+def _block_inside_row():
+    # m = 3 gives blocks of 1365 nodes, fewer than the 2001 levels, so
+    # the second block starts inside row 0 and ends inside row 1; u0 is
+    # constant along each row and u2 is zero, so runs cross both edges
+    U = _pool_values((3, 2001, 3), seed=10)
+    U[:, :, 0] = U[:, :1, 0]
+    U[:, :, 2] = 0.0
+    return U, GridParams.create(2, 1e-3, 2.0)
+
+
 CASES = {
     "signed-zeros": _signed_zeros,
     "zero-column": _zero_column,
@@ -85,6 +113,10 @@ CASES = {
                            _grid(16, 240)),
     "12003-nodes": lambda: (_pool_values((3, 4001, 2), seed=9),
                             GridParams.create(2, 1e-3, 4.0)),
+    # where a scan of runs differs from a sort of the whole column
+    "alternating": _alternating,
+    "signed-zero-runs": _signed_zero_runs,
+    "block-inside-row": _block_inside_row,
 }
 
 
@@ -107,6 +139,19 @@ def test_oracle_cases_hold_what_they_name(tmp_path):
     U, _ = _signed_zeros()
     bits = set(U.view(np.int64).ravel().tolist())
     assert {0, np.float64(-0.0).view(np.int64)} <= bits
+    negative_zero = np.float64(-0.0).view(np.int64)
+    U, _ = _alternating()
+    for column in U.view(np.int64).reshape(-1, 4).T:
+        assert len(set(column.tolist())) == 2
+        assert (column[1:] != column[:-1]).all()
+    U, _ = _signed_zero_runs()
+    for column in U.view(np.int64).reshape(-1, 2).T:
+        assert set(column.tolist()) == {0, negative_zero}
+        runs = np.diff(np.flatnonzero(column[1:] != column[:-1]))
+        assert (runs > 1).any() and (runs == 1).any()
+    U, _ = _block_inside_row()
+    levels, step = U.shape[1], 4096 // U.shape[2]
+    assert step < levels < 2 * step
 
 
 def test_solve_writes_the_oracle_bytes(tmp_path):
