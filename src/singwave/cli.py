@@ -247,6 +247,12 @@ def _fmt(value: float) -> str:
     return f"{value:.6e}"
 
 
+def _residual_lines(rep: ResidualReport) -> List[str]:
+    """The residual lines that report.txt and verify both print."""
+    return ([f"{name}={_fmt(getattr(rep, name))}" for name in rep.DEFECTS]
+            + [f"normalizer={rep.normalizer!r}"])
+
+
 def build_report(spec: ProblemSpec, sol: DiscreteSolution,
                  residuals: Optional[ResidualReport],
                  error: Optional[SingwaveError]) -> str:
@@ -286,12 +292,7 @@ def build_report(spec: ProblemSpec, sol: DiscreteSolution,
             lines.append(f"{amps.mode_index + idx} {rho!r} {_fmt(res)}")
     if residuals is not None:
         lines.append("== residuals ==")
-        lines.append(f"interior_max={_fmt(residuals.interior_max)}")
-        lines.append(f"left_bc_max={_fmt(residuals.left_bc_max)}")
-        lines.append(f"right_bc_max={_fmt(residuals.right_bc_max)}")
-        lines.append(f"init_pos_max={_fmt(residuals.init_pos_max)}")
-        lines.append(f"init_vel_max={_fmt(residuals.init_vel_max)}")
-        lines.append(f"normalizer={residuals.normalizer!r}")
+        lines.extend(_residual_lines(residuals))
     if sol.stability is not None:
         st = sol.stability
         lines.append("== stability ==")
@@ -363,10 +364,7 @@ def run_verify(problem_path: str, solution_path: str,
             f"solution grid {U.shape} does not match problem {expected}")
     rep = residual_report(U, spec)
     if not quiet:
-        for name in ("interior_max", "left_bc_max", "right_bc_max",
-                     "init_pos_max", "init_vel_max"):
-            print(f"{name}={_fmt(getattr(rep, name))}")
-        print(f"normalizer={rep.normalizer!r}")
+        print("\n".join(_residual_lines(rep)))
     if not rep.worst <= tol:  # a NaN residual fails
         if not quiet:
             print(f"FAIL: worst residual {_fmt(rep.worst)} exceeds {tol:g}")

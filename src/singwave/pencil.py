@@ -17,12 +17,13 @@ basis is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (NoRegularizingGamma, NoSquareRoot, RhoDegenerate,
-                     ShapeError, SingularShift, UnstableStepRatio)
+from .errors import (ModelRejection, NoRegularizingGamma, NoSquareRoot,
+                     RhoDegenerate, ShapeError, SingularShift,
+                     UnstableStepRatio)
 from .matrix_core import (
     DEFAULT_RANK_TOL,
     as_matrix,
@@ -34,6 +35,8 @@ from .matrix_core import (
 
 _COND_LIMIT = 1e8
 _EZ_TOL = 1e-12
+_LADDER = [0.0] + [c for n in range(1, 9)
+                   for c in (complex(n), complex(-n), n * 1j, -n * 1j)]
 
 
 def _cond1(M: np.ndarray) -> float:
@@ -44,13 +47,6 @@ def _cond1(M: np.ndarray) -> float:
     if not np.isfinite(c):
         return np.inf
     return float(c)
-
-
-def _candidate_ladder(limit: int = 8) -> List[complex]:
-    ladder: List[complex] = [0.0]
-    for n in range(1, limit + 1):
-        ladder.extend([complex(n), complex(-n), n * 1j, -n * 1j])
-    return ladder
 
 
 def _square_pair(E, A) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +72,7 @@ def find_gamma(E, A) -> complex:
     Em, Am = _square_pair(E, A)
     e_norm = one_norm(Em)
     scale = (one_norm(Am) / e_norm if e_norm else 0.0) or 1.0
-    for cand in _candidate_ladder():
+    for cand in _LADDER:
         gamma = cand * scale
         if _cond1(gamma * Em + Am) <= _COND_LIMIT:
             return complex(gamma)
@@ -89,9 +85,10 @@ class PencilData:
     """Shifted pair with its Drazin structure.
 
     projector = basis @ coords and reduced = basis @ core @ coords, with
-    orthonormal basis columns and core upper triangular.  core_active is
-    False when every eigenvalue of the reduced operator is zero, in which
-    case the propagating subspace is trivial.
+    orthonormal basis columns and core upper triangular.  active marks
+    the core diagonal entries d with |d| > band; the others count as 0,
+    in spectrum_reduced too.  core_active is False when none is active,
+    in which case the propagating subspace is trivial.
     """
 
     gamma: complex
@@ -106,6 +103,8 @@ class PencilData:
     basis: np.ndarray
     coords: np.ndarray
     core: np.ndarray
+    band: float
+    active: np.ndarray
 
 
 @dataclass
@@ -116,6 +115,11 @@ class PropagatorPair:
     stack of modes, rho is a vector and Z0, Z1 are (modes, m, m); entry idx
     belongs to mode number mode_index + idx.  Z0 = basis (C + S) coords
     and Z1 = basis (C - S) coords with C, S triangular in core coordinates.
+
+    The root table, shaped like rho plus the core diagonal: z = rho*d,
+    coincide where the roots c +- s of p^2 - (2 + z) p + 1 = 0 coincide,
+    and modulus = max |c +- s|, which is 1 exactly when z is real and in
+    [-4, 0] (the von Neumann root condition).
     """
 
     mode_index: int
@@ -124,6 +128,9 @@ class PropagatorPair:
     Z1: np.ndarray
     C: np.ndarray
     S: np.ndarray
+    z: np.ndarray
+    coincide: np.ndarray
+    modulus: np.ndarray
 
 
 def build_pencil(E, A, gamma: Optional[complex] = None,
@@ -159,15 +166,26 @@ def build_pencil(E, A, gamma: Optional[complex] = None,
     reduced = EhatD @ Ahat
     core = core_inv - gamma * np.eye(dec.p)
     diag = np.arange(dec.p)
-    core[diag, diag] = snap_real(core[diag, diag])
-    spectrum = np.concatenate([core[diag, diag], np.zeros(dec.q)])
-    small = np.abs(spectrum) <= tol * (1.0 + one_norm(reduced))
-    spectrum = np.where(small, 0.0, spectrum)
+    d = core[diag, diag] = snap_real(core[diag, diag])
+    band = tol * (1.0 + one_norm(reduced))
+    active = np.abs(d) > band
+    spectrum = np.concatenate([np.where(active, d, 0.0), np.zeros(dec.q)])
     spectrum = spectrum[np.argsort(np.abs(spectrum), kind="stable")]
-    core_active = bool(np.any(spectrum != 0.0))
     return PencilData(gamma, Ehat, Ahat, EhatD, projector, reduced,
-                      spectrum, dec.index_k, core_active, basis, coords,
-                      core)
+                      spectrum, dec.index_k, bool(active.any()), basis,
+                      coords, core, band, active)
+
+
+def raise_on_not_hyperbolic(pd: PencilData) -> None:
+    """not-hyperbolic at the first active d farther than the band from
+    [0, inf): z = rho*d then leaves [-4, 0] for every rho = -r^2 lambda < 0,
+    so a propagator root leaves the unit circle on any grid."""
+    d = np.diagonal(pd.core)
+    off = pd.active & ((d.real < 0.0) | (np.abs(d.imag) > pd.band))
+    if off.any():
+        raise ModelRejection(
+            f"reduced eigenvalue d={complex(d[off][0]):.6g} is not real and "
+            f">= 0 within {pd.band:.3e}", condition="not-hyperbolic")
 
 
 def _roots_coincide(z) -> np.ndarray:
@@ -177,17 +195,6 @@ def _roots_coincide(z) -> np.ndarray:
     return np.abs(z * (1.0 + z / 4.0)) <= _EZ_TOL * (1.0 + np.abs(z)) ** 2
 
 
-def rho_condition_violations(pd: PencilData, rho: complex) -> List[complex]:
-    """Nonzero reduced eigenvalues d where rho*d*(1 + rho*d/4) vanishes.
-
-    For each such d the two propagator roots coincide and their difference
-    is not invertible on the propagating subspace.
-    """
-    d = pd.spectrum_reduced
-    active = np.abs(d) > 1e-12 * (1.0 + one_norm(pd.reduced))
-    return [complex(x) for x in d[active & _roots_coincide(complex(rho) * d)]]
-
-
 def build_propagators(pd: PencilData, rho, mode_index: int = 0
                       ) -> PropagatorPair:
     """The two propagator matrices Z0, Z1 for one rho or a vector of them.
@@ -195,23 +202,23 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0
     With C = I + rho*core/2 and S the principal square root of C^2 - I,
     C + S and C - S are the roots p_plus, p_minus; S is zero on the
     diagonal where they coincide.  Every mode and branch comes from the
-    pencil's one triangular core; a vector rho gives (modes, m, m) stacks.
-    When the roots collide at some active eigenvalue the difference
-    Z1 - Z0 degenerates there, and the mode solve decides whether that
-    leaves the amplitudes unsolvable (RhoDegenerate).  RhoDegenerate is
-    raised here on a Jordan block at coinciding roots, where no square
-    root exists.
+    pencil's one triangular core; a vector rho gives (modes, m, m) stacks,
+    and the root table is formed here, once.  When the roots collide at
+    some active eigenvalue the difference Z1 - Z0 degenerates there, and
+    the mode solve decides whether that leaves the amplitudes unsolvable
+    (RhoDegenerate).  RhoDegenerate is raised here on a Jordan block at
+    coinciding roots, where no square root exists.
     """
     rhos = np.asarray(rho, dtype=complex)
     flat = rhos.reshape(-1, 1, 1)
-    p = pd.core.shape[0]
-    diag = np.arange(p)
-    d = pd.core[diag, diag]
+    d = np.diagonal(pd.core)
+    p, diag = d.size, np.arange(d.size)
     z = flat[:, 0] * d  # (modes, p)
     C = np.eye(p) + flat * pd.core / 2.0
     c = C[:, diag, diag]  # 1 + z/2
+    coincide = _roots_coincide(z)
     W = C @ C
-    W[:, diag, diag] = np.where(_roots_coincide(z), 0.0, c * c - 1.0)
+    W[:, diag, diag] = np.where(coincide, 0.0, c * c - 1.0)
     try:
         S = matrix_function(W)
     except NoSquareRoot as exc:
@@ -221,27 +228,20 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0
             f"Jordan block at reduced eigenvalue {d[exc.row]} for "
             f"rho={complex(flat[idx, 0, 0])}; no square root of C^2 - I "
             "exists") from exc
+    s = S[:, diag, diag]
+    table = [X.reshape(rhos.shape + (p,)) for X in
+             (z, coincide, np.maximum(np.abs(c + s), np.abs(c - s)))]
     C, S = C.reshape(rhos.shape + (p, p)), S.reshape(rhos.shape + (p, p))
-    Z0 = pd.basis @ (C + S) @ pd.coords
-    Z1 = pd.basis @ (C - S) @ pd.coords
-    return PropagatorPair(mode_index, rhos, Z0, Z1, C, S)
-
-
-def propagator_roots(pp: PropagatorPair) -> tuple[np.ndarray, np.ndarray]:
-    """z = rho*d and the larger root modulus for every (mode, d): the
-    roots c +- s of p^2 - (2 + z) p + 1 = 0 sit on the diagonals of C and
-    S.  Both lie on the unit circle exactly when z is real and in [-4, 0]
-    (the von Neumann root condition); their product is 1."""
-    c, s = (np.diagonal(X, axis1=-2, axis2=-1) for X in (pp.C, pp.S))
-    return 2.0 * (c - 1.0), np.maximum(np.abs(c + s), np.abs(c - s))
+    return PropagatorPair(mode_index, rhos, pd.basis @ (C + S) @ pd.coords,
+                          pd.basis @ (C - S) @ pd.coords, C, S, *table)
 
 
 def raise_on_unstable_roots(pd: PencilData, pp: PropagatorPair) -> None:
     """UnstableStepRatio at the first (mode, d) with Re z < -4 outside the
     band where the roots coincide (rho-degenerate decides there): then
     |p+ + p-| = |2 + z| > 2, so a root leaves the unit circle."""
-    z, modulus = np.atleast_2d(*propagator_roots(pp))  # (modes, p)
-    beyond = np.argwhere((z.real < -4.0) & ~_roots_coincide(z))
+    z, coincide, modulus = np.atleast_2d(pp.z, pp.coincide, pp.modulus)
+    beyond = np.argwhere((z.real < -4.0) & ~coincide)  # (modes, p)
     if beyond.size:
         idx, row = beyond[0]
         raise UnstableStepRatio(

@@ -7,11 +7,13 @@ The displacement grid U(i, j) in C^m on i = 0..N, j = 0..M satisfies
 on interior nodes, first-order coupled endpoint relations at i = 0 and
 i = N, and initial position/velocity data F, Gv.  The solve separates
 space through the discrete eigenbasis, propagates each mode with the
-pencil propagators, and reassembles, with admissibility of the data and
-the step-ratio root condition checked before any mode is solved.  The
-endpoint rows are the eigenfunctions' own, U(0) = a U(1) and
-U(N) = b U(N-1) with the scalars of sturm_liouville.boundary_scalars;
-on the kernel of the endpoint matrix they satisfy the matrix relations.
+pencil propagators, and reassembles.  A pair that is not hyperbolic,
+inadmissible data and a step ratio beyond the root condition are
+rejected before any mode is solved; the root facts come from the one
+root table of pencil.build_propagators.  The endpoint rows are the
+eigenfunctions' own, U(0) = a U(1) and U(N) = b U(N-1) with the scalars
+of sturm_liouville.boundary_scalars; on the kernel of the endpoint
+matrix they satisfy the matrix relations.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .pencil import (
     PropagatorPair,
     build_pencil,
     build_propagators,
-    propagator_roots,
+    raise_on_not_hyperbolic,
     raise_on_unstable_roots,
-    rho_condition_violations,
 )
 from .sturm_liouville import SLProblem, boundary_scalars, expand, solve_psd
 
@@ -328,23 +329,22 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
             + propagators.Z1 @ Q[..., None])[..., 0]
     res = np.abs(P + Q - fhat).sum(axis=1) + np.abs(step - ghat).sum(axis=1)
     limit = tol * (1.0 + np.abs(fhat).sum(axis=1) + np.abs(ghat).sum(axis=1))
-    rhos = propagators.rho
     failed = np.flatnonzero(res > limit)
     if failed.size:
         idx = int(failed[0])
         l = propagators.mode_index + idx
-        bad = rho_condition_violations(pd, rhos[idx])
-        if bad:
+        bad = np.diagonal(pd.core)[pd.active & propagators.coincide[idx]]
+        if bad.size:
             raise RhoDegenerate(
                 f"mode {l}: propagator roots coincide at reduced "
-                f"eigenvalue(s) {bad} and leave the mode system unsolvable "
-                f"(residual {res[idx]:.3e})")
+                f"eigenvalue(s) {bad.tolist()} and leave the mode system "
+                f"unsolvable (residual {res[idx]:.3e})")
         raise ConsistencyViolation(
             f"mode {l} amplitude system unsolvable "
             f"(residual {res[idx]:.3e})",
             condition="mode-equations-unsolvable")
     return ModeAmplitudes(propagators.mode_index, P, Q,
-                          np.real(rhos).astype(float), res)
+                          np.real(propagators.rho).astype(float), res)
 
 
 @dataclass
@@ -419,27 +419,26 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
     """Root verdict of every mode's propagators, read off their roots.
 
     A mode's growth rate is log(max|p|)/k over its propagator roots
-    (propagator_roots), so |p|^j = exp(rate * j*k).
+    (the root table's modulus), so |p|^j = exp(rate * j*k).
     """
     k = spec.grid.k
-    z, modulus = propagator_roots(propagators)
-    top = modulus.max(axis=-1, initial=1.0)  # one per mode
+    top = propagators.modulus.max(axis=-1, initial=1.0)  # one per mode
     modes = np.rec.fromarrays(
         [propagators.mode_index + np.arange(top.size), propagators.rho.real,
          np.log(top) / k],
         names="l,rho_l,growth_rate")
     sup = float(np.abs(U).sum(axis=2).max()) if U.size else 0.0
     worst = float(top.max(initial=1.0))
+    margin = float(propagators.z.real.min(initial=np.inf)) + 4.0
     return StabilityReport(modes, float(np.log(worst) / k), sup, worst,
-                           float(z.real.min(initial=np.inf)) + 4.0,
-                           worst <= 1.0 + _EZ_TOL)
+                           margin, worst <= 1.0 + _EZ_TOL)
 
 
 def solve_problem(spec: ProblemSpec,
                   sol: Optional[DiscreteSolution] = None
                   ) -> DiscreteSolution:
-    """Full pipeline: eigenbasis, pencil, admissibility, step-ratio root
-    condition, modes, assembly, stability.
+    """Full pipeline: eigenbasis, pencil, hyperbolicity, admissibility,
+    step-ratio root condition, modes, assembly, stability.
 
     Each stage's result goes into ``sol`` (a new record when None) as the
     stage finishes, so a caller's own record keeps the stages that ran
@@ -449,6 +448,7 @@ def solve_problem(spec: ProblemSpec,
     slp = spec.sl_problem()
     sol.eigenpairs = eigenpairs = solve_psd(slp)
     sol.pencil = pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
+    raise_on_not_hyperbolic(pd)
     sol.boundary = build_boundary_matrix(spec)
     sol.gates = check_consistency(spec, pd, sol.boundary)
     raise_on_inconsistency(sol.gates)

@@ -54,12 +54,13 @@ class ResidualReport:
     init_vel_max: float
     normalizer: float
 
+    DEFECTS = ("interior_max", "left_bc_max", "right_bc_max",
+               "init_pos_max", "init_vel_max")
+
     @property
     def worst(self) -> float:
         """The largest of the five defects, or NaN if any is NaN."""
-        return float(np.max([self.interior_max, self.left_bc_max,
-                             self.right_bc_max, self.init_pos_max,
-                             self.init_vel_max]))
+        return float(np.max([getattr(self, name) for name in self.DEFECTS]))
 
 
 def _node_norms(rows: np.ndarray) -> float:

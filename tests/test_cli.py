@@ -498,6 +498,40 @@ def test_solve_jordan_at_coinciding_roots_rejected(tmp_path):
     assert "== modes ==" not in report
 
 
+def _not_hyperbolic_doc(probe, N, k, T):
+    """A pair whose reduced eigenvalue d leaves [0, inf): E = 1, A = -1
+    (d = -1), or E = I with a rotation in A (d = 1 +- 0.3i)."""
+    if probe == "negative-d":
+        spec = scalar_wave_problem(N, k, T)
+        return serialize_problem(dataclasses.replace(spec, A=[[-1.0]]))
+    doc = _clamped_pair_doc([[1.0, 0.3], [-0.3, 1.0]], N)
+    doc.update(k=k, T=T)
+    return doc
+
+
+@pytest.mark.parametrize("probe,N,k,T,d", [
+    ("negative-d", 8, 1 / 32, 1.0, "d=-1+0j"),
+    ("negative-d", 32, 1 / 64, 4.0, "d=-1+0j"),
+    ("complex-d", 8, 1 / 32, 1.0, "d=1-0.3j"),
+    ("complex-d", 16, 1 / 64, 4.0, "d=1-0.3j"),
+    ("complex-d", 32, 1 / 128, 16.0, "d=1-0.3j"),
+])
+def test_solve_not_hyperbolic_rejected(tmp_path, probe, N, k, T, d):
+    # z = rho*d leaves [-4, 0] on every mode, so the grid would grow
+    # without bound as k -> 0; rejected right after the pencil, on any grid
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_not_hyperbolic_doc(probe, N, k, T)))
+    code = main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"])
+    assert code == 2
+    report = (tmp_path / "report.txt").read_text()
+    assert "REJECTED: not-hyperbolic" in report
+    assert d in report.splitlines()[-1]
+    assert "== pencil ==" in report
+    assert "== endpoint matrix ==" not in report
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def test_solve_invalid_grid_exits_3(tmp_path):
     doc = serialize_problem(demo_problem(4, 0.125, 0.5))
     doc["k"] = 0.3  # T/k is then not an integer

@@ -8,6 +8,7 @@ from singwave.errors import (
     NoRegularizingGamma,
     RhoDegenerate,
     SingularShift,
+    UnstableStepRatio,
 )
 from singwave.fixtures import demo_matrices
 from singwave.matrix_core import one_norm
@@ -15,7 +16,8 @@ from singwave.pencil import (
     build_pencil,
     build_propagators,
     find_gamma,
-    rho_condition_violations,
+    raise_on_not_hyperbolic,
+    raise_on_unstable_roots,
 )
 
 from random_matrices import make_rng
@@ -127,6 +129,11 @@ def test_coupled_pencil_reports_index_1():
     pd = build_pencil(Q @ E @ Q.T, Q @ A @ Q.T)
     assert pd.index_k == 1
     assert_allclose(pd.spectrum_reduced, [0.0] * 8 + [1.0] * 4, atol=1e-12)
+    # the inactive core diagonal holds round-off d < 0, which a raw sign
+    # test would reject; within the pencil's band the pair is hyperbolic
+    d = np.diagonal(pd.core)
+    assert (d.real[~pd.active] < 0.0).any()
+    raise_on_not_hyperbolic(pd)
 
 
 def test_rotated_index_2_pencil():
@@ -174,33 +181,68 @@ def test_build_pencil_rejects_singular_shift():
 
 # ----------------------------------------------------- step-size admissibility
 
+def coinciding_d(pd, rho):
+    """Active reduced eigenvalues d where the root table marks the two
+    propagator roots of rho*d as coinciding."""
+    pair = build_propagators(pd, rho)
+    return np.diagonal(pd.core)[pd.active & pair.coincide]
+
+
 def test_rho_violations_zero_rho():
     pd = build_pencil(*demo_EA())
-    v = rho_condition_violations(pd, 0.0)
-    assert_allclose(v, [1.0], atol=1e-12)
+    assert_allclose(coinciding_d(pd, 0.0), [1.0], atol=1e-12)
 
 
 def test_rho_violations_admissible():
     pd = build_pencil(*demo_EA())
-    assert rho_condition_violations(pd, -0.1) == []
+    assert coinciding_d(pd, -0.1).size == 0
 
 
 def test_rho_violations_boundary_of_disc():
     # for a unit direction d=1, rho*d*(1 + rho*d/4) = 0 at rho = -4
     pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
-    v = rho_condition_violations(pd, -4.0)
+    v = coinciding_d(pd, -4.0)
     assert len(v) == 1
     assert_allclose(v[0], 1.0, atol=1e-12)
+
+
+def test_root_table_matches_the_triangular_diagonals():
+    # z, coincide and modulus are one row per rho over the core diagonal
+    pd = build_pencil(*demo_EA())
+    rhos = np.array([-0.05, -4.0, -5.0])
+    pair = build_propagators(pd, rhos)
+    d = np.diagonal(pd.core)
+    assert pair.z.shape == pair.coincide.shape == pair.modulus.shape \
+        == (3, len(d))
+    assert_allclose(pair.z, rhos[:, None] * d, rtol=0, atol=0)
+    c, s = (np.diagonal(X, axis1=-2, axis2=-1) for X in (pair.C, pair.S))
+    assert_allclose(pair.modulus, np.maximum(abs(c + s), abs(c - s)),
+                    rtol=0, atol=0)
+    one = np.flatnonzero(pd.active)
+    assert pair.coincide[:, one].ravel().tolist() == [False, True, False]
+    # z = -5 is beyond -4: one root outside the unit circle
+    assert_allclose(pair.modulus[:, one].ravel()[[0, 2]],
+                    [1.0, (3.0 + np.sqrt(5.0)) / 2.0], rtol=1e-14)
+
+
+def test_unstable_roots_of_a_scalar_rho_rejected():
+    # a scalar rho gives a root table without the mode axis
+    pd = build_pencil(*demo_EA())
+    raise_on_unstable_roots(pd, build_propagators(pd, -4.0))
+    pair = build_propagators(pd, -5.0, mode_index=3)
+    assert pair.z.shape == (pd.core.shape[0],)
+    with pytest.raises(UnstableStepRatio, match="mode 3: z = rho.d = -5"):
+        raise_on_unstable_roots(pd, pair)
 
 
 # --------------------------------------------------------------- propagators
 
 def test_propagators_degenerate_rho_rejected():
     # at rho = 0 both roots are 1 on the active d = 1; the mode solve
-    # names it as RhoDegenerate through rho_condition_violations
+    # names it as RhoDegenerate from the root table's coincide mask
     pd = build_pencil(*demo_EA())
-    active = pd.spectrum_reduced[np.abs(pd.spectrum_reduced) > 1e-12]
-    assert_allclose(rho_condition_violations(pd, 0.0), active, atol=1e-12)
+    active = pd.spectrum_reduced[pd.spectrum_reduced != 0.0]
+    assert_allclose(coinciding_d(pd, 0.0), active, atol=1e-12)
 
 
 def test_propagators_degenerate_rho_collapse():
