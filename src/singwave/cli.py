@@ -26,13 +26,13 @@ from .errors import (
     SingwaveError,
 )
 from .fixtures import demo_problem
+from .matrix_core import is_number
 from .solver import (
     MATRIX_KEYS,
     DiscreteSolution,
     GridParams,
     ProblemSpec,
     Tolerances,
-    is_number,
     solve_problem,
 )
 from .sturm_liouville import solve_psd
@@ -253,6 +253,19 @@ def _residual_lines(rep: ResidualReport) -> List[str]:
             + [f"normalizer={rep.normalizer!r}"])
 
 
+def _residual_gate(U: np.ndarray, spec: ProblemSpec
+                   ) -> tuple[ResidualReport, Optional[str]]:
+    """The residual report of grid U and, when its worst residual exceeds
+    the problem's residual tolerance, the failure message (a NaN residual
+    fails).  solve and verify both decide by it, so that ACCEPTED implies
+    a passing verify."""
+    rep = residual_report(U, spec)
+    tol = spec.tolerances.residual
+    if rep.worst <= tol:
+        return rep, None
+    return rep, f"worst residual {_fmt(rep.worst)} exceeds {tol:g}"
+
+
 def build_report(spec: ProblemSpec, sol: DiscreteSolution,
                  residuals: Optional[ResidualReport],
                  error: Optional[SingwaveError]) -> str:
@@ -317,8 +330,9 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     """Solve and write solution.csv, eigen.csv, report.txt into out_dir.
 
     The report is written even when the problem is rejected, naming the
-    rejection condition.  A grid that fails verify's residual gate is a
-    NumericalFailure (residual-gate) and writes no solution.csv.
+    rejection condition.  A grid that fails the residual gate, which
+    verify applies too, is a NumericalFailure (residual-gate) and writes
+    no solution.csv.
     """
     os.makedirs(out_dir, exist_ok=True)
     sol = DiscreteSolution()
@@ -327,12 +341,9 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     status = 0
     try:
         solve_problem(spec, sol)
-        residuals = residual_report(sol.U, spec)
-        tol = spec.tolerances.residual
-        if not residuals.worst <= tol:  # a NaN residual fails
-            raise NumericalFailure(
-                f"worst residual {_fmt(residuals.worst)} exceeds {tol:g}",
-                condition="residual-gate")
+        residuals, failure = _residual_gate(sol.U, spec)
+        if failure:
+            raise NumericalFailure(failure, condition="residual-gate")
     except SingwaveError as exc:
         error = exc
         status = exc.exit_code
@@ -351,35 +362,20 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
 
 
 def run_verify(problem_path: str, solution_path: str,
-               tol: float = 1e-8, quiet: bool = False) -> int:
-    """Replay the residual oracle on a saved solution; exit 2 when any
-    residual exceeds the tolerance, which must be a valid residual
-    tolerance (ParseError otherwise)."""
-    tol = Tolerances(residual=tol).residual
+               quiet: bool = False) -> int:
+    """Replay the residual oracle on a saved solution; exit 2 when it
+    fails the residual gate at the problem's residual tolerance."""
     spec = parse_problem(problem_path)
     U = read_solution_csv(solution_path)
     expected = (spec.grid.N + 1, spec.grid.M + 1, spec.m)
     if U.shape != expected:
         raise ShapeError(
             f"solution grid {U.shape} does not match problem {expected}")
-    rep = residual_report(U, spec)
+    rep, failure = _residual_gate(U, spec)
     if not quiet:
         print("\n".join(_residual_lines(rep)))
-    if not rep.worst <= tol:  # a NaN residual fails
-        if not quiet:
-            print(f"FAIL: worst residual {_fmt(rep.worst)} exceeds {tol:g}")
-        return 2
-    if not quiet:
-        print("OK")
-    return 0
-
-
-def _apply_tolerance_flags(spec: ProblemSpec, args) -> ProblemSpec:
-    """The spec with the solve flags applied, checked like file values."""
-    flags = {"rank": args.tol_rank, "residual": args.tol_residual}
-    return dataclasses.replace(spec, tolerances=dataclasses.replace(
-        spec.tolerances,
-        **{name: value for name, value in flags.items() if value is not None}))
+        print(f"FAIL: {failure}" if failure else "OK")
+    return 2 if failure else 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -400,35 +396,24 @@ def _make_parser() -> argparse.ArgumentParser:
         description="Solve coupled two-level difference systems with a "
                     "singular time-coefficient matrix.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="problem file (JSON)")
-        p.add_argument("--out-dir", default=".",
-                       help="directory for output files")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress normal output")
-
-    p_solve = sub.add_parser("solve", help="run the full pipeline")
-    common(p_solve)
-    p_solve.add_argument("--tol-rank", type=float, default=None)
-    p_solve.add_argument("--tol-residual", type=float, default=None)
-
-    p_verify = sub.add_parser("verify",
-                              help="check a saved solution's residuals")
-    common(p_verify)
-    p_verify.add_argument("--solution", required=True,
-                          help="solution.csv to check")
-    p_verify.add_argument("--tol-residual", type=float, default=1e-8)
-
-    p_eigen = sub.add_parser("eigen",
-                             help="write the spatial eigenvalue table")
-    common(p_eigen)
-
-    p_example = sub.add_parser("example",
-                               help="write the shipped demo problem file")
-    common(p_example, needs_input=False)
+    options = {
+        "--input": dict(required=True, help="problem file (JSON)"),
+        "--solution": dict(required=True, help="solution.csv to check"),
+        "--out-dir": dict(default=".", help="directory for output files"),
+        "--quiet": dict(action="store_true", help="suppress normal output"),
+    }
+    for command, text, flags in [
+            ("solve", "run the full pipeline",
+             ("--input", "--out-dir", "--quiet")),
+            ("verify", "check a saved solution's residuals",
+             ("--input", "--solution", "--quiet")),
+            ("eigen", "write the spatial eigenvalue table",
+             ("--input", "--out-dir", "--quiet")),
+            ("example", "write the shipped demo problem file",
+             ("--out-dir", "--quiet"))]:
+        p = sub.add_parser(command, help=text)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
     return parser
 
 
@@ -436,11 +421,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _make_parser().parse_args(argv)
         if args.command == "solve":
-            spec = _apply_tolerance_flags(parse_problem(args.input), args)
-            return run_solve(spec, args.out_dir, args.quiet)
+            return run_solve(parse_problem(args.input), args.out_dir,
+                             args.quiet)
         if args.command == "verify":
-            return run_verify(args.input, args.solution,
-                              args.tol_residual, args.quiet)
+            return run_verify(args.input, args.solution, args.quiet)
         if args.command == "eigen":
             spec = parse_problem(args.input)
             os.makedirs(args.out_dir, exist_ok=True)

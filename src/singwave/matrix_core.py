@@ -9,17 +9,21 @@ _svd_rank counts the singular values above a relative tolerance times
 the largest of their matrix, and every minimum-norm solve, the
 Moore-Penrose inverse included, inverts just those (min_norm_solve).
 The kernel chain of core_nilpotent cuts each of its blocks at one fixed
-threshold, the tolerance times the 1-norm of the whole matrix.
+threshold, the tolerance times the 1-norm of the whole matrix.  The
+number checks that every validator of a problem's values shares live
+here too (is_number, _finite_number, _integer_at_least).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EigendecompositionFailure, NoSquareRoot, NonFiniteValue,
-                     ShapeError)
+                     ParseError, ShapeError)
 
 DEFAULT_RANK_TOL = 1e-10
 
@@ -32,9 +36,34 @@ _REAL_SNAP = 1e-12
 _ROOT_TOL = 1e-12
 
 
-def as_matrix(M, name: str = "matrix", dtype=complex) -> np.ndarray:
-    """Validate and convert to a 2-D ndarray, complex by default."""
-    A = np.asarray(M, dtype=dtype)
+def is_number(value, kind=(int, float)) -> bool:
+    """Whether ``value`` is a number of ``kind``; a bool is not, though
+    Python counts it as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _finite_number(value, name: str) -> float:
+    """``value`` as a finite float; raises ParseError for anything else."""
+    try:
+        if is_number(value, numbers.Real) and math.isfinite(float(value)):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise ParseError(f'"{name}" must be a finite float, got {value!r}')
+
+
+def _integer_at_least(value, name: str, low: int) -> int:
+    """``value`` as an int >= ``low``; a bool or a float such as 4.0 is
+    not one.  Raises ParseError otherwise."""
+    if not is_number(value, numbers.Integral) or value < low:
+        raise ParseError(f'"{name}" must be an integer >= {low}, '
+                         f'got {value!r}')
+    return int(value)
+
+
+def as_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a 2-D complex ndarray."""
+    A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ShapeError(f"{name} must be two dimensional, got shape {A.shape}")
     if A.size and not np.all(np.isfinite(A)):
@@ -119,40 +148,24 @@ class MitraSolution:
     residual: float
 
 
-def _as_complex(pairs: np.ndarray) -> np.ndarray:
-    """Complex vector from (real, imaginary) column pairs or from one
-    complex column."""
-    return np.ascontiguousarray(pairs).view(complex).reshape(-1)
-
-
-def mitra_solve(A, b, tol: float = 1e-8,
-                rank_tol: float = DEFAULT_RANK_TOL) -> MitraSolution:
+def mitra_solve(A, b, tol: float = 1e-8) -> MitraSolution:
     """Solvability test and general solution of A x = b.
 
     One SVD of A gives the minimum-norm solution (singular values below
-    ``rank_tol`` relative are cut, as in the pseudoinverse) and the kernel
-    basis.  The system is consistent exactly when applying A to that
-    solution reproduces b; inconsistency is reported, not raised.
+    DEFAULT_RANK_TOL relative are cut, as in the pseudoinverse) and the
+    kernel basis.  The system is consistent exactly when applying A to
+    that solution reproduces b; inconsistency is reported, not raised.
     """
-    A = np.asarray(A)
-    b = np.ascontiguousarray(b, dtype=complex).reshape(-1)
-    if np.iscomplexobj(A) and A.imag.any():
-        A = as_matrix(A)
-        rhs = b[:, None]
-    else:
-        # a real SVD of a real matrix is a valid complex one; the complex
-        # right-hand side goes through as (real, imaginary) column pairs
-        A = as_matrix(A.real, dtype=float)
-        rhs = b.view(float).reshape(-1, 2)
+    A = as_matrix(A)
+    b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] != A.shape[0]:
         raise ShapeError(
             f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
-    U, s, Vh, rank = _svd_rank(A, rank_tol)
-    x = _solve_kept(U, s, Vh, rank, rhs)
-    residual = one_norm(_as_complex(A @ x - rhs))
+    U, s, Vh, rank = _svd_rank(A, DEFAULT_RANK_TOL)
+    x = _solve_kept(U, s, Vh, rank, b[:, None])[:, 0]
+    residual = one_norm(A @ x - b)
     consistent = bool(residual <= tol * (1.0 + one_norm(b)))
-    return MitraSolution(consistent, _as_complex(x), Vh[rank:].conj().T,
-                         residual)
+    return MitraSolution(consistent, x, Vh[rank:].conj().T, residual)
 
 
 @dataclass

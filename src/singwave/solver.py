@@ -18,8 +18,6 @@ matrix they satisfy the matrix relations.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -35,6 +33,8 @@ from .errors import (
 )
 from .matrix_core import (
     DEFAULT_RANK_TOL,
+    _finite_number,
+    _integer_at_least,
     kernel_invariance_defect,
     min_norm_solve,
     one_norm,
@@ -50,22 +50,6 @@ from .pencil import (
     raise_on_unstable_roots,
 )
 from .sturm_liouville import SLProblem, boundary_scalars, expand, solve_psd
-
-
-def is_number(value, kind=(int, float)) -> bool:
-    """Whether ``value`` is a number of ``kind``; a bool is not, though
-    Python counts it as an int."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _finite_number(value, name: str) -> float:
-    """``value`` as a finite float; raises ParseError for anything else."""
-    try:
-        if is_number(value, numbers.Real) and math.isfinite(float(value)):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise ParseError(f'"{name}" must be a finite float, got {value!r}')
 
 
 @dataclass
@@ -104,9 +88,7 @@ class GridParams:
     def create(cls, N: int, k: float, T: float) -> "GridParams":
         """Raises ParseError unless N >= 2 is an integer, not a bool or a
         float, k and T are finite and positive, and T/k is whole."""
-        if not is_number(N, numbers.Integral) or N < 2:
-            raise ParseError(f'"N" must be an integer >= 2, got {N!r}')
-        N = int(N)
+        N = _integer_at_least(N, "N", 2)
         k, T = _finite_number(k, "k"), _finite_number(T, "T")
         if not (k > 0.0 and T > 0.0):
             raise ParseError(f'"k" and "T" must be > 0, got {k!r} and {T!r}')
@@ -161,9 +143,7 @@ class ProblemSpec:
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
-        if not is_number(self.m, numbers.Integral) or self.m < 1:
-            raise ParseError(f'"m" must be an integer >= 1, got {self.m!r}')
-        m = self.m = int(self.m)
+        m = self.m = _integer_at_least(self.m, "m", 1)
         if not isinstance(self.grid, GridParams):
             raise ParseError(f'"grid" must be a GridParams, got {self.grid!r}')
         grid = self.grid = GridParams.create(self.grid.N, self.grid.k,

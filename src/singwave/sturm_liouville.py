@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateBoundary, EigendecompositionFailure,
-                     ParseError, ShapeError)
-from .matrix_core import one_norm
+from .errors import DegenerateBoundary, EigendecompositionFailure, ShapeError
+from .matrix_core import _finite_number, _integer_at_least, one_norm
 
 _BOUNDARY_TOL = 1e-12
 _SNAP_TOL = 1e-12
@@ -30,6 +29,9 @@ class SLProblem:
     alpha, beta: endpoint coupling scalars in the first-order boundary
         relations  u(0) + alpha*N*(u(1)-u(0)) = 0  and
         u(N) + beta*N*(u(N)-u(N-1)) = 0.
+
+    Raises ParseError unless N is an integer >= 2 (the rule of
+    GridParams) and alpha and beta are finite (the rule of ProblemSpec).
     """
 
     N: int
@@ -37,9 +39,9 @@ class SLProblem:
     beta: float = 0.0
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 2:
-            raise ParseError(f"N must be an integer >= 2, got {self.N}")
-        self.N = int(self.N)
+        self.N = _integer_at_least(self.N, "N", 2)
+        self.alpha = _finite_number(self.alpha, "alpha")
+        self.beta = _finite_number(self.beta, "beta")
 
 
 def boundary_scalars(prob: SLProblem) -> tuple[float, float]:

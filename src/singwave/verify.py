@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSystem, SingularLevelOperator, SizeCapExceeded
-from .matrix_core import DEFAULT_RANK_TOL, _svd_rank, mitra_solve
+from .matrix_core import DEFAULT_RANK_TOL, _solve_kept, _svd_rank
 
 # Bytes the reference may hold at once (see _reference_bytes).
 SIZE_CAP = 2 ** 28
@@ -259,14 +259,13 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
         for j in range(1, M - 1):
             levels[j + 1] = (step @ fixing_rhs(j)).reshape(N + 1, m)
     if M >= 2:
-        rhs = np.zeros(L_last.shape[0], dtype=levels.dtype)
-        rhs[:fixing] = fixing_rhs(M - 1)
-        # its consistency flag goes unread: the stack's residual below
-        # is the test
-        last = mitra_solve(L_last, rhs)
-        x = last.particular.reshape(N + 1, m)
-        levels[M] = x if np.iscomplexobj(levels) else x.real
-        kernel = last.kernel
+        rhs = np.zeros((L_last.shape[0], 1), dtype=levels.dtype)
+        rhs[:fixing, 0] = fixing_rhs(M - 1)
+        # the minimum-norm last level; the stack's residual below tests
+        # whether it solves the rows
+        U_last, s, Vh, rank = _svd_rank(L_last, DEFAULT_RANK_TOL)
+        levels[M] = _solve_kept(U_last, s, Vh, rank, rhs).reshape(N + 1, m)
+        kernel = Vh[rank:].conj().T
         # endpoint rows at levels 2..M and stencil rows at levels 1..M-1
         dtt = levels[2:, 1:N] - 2.0 * levels[1:M, 1:N] + levels[:M - 1, 1:N]
         defect[2:] += endpoint_defects(levels[2:]) + np.abs(

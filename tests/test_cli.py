@@ -1,5 +1,6 @@
 """Problem file parsing, output formats, and end-to-end command flow."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -15,6 +16,7 @@ from numpy.testing import assert_allclose
 
 import singwave
 from singwave.cli import (
+    _make_parser,
     main,
     parse_problem,
     read_solution_csv,
@@ -31,7 +33,7 @@ from singwave.fixtures import (
     scalar_wave_problem,
 )
 from singwave.solver import GridParams, ProblemSpec, Tolerances
-from singwave.sturm_liouville import SLProblem, solve_psd
+from singwave.sturm_liouville import SLProblem, boundary_scalars, solve_psd
 from singwave.verify import ResidualReport
 
 
@@ -91,20 +93,19 @@ def test_problem_file_rejects_booleans_as_numbers(tmp_path, key, value):
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("edit,flags,override", [
-    ({"alpha": NAN}, [], {"alpha": NAN}),
-    ({"beta": INF}, [], {"beta": INF}),
-    ({"alpha": 10 ** 400}, [], {"alpha": 10 ** 400}),
-    ({"m": 1.0}, [], {"m": 1.0}),
-    ({"m": True}, [], {"m": True}),
-    ({"N": 2.0}, [], {"grid": GridParams(N=2.0, k=0.25, T=0.5, M=2,
-                                         r=0.5)}),
-    ({"E": [1.0]}, [], {"E": np.ones(1)}),
-    ({"E": [[10 ** 400]]}, [], {"E": [[10 ** 400]]}),
+@pytest.mark.parametrize("edit,override", [
+    ({"alpha": NAN}, {"alpha": NAN}),
+    ({"beta": INF}, {"beta": INF}),
+    ({"alpha": 10 ** 400}, {"alpha": 10 ** 400}),
+    ({"m": 1.0}, {"m": 1.0}),
+    ({"m": True}, {"m": True}),
+    ({"N": 2.0}, {"grid": GridParams(N=2.0, k=0.25, T=0.5, M=2,
+                                     r=0.5)}),
+    ({"E": [1.0]}, {"E": np.ones(1)}),
+    ({"E": [[10 ** 400]]}, {"E": [[10 ** 400]]}),
 ], ids=["alpha-nan", "beta-inf", "alpha-huge", "m-float", "m-bool", "N-float",
         "E-1d", "E-huge"])
-def test_file_and_library_reject_the_same_values(tmp_path, edit, flags,
-                                                  override):
+def test_file_and_library_reject_the_same_values(tmp_path, edit, override):
     # one validator: a value the file may not hold, the library may not
     # take either
     doc = _plain_scalar_doc()
@@ -116,7 +117,7 @@ def test_file_and_library_reject_the_same_values(tmp_path, edit, flags,
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
     assert main(["solve", "--input", str(problem), "--out-dir",
-                 str(tmp_path), "--quiet", *flags]) == 3
+                 str(tmp_path), "--quiet"]) == 3
     with pytest.raises(InputError):
         dataclasses.replace(spec, **override)
 
@@ -541,36 +542,66 @@ def test_solve_invalid_grid_exits_3(tmp_path):
                  "--out-dir", str(tmp_path), "--quiet"]) == 3
 
 
-@pytest.mark.parametrize("tolerances,flags", [
-    ({"residual": float("nan")}, []),
-    ({"consistency": float("inf")}, []),
-    ({"rank": "abc"}, []),
-    ({"rank": None}, []),
-    ({"rank": -1}, []),
-    ({"residual": 0}, []),
-    ({}, ["--tol-rank=-1"]),
-    ({}, ["--tol-residual", "nan"]),
-], ids=["nan", "inf", "text", "null", "negative", "zero", "rank-flag",
-        "residual-flag"])
-def test_solve_bad_tolerance_exits_3(tmp_path, tolerances, flags):
+@pytest.mark.parametrize("tolerances", [
+    {"residual": float("nan")},
+    {"consistency": float("inf")},
+    {"rank": "abc"},
+    {"rank": None},
+    {"rank": -1},
+    {"residual": 0},
+], ids=["nan", "inf", "text", "null", "negative", "zero"])
+def test_solve_bad_tolerance_exits_3(tmp_path, tolerances):
     # a NaN tolerance would make every gate comparison false
     doc = serialize_problem(reject_rho_degenerate())
     doc["tolerances"].update(tolerances)
     problem = tmp_path / "problem.json"
     problem.write_text(json.dumps(doc))
     assert main(["solve", "--input", str(problem), "--out-dir",
-                 str(tmp_path), "--quiet", *flags]) == 3
+                 str(tmp_path), "--quiet"]) == 3
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1, 0])
 def test_verify_bad_tolerance_exits_3(tmp_path, tol):
+    # verify reads its residual tolerance from the problem file, which
+    # must hold a valid one
     problem = tmp_path / "problem.json"
-    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    spec = demo_problem(4, 0.125, 0.5)
+    write_problem(spec, str(problem))
     assert main(["solve", "--input", str(problem),
                  "--out-dir", str(tmp_path), "--quiet"]) == 0
+    doc = serialize_problem(spec)
+    doc["tolerances"]["residual"] = tol
+    problem.write_text(json.dumps(doc))
     assert main(["verify", "--input", str(problem), "--solution",
-                 str(tmp_path / "solution.csv"), f"--tol-residual={tol}",
-                 "--quiet"]) == 3
+                 str(tmp_path / "solution.csv"), "--quiet"]) == 3
+
+
+def _robin_probe_doc():
+    """m = 1 with a Robin left end, alpha N = 1.6, so that one spatial
+    eigenvalue is negative; F = sin(pi x) inside, with the eigenfunction
+    endpoint rows, and G = 0; the residual tolerance is 1e-6."""
+    N, alpha = 24, 1.6 / 24
+    a, b = boundary_scalars(SLProblem(N, alpha, 0.0))
+    F = np.sin(np.pi * np.arange(N + 1) / N)
+    F[0], F[N] = a * F[1], b * F[N - 1]
+    return {"m": 1, "E": [[1.0]], "A": [[1.0]], "A1": [[1.0]],
+            "A2": [[alpha]], "B1": [[1.0]], "B2": [[0.0]], "alpha": alpha,
+            "beta": 0.0, "N": N, "k": 1.0 / 48.0, "T": 1.0,
+            "F": F[:, None].tolist(), "G": [[0.0]] * (N + 1),
+            "tolerances": {"residual": 1e-6}}
+
+
+def test_verify_gates_at_the_problem_residual_tolerance(tmp_path, capsys):
+    # ACCEPTED implies a passing verify: both gate at the file's residual
+    # tolerance, here 1e-6 against a worst residual of about 7e-7
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(_robin_probe_doc()))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "ACCEPTED" in capsys.readouterr().out
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(tmp_path / "solution.csv")]) == 0
+    assert capsys.readouterr().out.endswith("OK\n")
 
 
 def test_verify_detects_tampering(tmp_path):
@@ -634,23 +665,47 @@ def test_problem_file_rejects_unknown_keys(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("argv", [
     ["solve", "--gamma", "1"], ["solve", "--bogus"],
-    ["solve", "--tol-rank", "abc"], ["frobnicate"],
-], ids=["gamma-flag", "unknown-flag", "bad-number", "unknown-command"])
+    ["solve", "--tol-rank", "1e-9"], ["verify", "--tol-residual", "1e-6"],
+    ["frobnicate"],
+], ids=["gamma-flag", "unknown-flag", "tol-rank-flag", "tol-residual-flag",
+        "unknown-command"])
 def test_usage_errors_exit_3(tmp_path, argv):
     # exit 2 is a model rejection, so a bad command line must not use it
     problem = tmp_path / "problem.json"
     write_problem(demo_problem(4, 0.125, 0.5), str(problem))
     if argv[0] == "solve":
         argv += ["--input", str(problem), "--out-dir", str(tmp_path)]
+    if argv[0] == "verify":
+        # a valid solution, so that only the flag can make verify fail
+        saved = tmp_path / "saved"
+        assert main(["solve", "--input", str(problem), "--out-dir",
+                     str(saved), "--quiet"]) == 0
+        argv += ["--input", str(problem), "--solution",
+                 str(saved / "solution.csv")]
     assert main(argv + ["--quiet"]) == 3
     assert not (tmp_path / "report.txt").exists()
 
 
-def test_help_exits_0(capsys):
+def test_help_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])
     assert exc.value.code == 0
-    assert "--tol-rank" in capsys.readouterr().out
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    # the problem file is the one source of tolerances, and a flag that
+    # main does not read is not offered
+    sub = next(action for action in _make_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = {command: {flag for action in parser._actions
+                         for flag in action.option_strings} - {"-h", "--help"}
+               for command, parser in sub.choices.items()}
+    assert options == {
+        "solve": {"--input", "--out-dir", "--quiet"},
+        "verify": {"--input", "--solution", "--quiet"},
+        "eigen": {"--input", "--out-dir", "--quiet"},
+        "example": {"--out-dir", "--quiet"},
+    }
 
 
 def test_missing_input_file_exits_3(tmp_path):

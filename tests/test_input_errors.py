@@ -16,6 +16,13 @@ def _modes():
 
 @pytest.mark.parametrize("call, error", [
     (lambda: SLProblem(1), ParseError),
+    pytest.param(lambda: SLProblem(float("inf")), ParseError, id="N-inf"),
+    pytest.param(lambda: SLProblem(float("nan")), ParseError, id="N-nan"),
+    pytest.param(lambda: SLProblem(4.0), ParseError, id="N-float"),
+    pytest.param(lambda: SLProblem(4, alpha=float("nan")), ParseError,
+                 id="alpha-nan"),
+    pytest.param(lambda: SLProblem(4, 0.0, float("inf")), ParseError,
+                 id="beta-inf"),
     (lambda: expand(np.zeros(7), _modes(), SLProblem(5)), ShapeError),
     (lambda: synthesize(np.zeros(7), _modes()), ShapeError),
     (lambda: as_matrix(np.zeros(3)), ShapeError),
