@@ -365,14 +365,15 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
 
     ``propagators`` is the (modes, m, m) stack, stepped for all modes at
     once, and the (modes, N-1) eigenvectors ``eigenpairs.v`` carry it to
-    the grid.  The endpoint rows are the eigenfunctions' own,
-    U(0) = a U(1) and U(N) = b U(N-1) (boundary_scalars).  Amplitudes in
+    the grid in one product, written straight into U's interior rows.
+    The endpoint rows are the eigenfunctions' own, U(0) = a U(1) and
+    U(N) = b U(N-1) (boundary_scalars).  Amplitudes in
     the kernel of the endpoint matrix, which check_consistency gates,
     make them satisfy the matrix endpoint relations exactly.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
-    U = np.zeros((N + 1, M + 1, m), dtype=complex)
+    U = np.empty((N + 1, M + 1, m), dtype=complex)
     # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
     # (branch, modes, m, 1) stack of columns
     Z = np.stack([propagators.Z0, propagators.Z1])
@@ -383,8 +384,8 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
         cur = Z @ cur
         tables[:, j] = cur.sum(axis=0)[..., 0]
     # one BLAS product carries every mode to every interior node
-    U[1:N] = (eigenpairs.v.T @ tables.reshape(len(tables), -1)).reshape(
-        N - 1, M + 1, m)
+    np.matmul(eigenpairs.v.T, tables.reshape(len(tables), -1),
+              out=U[1:N].reshape(N - 1, (M + 1) * m))
 
     a, b = boundary_scalars(spec.sl_problem())
     # at a Dirichlet end a zero scalar times a negative value is -0.0;

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import singwave.verify
+from singwave.cli import _residual_gate
 from singwave.errors import (
     InconsistentSystem,
     SingularLevelOperator,
@@ -35,6 +37,7 @@ from singwave.verify import (
 
 from random_matrices import random_real_rank_matrix
 from stacked_system import stacked_system
+from stencil_oracle import interior_residual_oracle
 
 MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
 
@@ -129,6 +132,89 @@ def test_worst_residual_keeps_a_nan(position):
     defects = [1e-12] * 5
     defects[position] = np.nan
     assert np.isnan(ResidualReport(*defects, normalizer=1.0).worst)
+
+
+# ---------------------------------------------- blocked interior residual
+
+def _block_rows(M, m):
+    """i rows per block of interior_residual."""
+    return max(1, singwave.verify._BLOCK // ((M - 1) * m))
+
+
+# (N, M, m): N - 1 interior rows in one full block, exactly two blocks,
+# two blocks and part of a third, and one row per block
+BLOCK_SHAPES = {
+    "N=2,M=2,m=1": (2, 2, 1),
+    "one-block-m=1": (_block_rows(9, 1) + 1, 9, 1),
+    "two-blocks-m=1": (2 * _block_rows(9, 1) + 1, 9, 1),
+    "one-block-m=12": (_block_rows(9, 12) + 1, 9, 12),
+    "two-blocks-m=12": (2 * _block_rows(9, 12) + 1, 9, 12),
+    "uneven-last-block-m=12": (2 * _block_rows(9, 12) + 8, 9, 12),
+    "row-per-block-m=12": (5, singwave.verify._BLOCK // 12 + 2, 12),
+}
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES)
+def test_blocked_interior_residual_is_bit_identical(shape):
+    N, M, m = shape
+    rng = np.random.default_rng(N + M + m)
+    grid = GridParams.create(N, 0.5 / N, M * 0.5 / N)
+    E = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    U = rng.standard_normal((N + 1, M + 1, m)) + 1j * rng.standard_normal(
+        (N + 1, M + 1, m))
+    # signed zeros: component 0 of every node, and scattered real and
+    # imaginary parts
+    U[:, :, 0] = np.where(rng.random((N + 1, M + 1)) < 0.5, -0.0, 0.0)
+    U.real[rng.random(U.shape) < 0.2] = -0.0
+    U.imag[rng.random(U.shape) < 0.2] = 0.0
+    zeros = np.where(rng.random(U.shape) < 0.5, -0.0, 0.0).astype(complex)
+    # the worst nodes in the first and in the last interior row
+    first, last = U.copy(), U.copy()
+    first[1] *= 1e3
+    last[N - 1] *= 1e3
+    for grid_values in (U, zeros, first, last):
+        for norm in (1.0, 3.7):
+            got = interior_residual(grid_values, E, A, grid, norm)
+            want = interior_residual_oracle(grid_values, E, A, grid, norm)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("block", ["first", "last"])
+def test_blocked_interior_residual_keeps_a_nan(monkeypatch, value, block):
+    # three i rows per block, so that the 11 interior rows end in a block
+    # of two; the node sits off the endpoint rows and the initial levels,
+    # so only the interior stencil sees it
+    spec = demo_problem(12, 1.0 / 48.0, 1.0)
+    N, M, m = spec.grid.N, spec.grid.M, spec.m
+    monkeypatch.setattr(singwave.verify, "_BLOCK", 3 * (M - 1) * m)
+    U = solve_problem(spec).U.copy()
+    assert _residual_gate(U, spec)[1] is None
+    U[2 if block == "first" else N - 2, M // 2, 1] = value
+    # inf - 2 inf is NaN, with numpy's "invalid value" warning
+    with np.errstate(invalid="ignore"):
+        residual = interior_residual(U, spec.E, spec.A, spec.grid)
+        rep, failure = _residual_gate(U, spec)
+    assert not residual <= 1e300
+    assert not rep.interior_max <= 1e300
+    assert failure is not None
+
+
+def test_residual_report_memory_stays_flat():
+    # the stencil formed over the whole grid at once would hold about
+    # 12 MB of temporaries here
+    spec = demo_problem(256, 1.0 / 256.0, 1.0)
+    rng = np.random.default_rng(21)
+    shape = (spec.grid.N + 1, spec.grid.M + 1, spec.m)
+    U = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        residual_report(U, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 # ------------------------------------------------------ marched reference
