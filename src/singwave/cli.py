@@ -79,8 +79,8 @@ def parse_problem(path: str) -> ProblemSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: invalid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     missing = [key for key in _REQUIRED_KEYS if key not in doc]
@@ -104,27 +104,19 @@ def parse_problem(path: str) -> ProblemSpec:
         **{key: _parse_table(doc, key) for key in MATRIX_KEYS})
 
 
-def _complex_pair(z: complex) -> List[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _pair_rows(table: np.ndarray) -> list:
+    """A complex table as rows of [re, im] pairs of floats."""
+    return np.stack([table.real, table.imag], axis=-1).tolist()
 
 
 def serialize_problem(spec: ProblemSpec) -> dict:
     """Problem file document for a spec (entries always [re, im])."""
     doc: Dict[str, object] = {"m": spec.m}
-    for key in MATRIX_KEYS:
-        M = getattr(spec, key)
-        doc[key] = [[_complex_pair(M[i, j]) for j in range(spec.m)]
-                    for i in range(spec.m)]
-    doc["alpha"] = spec.alpha
-    doc["beta"] = spec.beta
-    doc["N"] = spec.grid.N
-    doc["k"] = spec.grid.k
-    doc["T"] = spec.grid.T
-    doc["F"] = [[_complex_pair(z) for z in row] for row in spec.F]
-    doc["G"] = [[_complex_pair(z) for z in row] for row in spec.Gv]
-    doc["tolerances"] = {"rank": spec.tolerances.rank,
-                         "residual": spec.tolerances.residual,
-                         "consistency": spec.tolerances.consistency}
+    doc.update((key, _pair_rows(getattr(spec, key))) for key in MATRIX_KEYS)
+    doc.update(alpha=spec.alpha, beta=spec.beta, N=spec.grid.N,
+               k=spec.grid.k, T=spec.grid.T, F=_pair_rows(spec.F),
+               G=_pair_rows(spec.Gv),
+               tolerances=dataclasses.asdict(spec.tolerances))
     return doc
 
 
@@ -197,11 +189,15 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
 def read_solution_csv(path: str) -> np.ndarray:
     """Inverse of write_solution_csv; returns the (N+1, M+1, m) grid.
 
-    Raises ParseError on a bad header, a malformed or non-finite cell, an
-    index that is not a non-negative integer, or repeated or missing rows.
+    Raises ParseError on text that is not UTF-8, a bad header, a malformed
+    or non-finite cell, an index that is not a non-negative integer, or
+    repeated or missing rows.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
+        try:  # readline decodes a whole buffer, not only the header
+            header = fh.readline().rstrip("\r\n").split(",")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
         m, rem = divmod(len(header) - 4, 2)
         if header[:4] != ["i", "j", "x", "t"] or m < 1 or rem:
             raise ParseError(f"{path}: not a solution table")

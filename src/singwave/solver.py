@@ -171,10 +171,9 @@ class ProblemSpec:
     def sl_problem(self) -> SLProblem:
         return SLProblem(self.grid.N, self.alpha, self.beta)
 
-    def mode_rho(self, l, lam):
+    def mode_rho(self, lam):
         """Step-ratio parameter -r^2 * lam of the mode with eigenvalue lam,
-        a scalar or an array of modes; the result has its shape.  The mode
-        number l is not read."""
+        a scalar or an array of modes; the result has its shape."""
         return -self.grid.r ** 2 * np.asarray(lam, dtype=float) + 0.0
 
 
@@ -426,8 +425,7 @@ def solve_problem(spec: ProblemSpec,
     before a rejection.
     """
     sol = DiscreteSolution() if sol is None else sol
-    slp = spec.sl_problem()
-    sol.eigenpairs = eigenpairs = solve_psd(slp)
+    sol.eigenpairs = eigenpairs = solve_psd(spec.sl_problem())
     sol.pencil = pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
     raise_on_not_hyperbolic(pd)
     sol.boundary = build_boundary_matrix(spec)
@@ -435,12 +433,12 @@ def solve_problem(spec: ProblemSpec,
     raise_on_inconsistency(sol.gates)
 
     interior = slice(1, spec.grid.N)
-    fc = expand(spec.F[interior], eigenpairs, slp)
+    fc = expand(spec.F[interior], eigenpairs)
     gc = expand(spec.F[interior] + spec.grid.k * spec.Gv[interior],
-                eigenpairs, slp)
+                eigenpairs)
 
-    rhos = spec.mode_rho(np.arange(1, len(eigenpairs) + 1), eigenpairs.lam)
-    propagators = build_propagators(pd, rhos, mode_index=1)
+    propagators = build_propagators(pd, spec.mode_rho(eigenpairs.lam),
+                                    mode_index=1)
     raise_on_unstable_roots(pd, propagators)
     sol.modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
     sol.U = assemble_solution(spec, propagators, sol.modes, eigenpairs)

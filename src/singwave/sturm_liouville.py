@@ -18,7 +18,6 @@ from .matrix_core import _finite_number, _integer_at_least, one_norm
 
 _BOUNDARY_TOL = 1e-12
 _SNAP_TOL = 1e-12
-_CLUSTER_TOL = 1e-8
 
 
 @dataclass
@@ -82,9 +81,13 @@ def solve_psd(prob: SLProblem) -> np.recarray:
 
     Field ``lam`` has shape (N-1,) and field ``v`` shape (N-1, N-1), one
     row per mode; entry l is the record of mode l+1 with its own ``lam``
-    and ``v``.  Eigenvectors are orthonormal with the entry of largest
-    magnitude made positive.  Eigenvalues indistinguishable from zero at
-    working precision are flattened to exactly 0.0.
+    and ``v``.  The pairs are numpy's ``eigh`` pairs in its ascending
+    order, each vector's sign set by one rule: its entry of largest
+    magnitude is made positive.  S is unreduced tridiagonal, so its
+    eigenvalues are simple and eigh pairs each with its own orthonormal
+    vector.  Eigenvalues indistinguishable from zero at working precision
+    are flattened to exactly 0.0.  Raises EigendecompositionFailure when
+    a pair's residual is not small relative to ||S||_1.
     """
     S = assemble_pencil(prob)
     try:
@@ -95,8 +98,6 @@ def solve_psd(prob: SLProblem) -> np.recarray:
     scale = one_norm(S)
     # snapping keeps eigh's ascending order
     lams = np.where(np.abs(lams) <= _SNAP_TOL * max(1.0, scale), 0.0, lams)
-    vecs = _stabilize_clusters(lams, vecs, scale)
-
     cols = np.arange(lams.size)
     peaks = np.argmax(np.abs(vecs), axis=0)
     vecs = np.where(vecs[peaks, cols] < 0, -vecs, vecs)
@@ -111,37 +112,8 @@ def solve_psd(prob: SLProblem) -> np.recarray:
         ("lam", float), ("v", float, (lams.size,))])
 
 
-def _stabilize_clusters(lams: np.ndarray, vecs: np.ndarray,
-                        scale: float) -> np.ndarray:
-    """Deterministic vectors within numerically repeated eigenvalues.
-
-    Each cluster is re-orthonormalized and its columns ordered by the index
-    of their largest-magnitude entry.
-    """
-    n = lams.size
-    tol = _CLUSTER_TOL * max(1.0, scale)
-    out = vecs.copy()
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(lams[stop] - lams[stop - 1]) <= tol:
-            stop += 1
-        if stop - start > 1:
-            block = out[:, start:stop]
-            Q, _ = np.linalg.qr(block)
-            peaks = [int(np.argmax(np.abs(Q[:, j]))) for j in range(Q.shape[1])]
-            Q = Q[:, np.argsort(peaks, kind="stable")]
-            out[:, start:stop] = Q
-        start = stop
-    return out
-
-
-def orthogonality_defect(modes: np.recarray, prob: SLProblem) -> float:
-    """Largest normalized inner product between distinct modes.
-
-    ``prob`` is not read: the modes of the unweighted problem are
-    orthogonal in the plain inner product.
-    """
+def orthogonality_defect(modes: np.recarray) -> float:
+    """Largest normalized inner product between distinct modes."""
     V = modes.v
     norms = np.linalg.norm(V, axis=1)
     denom = np.outer(norms, norms)
@@ -150,7 +122,7 @@ def orthogonality_defect(modes: np.recarray, prob: SLProblem) -> float:
     return float(np.triu(cosines, 1).max(initial=0.0))
 
 
-def expand(u, modes: np.recarray, prob: SLProblem) -> np.ndarray:
+def expand(u, modes: np.recarray) -> np.ndarray:
     """Coefficients of a grid function in the eigenbasis.
 
     ``u`` has shape (N-1,) for scalar grids or (N-1, m) for vector-valued
@@ -159,9 +131,9 @@ def expand(u, modes: np.recarray, prob: SLProblem) -> np.ndarray:
     (N-1, m).
     """
     U = np.asarray(u, dtype=complex)
-    if U.shape[0] != prob.N - 1:
+    if U.shape[0] != len(modes):
         raise ShapeError(
-            f"grid function has {U.shape[0]} rows, expected {prob.N - 1}")
+            f"grid function has {U.shape[0]} rows, expected {len(modes)}")
     energy = np.sum(modes.v * modes.v, axis=1)
     return (modes.v @ U) / energy.reshape((-1,) + (1,) * (U.ndim - 1))
 

@@ -27,6 +27,8 @@ from .matrix_core import DEFAULT_RANK_TOL, _solve_kept, _svd_rank
 
 # Bytes the reference may hold at once (see _reference_bytes).
 SIZE_CAP = 2 ** 28
+# Summed row defect the reference may leave, relative to the data.
+REFERENCE_TOL = 1e-9
 # grid values per block of interior_residual (_BLOCK // ((M-1) m) i rows,
 # at least one)
 _BLOCK = 8192
@@ -175,7 +177,7 @@ def _real_if_possible(arrays) -> list:
     return [X.real.astype(float) for X in arrays]
 
 
-def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
+def brute_force_reference(spec) -> ReferenceSolution:
     """Minimum-norm solution of every discrete equation at once, marched
     level by level.
 
@@ -196,7 +198,7 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
     when the mid-level operator has a kernel (the march would not be
     exact); and InconsistentSystem when the data break the rows at
     levels 0 and 1, or when the stack's row defects, summed level by
-    level, pass ``tol`` relative to the data.
+    level, pass REFERENCE_TOL relative to the data.
     """
     N, M, m = spec.grid.N, spec.grid.M, spec.m
     E, A, A1, A2, B1, B2 = _real_if_possible(
@@ -243,7 +245,7 @@ def brute_force_reference(spec, tol: float = 1e-9) -> ReferenceSolution:
         return ((2.0 * u - levels[j - 1])[1:N] @ PE.T
                 + r2 * dxx(u) @ PA.T).reshape(-1)
 
-    bound = tol * (1.0 + np.abs(F).sum() + np.abs(G).sum())
+    bound = REFERENCE_TOL * (1.0 + np.abs(F).sum() + np.abs(G).sum())
     defect = np.zeros(M + 1)
     # the position rows hold exactly
     defect[1] = np.abs(levels[1] - levels[0] - G).sum()

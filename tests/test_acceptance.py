@@ -121,9 +121,9 @@ def test_criterion_3_eigenbasis_quality():
         lams = np.array([p.lam for p in pairs])
         want = 4.0 * np.sin(np.arange(1, N) * np.pi / (2 * N)) ** 2
         assert np.abs(lams - want).max() <= 1e-9
-        assert orthogonality_defect(pairs, prob) <= 1e-10
+        assert orthogonality_defect(pairs) <= 1e-10
         u = rng.standard_normal(N - 1)
-        back = synthesize(expand(u, pairs, prob), pairs)
+        back = synthesize(expand(u, pairs), pairs)
         assert np.abs(back - u).max() <= 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -141,7 +141,7 @@ def test_criterion_4_propagator_moduli_and_sum():
     pairs = solve_psd(spec.sl_problem())
     worst_mod = worst_sum = 0.0
     for l, pair in enumerate(pairs, start=1):
-        rho = spec.mode_rho(l, pair.lam)
+        rho = spec.mode_rho(pair.lam)
         prop = build_propagators(pd, rho, mode_index=l)
         for Z in (prop.Z0, prop.Z1):
             eigs = np.linalg.eigvals(Z)
@@ -187,7 +187,7 @@ def test_criterion_6_step_refinement_stability():
         bound = float(np.exp(spec.grid.T * max(stab.growth_rate, 0.0))
                       * (1.0 + 1e-6))
         pairs = solve_psd(spec.sl_problem())
-        rhos = spec.mode_rho(np.arange(1, len(pairs) + 1), pairs.lam)
+        rhos = spec.mode_rho(pairs.lam)
         prop = build_propagators(build_pencil(spec.E, spec.A), rhos,
                                  mode_index=1)
         assert power_norms(prop, spec.grid.M).max() <= bound

@@ -33,7 +33,12 @@ from singwave.fixtures import (
     scalar_wave_problem,
 )
 from singwave.solver import GridParams, ProblemSpec, Tolerances
-from singwave.sturm_liouville import SLProblem, boundary_scalars, solve_psd
+from singwave.sturm_liouville import (
+    SLProblem,
+    assemble_pencil,
+    boundary_scalars,
+    solve_psd,
+)
 from singwave.verify import ResidualReport
 
 
@@ -604,6 +609,29 @@ def test_verify_gates_at_the_problem_residual_tolerance(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("OK\n")
 
 
+def test_solve_and_verify_accept_a_clustered_spectrum(tmp_path):
+    # alpha*N = 0.99 and b = -98.9999995 put the two end scalars, and so the
+    # top two spatial eigenvalues, within 1e-8 of each other; F is the
+    # lowest mode with its endpoint rows, and G = 0
+    N, alpha, b = 8, 0.99 / 8, -98.9999995
+    beta = b / (1.0 - b) / N
+    prob = SLProblem(N, alpha, beta)
+    a, b = boundary_scalars(prob)
+    F = np.zeros(N + 1)
+    F[1:N] = np.linalg.eigh(assemble_pencil(prob))[1][:, 0]
+    F[0], F[N] = a * F[1], b * F[N - 1]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "m": 1, "E": [[1.0]], "A": [[1.0]], "A1": [[1.0]], "A2": [[alpha]],
+        "B1": [[1.0]], "B2": [[beta]], "alpha": alpha, "beta": beta,
+        "N": N, "k": 1.0 / 64.0, "T": 0.25, "F": F[:, None].tolist(),
+        "G": [[0.0]] * (N + 1)}))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(tmp_path / "solution.csv"), "--quiet"]) == 0
+
+
 def test_verify_detects_tampering(tmp_path):
     problem = tmp_path / "problem.json"
     write_problem(demo_problem(8, 1.0 / 32.0, 1.0), str(problem))
@@ -632,6 +660,26 @@ def test_verify_shape_mismatch_exits_3(tmp_path):
     assert main(["verify", "--input", str(small),
                  "--solution", str(tmp_path / "solution.csv"),
                  "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("solve", "problem"), ("verify", "problem"), ("eigen", "problem"),
+    ("verify", "solution")])
+def test_input_that_is_not_utf8_exits_3(tmp_path, capsys, command, bad):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    solution = tmp_path / "solution.csv"
+    if bad == "problem":
+        problem.write_bytes(b"\xff\xfe" + problem.read_bytes())
+    else:  # a cell in the first buffer, which the header's readline decodes
+        text = solution.read_bytes()
+        solution.write_bytes(text[:200] + b"\xff" + text[201:])
+    argv = (["--solution", str(solution)] if command == "verify"
+            else ["--out-dir", str(tmp_path)])
+    assert main([command, "--input", str(problem), "--quiet", *argv]) == 3
+    assert "[parse-error]" in capsys.readouterr().err
 
 
 def test_eigen_command(tmp_path):

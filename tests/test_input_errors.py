@@ -23,7 +23,7 @@ def _modes():
                  id="alpha-nan"),
     pytest.param(lambda: SLProblem(4, 0.0, float("inf")), ParseError,
                  id="beta-inf"),
-    (lambda: expand(np.zeros(7), _modes(), SLProblem(5)), ShapeError),
+    (lambda: expand(np.zeros(7), _modes()), ShapeError),
     (lambda: synthesize(np.zeros(7), _modes()), ShapeError),
     (lambda: as_matrix(np.zeros(3)), ShapeError),
     (lambda: _require_square(np.zeros((2, 3))), ShapeError),

@@ -106,13 +106,11 @@ def test_problem_spec_rejects_non_finite_data():
 def test_mode_rho_default_and_override():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     lam = 0.5
-    assert_allclose(spec.mode_rho(1, lam), -spec.grid.r ** 2 * lam,
-                    atol=1e-15)
-    assert spec.mode_rho(1, 0.0) == 0.0  # normalized, not -0.0
-    modes, lams = np.arange(1, 8), np.linspace(0.0, 3.0, 7)
-    rhos = spec.mode_rho(modes, lams)  # all modes in one call
-    assert np.array_equal(rhos, [spec.mode_rho(l, x)
-                                 for l, x in zip(modes, lams)])
+    assert_allclose(spec.mode_rho(lam), -spec.grid.r ** 2 * lam, atol=1e-15)
+    assert spec.mode_rho(0.0) == 0.0  # normalized, not -0.0
+    lams = np.linspace(0.0, 3.0, 7)
+    rhos = spec.mode_rho(lams)  # all modes in one call
+    assert np.array_equal(rhos, [spec.mode_rho(x) for x in lams])
     assert not np.signbit(rhos[0])
 
 
@@ -232,7 +230,7 @@ def test_mode_coefficients_zero_data():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
-    prop = build_propagators(pd, [spec.mode_rho(3, pairs[2].lam)],
+    prop = build_propagators(pd, [spec.mode_rho(pairs[2].lam)],
                              mode_index=3)
     z = np.zeros((1, 3), dtype=complex)
     amps = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
@@ -242,7 +240,7 @@ def test_mode_coefficients_zero_data():
     assert_allclose(amps.Q, 0.0, atol=1e-14)
     assert amps.residual.shape == amps.rho.shape == (1,)
     assert amps.residual[0] <= 1e-14
-    assert amps.rho[0] == spec.mode_rho(3, pairs[2].lam)
+    assert amps.rho[0] == spec.mode_rho(pairs[2].lam)
 
 
 def test_mode_coefficients_branch_equations():
@@ -254,7 +252,7 @@ def test_mode_coefficients_branch_equations():
     fhat = np.array([0.4, -0.3, 0.0], dtype=complex)
     ghat = np.array([0.4, -0.28, 0.0], dtype=complex)
     # every mode above the static first one is solved in one call
-    rhos = [spec.mode_rho(l, pairs[l - 1].lam) for l in range(2, 8)]
+    rhos = spec.mode_rho(pairs.lam[1:])
     prop = build_propagators(pd, rhos, mode_index=2)
     modes = len(rhos)
     amps = solve_mode_coefficients(spec, pd, prop,
@@ -276,7 +274,7 @@ def test_mode_coefficients_static_direction_mismatch():
     pairs = solve_psd(spec.sl_problem())
     fhat = np.array([[0.4, -0.3, 0.0]], dtype=complex)
     ghat = np.array([[0.35, -0.28, 0.0]], dtype=complex)
-    prop = build_propagators(pd, [spec.mode_rho(4, pairs[3].lam)],
+    prop = build_propagators(pd, [spec.mode_rho(pairs[3].lam)],
                              mode_index=4)
     with pytest.raises(ConsistencyViolation) as info:
         solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
@@ -442,7 +440,7 @@ def test_stability_demo_report():
     assert stab.root_margin > 0.0
     assert stab.power_bound_ok
     pairs = solve_psd(spec.sl_problem())
-    rhos = spec.mode_rho(np.arange(1, len(pairs) + 1), pairs.lam)
+    rhos = spec.mode_rho(pairs.lam)
     prop = build_propagators(build_pencil(spec.E, spec.A), rhos,
                              mode_index=1)
     assert power_norms(prop, spec.grid.M).max() <= 1.0 + 1e-10
