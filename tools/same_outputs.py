@@ -1,10 +1,10 @@
 """Check that two singwave source trees give byte-identical outputs.
 
-    python tools/same_outputs.py OLD_SRC NEW_SRC [--seed 7] [--work DIR]
+    python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``singwave`` package (a
 checkout's ``src/``).  Each tree runs in its own process on the same 21
-inputs: the seeded ``batch-mixed`` list, problem 0 of ``demo-large`` and
+inputs: the seed-7 ``batch-mixed`` list, problem 0 of ``demo-large`` and
 of ``reference-dense`` and the warm-up problem, all read from
 ``perfbench/workloads.py``, and the six ``singwave.fixtures`` problems,
 which each tree writes with its own ``write_problem``.  Every input goes
@@ -13,13 +13,13 @@ through ``solve`` and then ``verify``; ``singwave example`` runs once.
 Prints every exit code and every output file that differs (the fixture
 problem files, ``problem.json`` of ``example``, ``solution.csv``,
 ``eigen.csv``, ``report.txt`` and ``verify``'s stdout), then a summary.
+Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import importlib.util
 import io
@@ -35,23 +35,22 @@ FIXTURES = ("demo_problem", "scalar_wave_problem",
             "reject_projector_mismatch", "reject_kernel_violation",
             "reject_full_rank", "reject_rho_degenerate")
 OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out")
+SEED = 7
 
 
-def write_bench_inputs(seed: int, out_dir: str) -> None:
+def write_bench_inputs(out_dir: str) -> None:
     """Write the 15 benchmark inputs as problem files."""
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     wl = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(wl)
-    entries = (wl.batch_list(seed)
-               + [wl.problem(name, seed, 0)
+    entries = (wl.batch_list(SEED)
+               + [wl.problem(name, SEED, 0)
                   for name in ("demo-large", "reference-dense")]
                + [wl.warmup_problem()])
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir)
     for entry in entries:
-        with open(os.path.join(out_dir, entry["name"] + ".json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(entry["doc"], fh)
+        wl._dump(entry, out_dir)
 
 
 def run_tree(inputs_dir: str, out_dir: str) -> None:
@@ -123,18 +122,13 @@ def compare(old_dir: str, new_dir: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("old_src")
-    parser.add_argument("new_src")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--work", help="directory for inputs and outputs "
-                        "(default: a new temporary directory)")
-    args = parser.parse_args()
-    work = args.work or tempfile.mkdtemp(prefix="same_outputs-")
+    if len(sys.argv) != 3:
+        sys.exit(__doc__.split("\n\n")[1])
+    work = tempfile.mkdtemp(prefix="same_outputs-")
     inputs_dir = os.path.join(work, "inputs")
-    write_bench_inputs(args.seed, inputs_dir)
+    write_bench_inputs(inputs_dir)
     runs = []
-    for tag, src in (("old", args.old_src), ("new", args.new_src)):
+    for tag, src in zip(("old", "new"), sys.argv[1:]):
         out_dir = os.path.join(work, tag)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [os.path.abspath(src), HERE]))
