@@ -9,6 +9,7 @@ rejection, 3 input/parse error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -144,9 +145,10 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     (repr) decimal text and CRLF line ends.
 
     Each value column of a block is formatted once per run of equal
-    values, so a column of zeros (the imaginary parts of a real grid)
-    costs one repr per block; a value that repeats apart from its run is
-    formatted again, to the same text.  A block's rows are grouped by i,
+    values, so a column of zeros (the imaginary parts of a real grid,
+    which every real problem gets from assemble_solution) costs one repr
+    per block; a value that repeats apart from its run is formatted
+    again, to the same text.  A block's rows are grouped by i,
     and "i," and ",x," with x = i/N are formatted once per group.  The
     texts of j and t = j*k are formatted once per file when all M + 1
     levels fit in one block, and else once per node, so that the memory
@@ -328,7 +330,8 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     The report is written even when the problem is rejected, naming the
     rejection condition.  A grid that fails the residual gate, which
     verify applies too, is a NumericalFailure (residual-gate) and writes
-    no solution.csv.
+    no solution.csv.  A solve that writes none removes one left by an
+    earlier run, which verify would otherwise read as this run's grid.
     """
     os.makedirs(out_dir, exist_ok=True)
     sol = DiscreteSolution()
@@ -345,9 +348,12 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
         status = exc.exit_code
     if sol.eigenpairs is not None:
         write_eigen_csv(sol.eigenpairs, os.path.join(out_dir, "eigen.csv"))
+    solution = os.path.join(out_dir, "solution.csv")
     if error is None:
-        write_solution_csv(sol.U, spec.grid,
-                           os.path.join(out_dir, "solution.csv"))
+        write_solution_csv(sol.U, spec.grid, solution)
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(solution)
     report = build_report(spec, sol, residuals, error)
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8", newline="\n") as fh:

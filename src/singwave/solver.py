@@ -171,6 +171,12 @@ class ProblemSpec:
     def sl_problem(self) -> SLProblem:
         return SLProblem(self.grid.N, self.alpha, self.beta)
 
+    def is_real(self) -> bool:
+        """No matrix or data grid has a nonzero imaginary entry (alpha,
+        beta and the grid are real floats)."""
+        return not any(getattr(self, name).imag.any()
+                       for name in (*MATRIX_KEYS, "F", "Gv"))
+
     def mode_rho(self, lam):
         """Step-ratio parameter -r^2 * lam of the mode with eigenvalue lam,
         a scalar or an array of modes; the result has its shape."""
@@ -353,7 +359,8 @@ class DiscreteSolution:
     boundary: Optional[BoundaryMatrix] = None
     gates: Optional[List[Gate]] = None
     modes: Optional[ModeAmplitudes] = None
-    U: Optional[np.ndarray] = None  # (N+1, M+1, m) complex
+    # (N+1, M+1, m) complex; imaginary parts exactly 0.0 for a real problem
+    U: Optional[np.ndarray] = None
     stability: Optional[StabilityReport] = None
 
 
@@ -369,6 +376,12 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     U(N) = b U(N-1) (boundary_scalars).  Amplitudes in
     the kernel of the endpoint matrix, which check_consistency gates,
     make them satisfy the matrix endpoint relations exactly.
+
+    A real problem (ProblemSpec.is_real) has a real grid: every relation
+    of the scheme is real-linear with real coefficients, so the grid's
+    real part satisfies each one at least as well as the grid, and the
+    imaginary round-off of the complex modes is set to 0.0.  The real
+    parts are left bit for bit as computed.
     """
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
@@ -391,6 +404,8 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     # + 0.0 writes it as 0.0
     U[0] = a * U[1] + 0.0
     U[N] = b * U[N - 1] + 0.0
+    if spec.is_real():
+        U.imag[...] = 0.0
     return U
 
 

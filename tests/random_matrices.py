@@ -38,6 +38,11 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return Q * (np.diagonal(R) / np.abs(np.diagonal(R)))
 
 
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q
+
+
 def perturbed_jordan(rng: np.random.Generator, max_rows: int = 12,
                      max_cond: float = 1e4):
     """S J S^-1 for a Jordan matrix J of at most ``max_rows`` rows and a

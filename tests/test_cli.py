@@ -41,6 +41,9 @@ from singwave.sturm_liouville import (
 )
 from singwave.verify import ResidualReport
 
+from random_matrices import random_orthogonal
+from rotated_demo import rotated_demos
+
 
 # ------------------------------------------------------------ file formats
 
@@ -441,6 +444,62 @@ def test_solve_residual_gate_exits_4(tmp_path, monkeypatch):
     assert "REJECTED: residual-gate" in report
     assert "interior_max=1.000000e-06" in report
     assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("rejected", ["residual-gate", "model"])
+def test_rejected_solve_removes_an_earlier_solution(tmp_path, monkeypatch,
+                                                    rejected):
+    # after an accepted solve, a rejected one into the same directory
+    # leaves no solution.csv that verify could pass beside its REJECTED
+    # report
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    solve = ["solve", "--input", str(problem), "--out-dir", str(tmp_path),
+             "--quiet"]
+    assert main(solve) == 0
+    with monkeypatch.context() as patch:
+        if rejected == "model":
+            write_problem(reject_projector_mismatch(4, 0.125, 0.5),
+                          str(problem))
+            assert main(solve) == 2
+        else:
+            failing = ResidualReport(1e-6, 0.0, 0.0, 0.0, 0.0, 1.0)
+            patch.setattr("singwave.cli.residual_report",
+                          lambda U, spec: failing)
+            assert main(solve) == 4
+    assert "REJECTED" in (tmp_path / "report.txt").read_text()
+    assert not (tmp_path / "solution.csv").exists()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(tmp_path / "solution.csv"),
+                 "--quiet"]) == 3
+
+
+def _solve_and_read_imaginary_cells(spec, tmp_path):
+    """Solve and verify spec through the CLI, both exiting 0; the text
+    of every u*_im cell of its solution.csv."""
+    problem = tmp_path / "problem.json"
+    solution = tmp_path / "solution.csv"
+    write_problem(spec, str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(solution), "--quiet"]) == 0
+    with open(solution, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    cells = [row[key] for row in rows for key in row if key.endswith("_im")]
+    assert len(cells) == spec.m * len(rows)
+    return cells
+
+
+def test_real_problem_writes_imaginary_columns_of_zeros(tmp_path, rng):
+    spec = rotated_demos(random_orthogonal(rng, 9))
+    assert set(_solve_and_read_imaginary_cells(spec, tmp_path)) == {"0.0"}
+
+
+def test_complex_problem_writes_its_imaginary_part(tmp_path, rng):
+    spec = rotated_demos(random_orthogonal(rng, 9), 1.0 + 1.0j)
+    cells = _solve_and_read_imaginary_cells(spec, tmp_path)
+    assert np.abs(np.array(cells, dtype=float)).max() > 0.1
 
 
 def _clamped_pair_doc(A, N=4):

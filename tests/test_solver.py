@@ -40,6 +40,8 @@ from singwave.sturm_liouville import SLProblem, solve_psd
 from singwave.verify import residual_report
 
 from power_norms import power_norms
+from random_matrices import random_orthogonal, random_unitary
+from rotated_demo import rotated_demos
 
 
 # ------------------------------------------------------------------ grid
@@ -427,6 +429,27 @@ def test_dirichlet_ends_write_no_negative_zero():
     ends = solve_problem(spec).U[[0, N]].view(float)
     assert not ends.any()
     assert not np.signbit(ends).any()
+
+
+def test_real_problem_gives_a_real_grid(rng):
+    # every relation of the scheme is real, so a real problem's grid is
+    # real: its imaginary parts are +0.0, not round-off of the modes
+    spec = rotated_demos(random_orthogonal(rng, 9))
+    assert spec.is_real()
+    U = solve_problem(spec).U
+    assert (U.imag == 0.0).all()
+    assert not np.signbit(U.imag).any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rotated_demos(random_orthogonal(rng, 9), 1.0 + 1.0j),
+    lambda rng: rotated_demos(random_unitary(rng, 9)),
+], ids=["complex-data", "unitary"])
+def test_complex_problem_keeps_its_imaginary_part(make, rng):
+    spec = make(rng)
+    assert not spec.is_real()
+    U = solve_problem(spec).U
+    assert np.abs(U.imag).max() > 0.1 * np.abs(U).max()
 
 
 # ---------------------------------------------------------------- stability
