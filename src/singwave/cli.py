@@ -69,7 +69,7 @@ def _parse_table(doc: dict, key: str) -> list:
             and all(isinstance(row, list) for row in rows)):
         raise ParseError(f'"{key}" must be a list of rows, got {rows!r}')
     # a row of plain numbers needs no reading; ProblemSpec converts it
-    return [row if all(map(is_number, row))
+    return [row if set(map(type, row)) <= {int, float}
             else [_entry_to_complex(cell, key) for cell in row]
             for row in rows]
 
@@ -297,10 +297,10 @@ def build_report(spec: ProblemSpec, sol: DiscreteSolution,
     if sol.modes is not None:
         lines.append("== modes ==")
         lines.append("l rho residual")
-        amps = sol.modes
-        for idx, (rho, res) in enumerate(zip(amps.rho.tolist(),
-                                             amps.residual.tolist())):
-            lines.append(f"{amps.mode_index + idx} {rho!r} {_fmt(res)}")
+        rhos = sol.propagators.rho.real.tolist()
+        for l, (rho, res) in enumerate(zip(rhos, sol.modes.residual.tolist()),
+                                       start=1):
+            lines.append(f"{l} {rho!r} {_fmt(res)}")
     if residuals is not None:
         lines.append("== residuals ==")
         lines.extend(_residual_lines(residuals))
@@ -313,7 +313,9 @@ def build_report(spec: ProblemSpec, sol: DiscreteSolution,
         lines.append(f"growth_rate={_fmt(st.growth_rate)} "
                      f"sup_norm={_fmt(st.sup_norm)}")
         lines.append("l rho rate")
-        for l, rho, rate in st.modes.tolist():
+        rhos = sol.propagators.rho.real.tolist()
+        for l, (rho, rate) in enumerate(zip(rhos, st.rate.tolist()),
+                                        start=1):
             lines.append(f"{l} {rho!r} {_fmt(rate)}")
     lines.append("== result ==")
     if error is None:

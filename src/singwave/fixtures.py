@@ -53,7 +53,7 @@ def demo_problem(N: int = 8, k: float = 1.0 / 32.0,
     Initial position has a smooth profile in the two admissible
     components; initial velocity is a combination of higher eigenmodes
     carrying no component along the lowest mode, which does not
-    propagate.
+    propagate, and so is zero at N = 2.
     """
     mats = demo_matrices()
     grid = GridParams.create(N, k, T)
@@ -66,9 +66,9 @@ def demo_problem(N: int = 8, k: float = 1.0 / 32.0,
     F_int[:, 0] = f1
     F_int[:, 1] = f2
     hi = min(4, N - 1)
-    g2 = 0.25 * V[1] + 0.1 * V[hi - 1]
     G_int = np.zeros((N - 1, 3), dtype=complex)
-    G_int[:, 1] = g2
+    if N > 2:  # at N = 2 the lowest mode is the only one
+        G_int[:, 1] = 0.25 * V[1] + 0.1 * V[hi - 1]
     return ProblemSpec(
         m=3, E=mats["E"], A=mats["A"], A1=mats["A1"], A2=mats["A2"],
         B1=mats["B1"], B2=mats["B2"], alpha=mats["alpha"], beta=mats["beta"],

@@ -17,7 +17,6 @@ basis is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -109,20 +108,19 @@ class PencilData:
 
 @dataclass
 class PropagatorPair:
-    """Forward/backward time-step operators.
+    """Forward/backward time-step operators of a stack of modes.
 
-    For a single mode, rho is a 0-d array and Z0, Z1 are (m, m).  For a
-    stack of modes, rho is a vector and Z0, Z1 are (modes, m, m); entry idx
-    belongs to mode number mode_index + idx.  Z0 = basis (C + S) coords
-    and Z1 = basis (C - S) coords with C, S triangular in core coordinates.
+    rho is a vector, one entry per mode; row idx of every field belongs
+    to spatial mode idx + 1.  Z0, Z1, C and S are (modes, ., .), with
+    Z0 = basis (C + S) coords and Z1 = basis (C - S) coords and C, S
+    triangular in core coordinates.
 
-    The root table, shaped like rho plus the core diagonal: z = rho*d,
+    The root table, (modes, p) over the core diagonal: z = rho*d,
     coincide where the roots c +- s of p^2 - (2 + z) p + 1 = 0 coincide,
     and modulus = max |c +- s|, which is 1 exactly when z is real and in
     [-4, 0] (the von Neumann root condition).
     """
 
-    mode_index: int
     rho: np.ndarray
     Z0: np.ndarray
     Z1: np.ndarray
@@ -133,24 +131,20 @@ class PropagatorPair:
     modulus: np.ndarray
 
 
-def build_pencil(E, A, gamma: Optional[complex] = None,
-                 tol: float = DEFAULT_RANK_TOL) -> PencilData:
+def build_pencil(E, A, tol: float = DEFAULT_RANK_TOL) -> PencilData:
     """Form the shifted pair and its Drazin projector and reduced operator.
 
-    With S = gamma*E + A invertible, Ehat = S^-1 E and Ahat = S^-1 A
-    satisfy gamma*Ehat + Ahat = I, so the two commute and share invariant
-    subspaces with the projector Ehat @ EhatD.  One core-nilpotent split
-    of Ehat with core K gives EhatD and, as EhatD Ahat = EhatD (I - gamma
-    Ehat), the reduced operator's triangular core K^-1 - gamma I.
+    With the shift gamma of find_gamma, S = gamma*E + A is invertible, and
+    Ehat = S^-1 E and Ahat = S^-1 A satisfy gamma*Ehat + Ahat = I, so the
+    two commute and share invariant subspaces with the projector
+    Ehat @ EhatD (SingularShift when the solves miss that identity).  One
+    core-nilpotent split of Ehat with core K gives EhatD and, as
+    EhatD Ahat = EhatD (I - gamma Ehat), the reduced operator's
+    triangular core K^-1 - gamma I.
     """
     Em, Am = _square_pair(E, A)
-    if gamma is None:
-        gamma = find_gamma(Em, Am)
-    gamma = complex(gamma)
+    gamma = find_gamma(Em, Am)
     S = gamma * Em + Am
-    if _cond1(S) > _COND_LIMIT:
-        raise SingularShift(
-            f"shifted matrix with gamma={gamma} is numerically singular")
     Ehat = np.linalg.solve(S, Em)
     Ahat = np.linalg.solve(S, Am)
     m = Em.shape[0]
@@ -195,26 +189,25 @@ def _roots_coincide(z) -> np.ndarray:
     return np.abs(z * (1.0 + z / 4.0)) <= _EZ_TOL * (1.0 + np.abs(z)) ** 2
 
 
-def build_propagators(pd: PencilData, rho, mode_index: int = 0
-                      ) -> PropagatorPair:
-    """The two propagator matrices Z0, Z1 for one rho or a vector of them.
+def build_propagators(pd: PencilData, rho) -> PropagatorPair:
+    """The propagator stack Z0, Z1 of the modes with step ratios rho.
 
-    With C = I + rho*core/2 and S the principal square root of C^2 - I,
-    C + S and C - S are the roots p_plus, p_minus; S is zero on the
-    diagonal where they coincide.  Every mode and branch comes from the
-    pencil's one triangular core; a vector rho gives (modes, m, m) stacks,
-    and the root table is formed here, once.  When the roots collide at
-    some active eigenvalue the difference Z1 - Z0 degenerates there, and
-    the mode solve decides whether that leaves the amplitudes unsolvable
-    (RhoDegenerate).  RhoDegenerate is raised here on a Jordan block at
-    coinciding roots, where no square root exists.
+    rho is taken as a vector, a scalar as one mode, and row idx is mode
+    idx + 1.  With C = I + rho*core/2 and S the principal square root of
+    C^2 - I, C + S and C - S are the roots p_plus, p_minus; S is zero on
+    the diagonal where they coincide.  Every mode and branch comes from
+    the pencil's one triangular core, and the root table is formed here,
+    once.  When the roots collide at some active eigenvalue the
+    difference Z1 - Z0 degenerates there, and the mode solve decides
+    whether that leaves the amplitudes unsolvable (RhoDegenerate).
+    RhoDegenerate is raised here on a Jordan block at coinciding roots,
+    where no square root exists.
     """
-    rhos = np.asarray(rho, dtype=complex)
-    flat = rhos.reshape(-1, 1, 1)
+    rhos = np.asarray(rho, dtype=complex).reshape(-1)
     d = np.diagonal(pd.core)
     p, diag = d.size, np.arange(d.size)
-    z = flat[:, 0] * d  # (modes, p)
-    C = np.eye(p) + flat * pd.core / 2.0
+    z = rhos[:, None] * d  # (modes, p)
+    C = np.eye(p) + rhos[:, None, None] * pd.core / 2.0
     c = C[:, diag, diag]  # 1 + z/2
     coincide = _roots_coincide(z)
     W = C @ C
@@ -224,28 +217,25 @@ def build_propagators(pd: PencilData, rho, mode_index: int = 0
     except NoSquareRoot as exc:
         idx = exc.index[0]
         raise RhoDegenerate(
-            f"mode {mode_index + idx}: propagator roots coincide on a "
-            f"Jordan block at reduced eigenvalue {d[exc.row]} for "
-            f"rho={complex(flat[idx, 0, 0])}; no square root of C^2 - I "
-            "exists") from exc
+            f"mode {idx + 1}: propagator roots coincide on a Jordan block "
+            f"at reduced eigenvalue {d[exc.row]} for "
+            f"rho={complex(rhos[idx])}; no square root of C^2 - I exists"
+        ) from exc
     s = S[:, diag, diag]
-    table = [X.reshape(rhos.shape + (p,)) for X in
-             (z, coincide, np.maximum(np.abs(c + s), np.abs(c - s)))]
-    C, S = C.reshape(rhos.shape + (p, p)), S.reshape(rhos.shape + (p, p))
-    return PropagatorPair(mode_index, rhos, pd.basis @ (C + S) @ pd.coords,
-                          pd.basis @ (C - S) @ pd.coords, C, S, *table)
+    return PropagatorPair(rhos, pd.basis @ (C + S) @ pd.coords,
+                          pd.basis @ (C - S) @ pd.coords, C, S, z, coincide,
+                          np.maximum(np.abs(c + s), np.abs(c - s)))
 
 
 def raise_on_unstable_roots(pd: PencilData, pp: PropagatorPair) -> None:
     """UnstableStepRatio at the first (mode, d) with Re z < -4 outside the
     band where the roots coincide (rho-degenerate decides there): then
     |p+ + p-| = |2 + z| > 2, so a root leaves the unit circle."""
-    z, coincide, modulus = np.atleast_2d(pp.z, pp.coincide, pp.modulus)
-    beyond = np.argwhere((z.real < -4.0) & ~coincide)  # (modes, p)
+    beyond = np.argwhere((pp.z.real < -4.0) & ~pp.coincide)  # (modes, p)
     if beyond.size:
         idx, row = beyond[0]
         raise UnstableStepRatio(
-            f"mode {pp.mode_index + idx}: z = rho*d = "
-            f"{complex(z[idx, row]):.6g} lies beyond -4 at reduced "
+            f"mode {idx + 1}: z = rho*d = "
+            f"{complex(pp.z[idx, row]):.6g} lies beyond -4 at reduced "
             f"eigenvalue d={complex(pd.core[row, row]):.6g}; propagator "
-            f"root |p| = {modulus[idx, row]:.6e} > 1")
+            f"root |p| = {pp.modulus[idx, row]:.6e} > 1")

@@ -278,13 +278,11 @@ def raise_on_inconsistency(gates: Sequence[Gate]) -> None:
 
 @dataclass
 class ModeAmplitudes:
-    """Branch amplitudes of a run of modes; row idx is spatial mode
-    mode_index + idx.  P, Q are (modes, m); rho, residual are (modes,)."""
+    """Branch amplitudes of the propagator stack's modes; row idx is
+    spatial mode idx + 1.  P, Q are (modes, m); residual is (modes,)."""
 
-    mode_index: int
     P: np.ndarray
     Q: np.ndarray
-    rho: np.ndarray
     residual: np.ndarray
 
 
@@ -317,7 +315,7 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
     failed = np.flatnonzero(res > limit)
     if failed.size:
         idx = int(failed[0])
-        l = propagators.mode_index + idx
+        l = idx + 1
         bad = np.diagonal(pd.core)[pd.active & propagators.coincide[idx]]
         if bad.size:
             raise RhoDegenerate(
@@ -328,20 +326,20 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
             f"mode {l} amplitude system unsolvable "
             f"(residual {res[idx]:.3e})",
             condition="mode-equations-unsolvable")
-    return ModeAmplitudes(propagators.mode_index, P, Q,
-                          np.real(propagators.rho).astype(float), res)
+    return ModeAmplitudes(P, Q, res)
 
 
 @dataclass
 class StabilityReport:
     """Propagator roots, their growth rates, and the grid's sup-norm.
 
-    modes holds one record per mode: l, rho_l and growth_rate.
-    power_bound_ok: no root modulus above 1 + _EZ_TOL; root_margin:
-    min Re(z) + 4 over every (mode, d), negative beyond the limit.
+    rate holds each mode's growth rate, row idx for mode idx + 1;
+    growth_rate is the largest.  power_bound_ok: no root modulus above
+    1 + _EZ_TOL; root_margin: min Re(z) + 4 over every (mode, d),
+    negative beyond the limit.
     """
 
-    modes: np.recarray
+    rate: np.ndarray
     growth_rate: float
     sup_norm: float
     max_root_modulus: float
@@ -352,12 +350,14 @@ class StabilityReport:
 @dataclass
 class DiscreteSolution:
     """The record of one solve: each stage's result, None until the
-    stage has run."""
+    stage has run.  propagators, modes and stability hold one row per
+    spatial mode, row idx for mode idx + 1."""
 
     eigenpairs: Optional[np.recarray] = None
     pencil: Optional[PencilData] = None
     boundary: Optional[BoundaryMatrix] = None
     gates: Optional[List[Gate]] = None
+    propagators: Optional[PropagatorPair] = None
     modes: Optional[ModeAmplitudes] = None
     # (N+1, M+1, m) complex; imaginary parts exactly 0.0 for a real problem
     U: Optional[np.ndarray] = None
@@ -418,15 +418,11 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
     """
     k = spec.grid.k
     top = propagators.modulus.max(axis=-1, initial=1.0)  # one per mode
-    modes = np.rec.fromarrays(
-        [propagators.mode_index + np.arange(top.size), propagators.rho.real,
-         np.log(top) / k],
-        names="l,rho_l,growth_rate")
     sup = float(np.abs(U).sum(axis=2).max()) if U.size else 0.0
     worst = float(top.max(initial=1.0))
     margin = float(propagators.z.real.min(initial=np.inf)) + 4.0
-    return StabilityReport(modes, float(np.log(worst) / k), sup, worst,
-                           margin, worst <= 1.0 + _EZ_TOL)
+    return StabilityReport(np.log(top) / k, float(np.log(worst) / k), sup,
+                           worst, margin, worst <= 1.0 + _EZ_TOL)
 
 
 def solve_problem(spec: ProblemSpec,
@@ -452,8 +448,8 @@ def solve_problem(spec: ProblemSpec,
     gc = expand(spec.F[interior] + spec.grid.k * spec.Gv[interior],
                 eigenpairs)
 
-    propagators = build_propagators(pd, spec.mode_rho(eigenpairs.lam),
-                                    mode_index=1)
+    sol.propagators = propagators = build_propagators(
+        pd, spec.mode_rho(eigenpairs.lam))
     raise_on_unstable_roots(pd, propagators)
     sol.modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
     sol.U = assemble_solution(spec, propagators, sol.modes, eigenpairs)

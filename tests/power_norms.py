@@ -8,11 +8,9 @@ import numpy as np
 def power_norms(propagators, M):
     """Each mode's max over j = 1..M of ||Z0^j||_1 and of ||Z1^j||_1.
 
-    Returns a (2, modes) array, branch Z0 first; a single-rho pair counts
-    as one mode.
+    Returns a (2, modes) array, branch Z0 first.
     """
-    Z = np.stack([propagators.Z0, propagators.Z1])
-    Z = Z.reshape(2, -1, *Z.shape[-2:])  # (branch, modes, m, m)
+    Z = np.stack([propagators.Z0, propagators.Z1])  # (branch, modes, m, m)
     power, peak = Z, np.zeros(Z.shape[:2])
     for j in range(1, M + 1):
         np.maximum(peak, np.abs(power).sum(axis=-2).max(axis=-1), out=peak)

@@ -142,13 +142,13 @@ def test_criterion_4_propagator_moduli_and_sum():
     worst_mod = worst_sum = 0.0
     for l, pair in enumerate(pairs, start=1):
         rho = spec.mode_rho(pair.lam)
-        prop = build_propagators(pd, rho, mode_index=l)
-        for Z in (prop.Z0, prop.Z1):
+        prop = build_propagators(pd, rho)
+        for Z in (prop.Z0[0], prop.Z1[0]):
             eigs = np.linalg.eigvals(Z)
             mods = np.abs(eigs[np.abs(eigs) > 1e-6])
             if mods.size:
                 worst_mod = max(worst_mod, float(np.abs(mods - 1.0).max()))
-        lhs = prop.Z0 + prop.Z1
+        lhs = prop.Z0[0] + prop.Z1[0]
         rhs = (2.0 * np.eye(spec.m) + rho * pd.reduced) @ pd.projector
         worst_sum = max(worst_sum, one_norm(lhs - rhs))
     assert worst_mod <= 1e-10
@@ -188,8 +188,7 @@ def test_criterion_6_step_refinement_stability():
                       * (1.0 + 1e-6))
         pairs = solve_psd(spec.sl_problem())
         rhos = spec.mode_rho(pairs.lam)
-        prop = build_propagators(build_pencil(spec.E, spec.A), rhos,
-                                 mode_index=1)
+        prop = build_propagators(build_pencil(spec.E, spec.A), rhos)
         assert power_norms(prop, spec.grid.M).max() <= bound
         assert stab.power_bound_ok
     assert max(sups) <= 1.10 * min(sups)

@@ -28,6 +28,7 @@ from singwave.errors import InputError, ParseError, ShapeError
 from singwave.fixtures import (
     _with_boundary,
     demo_problem,
+    reject_kernel_violation,
     reject_projector_mismatch,
     reject_rho_degenerate,
     scalar_wave_problem,
@@ -351,9 +352,41 @@ def test_solve_report_stability_rows_come_from_the_roots(tmp_path):
             lines[start + 4:lines.index("== result ==")]]
     assert [int(row[0]) for row in rows] == list(range(1, spec.grid.N))
     assert all(len(row) == 3 for row in rows)
+    # the mode rows and the stability rows number the modes alike, and
+    # row l holds the rho of eigen.csv's lambda_l
+    modes = lines.index("== modes ==")
+    assert lines[modes + 1] == "l rho residual"
+    mode_rows = [row.split() for row in
+                 lines[modes + 2:lines.index("== residuals ==")]]
+    assert [row[:2] for row in mode_rows] == [row[:2] for row in rows]
+    with open(tmp_path / "eigen.csv", newline="", encoding="utf-8") as fh:
+        eigen = list(csv.reader(fh))[1:]
+    assert [[l, repr(float(spec.mode_rho(float(lam))))]
+            for l, lam in eigen] == [row[:2] for row in rows]
     src = pathlib.Path(singwave.__file__).parent
     assert not any("max|Z" in path.read_text(encoding="utf-8")
                    for path in src.glob("*.py"))
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_demo_on_the_smallest_grids_is_accepted(tmp_path, N):
+    # at N = 2 the lowest mode is the only one, and the velocity is zero
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(N, 1.0 / 8.0, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    assert "ACCEPTED" in (tmp_path / "report.txt").read_text()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(tmp_path / "solution.csv"),
+                 "--quiet"]) == 0
+    for fixture, condition in [
+            (reject_projector_mismatch, "projector-data-mismatch"),
+            (reject_kernel_violation, "data-outside-boundary-kernel")]:
+        write_problem(fixture(N, 1.0 / 8.0, 0.5), str(problem))
+        assert main(["solve", "--input", str(problem),
+                     "--out-dir", str(tmp_path), "--quiet"]) == 2
+        assert (f"REJECTED: {condition}"
+                in (tmp_path / "report.txt").read_text())
 
 
 def test_solve_rejection_writes_report(tmp_path):

@@ -30,8 +30,7 @@ def _modes():
     (lambda: find_gamma(np.eye(2), np.eye(3)), ShapeError),
     (lambda: find_gamma(np.zeros((2, 3)), np.zeros((2, 3))), ShapeError),
     (lambda: build_pencil(np.eye(2), np.eye(3)), ShapeError),
-    (lambda: build_pencil(np.zeros((2, 3)), np.zeros((2, 3)), gamma=1.0),
-     ShapeError),
+    (lambda: build_pencil(np.zeros((2, 3)), np.zeros((2, 3))), ShapeError),
 ])
 def test_malformed_input_raises_an_input_error(call, error):
     with pytest.raises(error) as info:

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from singwave.errors import (
     NoRegularizingGamma,
     RhoDegenerate,
-    SingularShift,
     UnstableStepRatio,
 )
 from singwave.fixtures import demo_matrices
@@ -100,7 +99,7 @@ def test_build_pencil_golden_matrices():
 def test_build_pencil_invertible_mass():
     E = np.eye(3)
     A = np.diag([1.0, 2.0, 3.0])
-    pd = build_pencil(E, A, gamma=0.0)
+    pd = build_pencil(E, A)
     assert_allclose(pd.reduced, A, atol=1e-12)
     assert_allclose(pd.EhatD @ pd.Ehat, np.eye(3), atol=1e-12)
     assert_allclose(pd.projector, np.eye(3), atol=1e-12)
@@ -108,7 +107,7 @@ def test_build_pencil_invertible_mass():
 
 
 def test_build_pencil_zero_mass():
-    pd = build_pencil(np.zeros((2, 2)), np.eye(2), gamma=1.0)
+    pd = build_pencil(np.zeros((2, 2)), np.eye(2))
     assert_allclose(pd.Ehat, 0.0, atol=1e-14)
     assert_allclose(pd.projector, 0.0, atol=1e-14)
     assert not pd.core_active
@@ -173,19 +172,13 @@ def test_build_pencil_projector_invariants():
     assert_allclose(pd.Ehat @ pd.EhatD, pd.EhatD @ pd.Ehat, atol=1e-12)
 
 
-def test_build_pencil_rejects_singular_shift():
-    E, A = demo_EA()
-    with pytest.raises(SingularShift):
-        build_pencil(E, A, gamma=0.0)
-
-
 # ----------------------------------------------------- step-size admissibility
 
 def coinciding_d(pd, rho):
     """Active reduced eigenvalues d where the root table marks the two
     propagator roots of rho*d as coinciding."""
     pair = build_propagators(pd, rho)
-    return np.diagonal(pd.core)[pd.active & pair.coincide]
+    return np.diagonal(pd.core)[pd.active & pair.coincide[0]]
 
 
 def test_rho_violations_zero_rho():
@@ -200,7 +193,7 @@ def test_rho_violations_admissible():
 
 def test_rho_violations_boundary_of_disc():
     # for a unit direction d=1, rho*d*(1 + rho*d/4) = 0 at rho = -4
-    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pd = build_pencil(np.eye(1), np.eye(1))
     v = coinciding_d(pd, -4.0)
     assert len(v) == 1
     assert_allclose(v[0], 1.0, atol=1e-12)
@@ -226,12 +219,14 @@ def test_root_table_matches_the_triangular_diagonals():
 
 
 def test_unstable_roots_of_a_scalar_rho_rejected():
-    # a scalar rho gives a root table without the mode axis
+    # a scalar rho gives a one-mode stack, whose row is mode 1
     pd = build_pencil(*demo_EA())
     raise_on_unstable_roots(pd, build_propagators(pd, -4.0))
-    pair = build_propagators(pd, -5.0, mode_index=3)
-    assert pair.z.shape == (pd.core.shape[0],)
-    with pytest.raises(UnstableStepRatio, match="mode 3: z = rho.d = -5"):
+    pair = build_propagators(pd, -5.0)
+    assert pair.rho.shape == (1,)
+    assert pair.Z0.shape == pair.Z1.shape == (1, 3, 3)
+    assert pair.z.shape == pair.modulus.shape == (1, pd.core.shape[0])
+    with pytest.raises(UnstableStepRatio, match="mode 1: z = rho.d = -5"):
         raise_on_unstable_roots(pd, pair)
 
 
@@ -248,14 +243,14 @@ def test_propagators_degenerate_rho_rejected():
 def test_propagators_degenerate_rho_collapse():
     pd = build_pencil(*demo_EA())
     pair = build_propagators(pd, 0.0)
-    assert_allclose(pair.Z0, pd.projector, atol=1e-12)
-    assert_allclose(pair.Z1, pd.projector, atol=1e-12)
+    assert_allclose(pair.Z0[0], pd.projector, atol=1e-12)
+    assert_allclose(pair.Z1[0], pd.projector, atol=1e-12)
 
 
 def test_propagators_scalar_unit_modulus():
-    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pd = build_pencil(np.eye(1), np.eye(1))
     pair = build_propagators(pd, -0.1)
-    z0, z1 = pair.Z0[0, 0], pair.Z1[0, 0]
+    z0, z1 = pair.Z0[0, 0, 0], pair.Z1[0, 0, 0]
     assert_allclose(abs(z0), 1.0, atol=1e-12)
     assert_allclose(abs(z1), 1.0, atol=1e-12)
     assert_allclose(z0 + z1, 2.0 - 0.1, atol=1e-12)
@@ -265,17 +260,17 @@ def test_propagators_scalar_unit_modulus():
 def test_propagators_unit_modulus_all_demo_modes():
     pd = build_pencil(*demo_EA())
     rhos = [-0.05, -0.5, -1.0, -3.5]
-    stack = build_propagators(pd, rhos, mode_index=1)
+    stack = build_propagators(pd, rhos)
     assert stack.Z0.shape == stack.Z1.shape == (4, 3, 3)
     for idx, rho in enumerate(rhos):
         pair = build_propagators(pd, rho)
-        for Z in (pair.Z0, pair.Z1):
+        for Z in (pair.Z0[0], pair.Z1[0]):
             eigs = np.linalg.eigvals(Z)
             mods = np.abs(eigs[np.abs(eigs) > 1e-8])
             assert_allclose(mods, 1.0, atol=1e-10)
         assert stack.rho[idx] == rho
-        assert_allclose(stack.Z0[idx], pair.Z0, rtol=0, atol=1e-14)
-        assert_allclose(stack.Z1[idx], pair.Z1, rtol=0, atol=1e-14)
+        assert_allclose(stack.Z0[idx], pair.Z0[0], rtol=0, atol=1e-14)
+        assert_allclose(stack.Z1[idx], pair.Z1[0], rtol=0, atol=1e-14)
 
 
 def test_propagators_sum_identity_random():
@@ -291,7 +286,7 @@ def test_propagators_sum_identity_random():
         pd = build_pencil(E, A)
         rho = -0.3
         pair = build_propagators(pd, rho)
-        lhs = pair.Z0 + pair.Z1
+        lhs = pair.Z0[0] + pair.Z1[0]
         rhs = (2 * np.eye(n) + rho * pd.reduced) @ pd.projector
         assert one_norm(lhs - rhs) <= 1e-9 * max(1.0, one_norm(rhs))
 
@@ -299,9 +294,9 @@ def test_propagators_sum_identity_random():
 def test_quadratic_root_scalars():
     # for a 1 x 1 pencil with d = 1 the propagators are the roots of
     # x^2 - (2 + rho) x + 1 = 0
-    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pd = build_pencil(np.eye(1), np.eye(1))
     pair = build_propagators(pd, -0.1)
-    plus, minus = pair.Z0[0, 0], pair.Z1[0, 0]
+    plus, minus = pair.Z0[0, 0, 0], pair.Z1[0, 0, 0]
     expected_imag = np.sqrt(1 - 0.9025)
     assert_allclose(plus, 0.95 + 1j * expected_imag, atol=1e-13)
     assert_allclose(minus, 0.95 - 1j * expected_imag, atol=1e-13)
@@ -311,7 +306,7 @@ def test_quadratic_root_scalars():
 
 def test_quadratic_roots_on_unit_circle():
     # real root base in [-1, 1]: both roots must sit exactly on the circle
-    pd = build_pencil(np.eye(1), np.eye(1), gamma=0.0)
+    pd = build_pencil(np.eye(1), np.eye(1))
     pair = build_propagators(pd, [-0.5, -1.0, -3.9])
     roots = np.stack([pair.Z0, pair.Z1])
     assert roots.shape == (2, 3, 1, 1)
@@ -323,12 +318,12 @@ def test_propagators_jordan_core():
     # eigenvector basis; the square root is taken in triangular form
     E = np.eye(2)
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    pd = build_pencil(E, A, gamma=0.0)
+    pd = build_pencil(E, A)
     rho = -0.25
     pair = build_propagators(pd, rho)
     rhs = (2 * np.eye(2) + rho * pd.reduced) @ pd.projector
-    assert_allclose(pair.Z0 + pair.Z1, rhs, atol=1e-12)
-    assert_allclose(pair.Z0 @ pair.Z1, pd.projector, atol=1e-12)
+    assert_allclose(pair.Z0[0] + pair.Z1[0], rhs, atol=1e-12)
+    assert_allclose(pair.Z0[0] @ pair.Z1[0], pd.projector, atol=1e-12)
     rng = make_rng(5)
     l1, l2 = rng.standard_normal(2), rng.standard_normal(2)
     G = [_difference_solution(pair, pd.projector, l1, l2, j)
@@ -343,26 +338,26 @@ def test_propagators_jordan_at_coinciding_roots_rejected():
     # where C^2 - I has no square root
     pd = build_pencil(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(RhoDegenerate) as info:
-        build_propagators(pd, [0.0, -0.3], mode_index=1)
+        build_propagators(pd, [0.0, -0.3])
     assert "mode 2" in str(info.value)
     pair = build_propagators(pd, 0.0)
-    assert_allclose(pair.Z0, pd.projector, atol=1e-12)
+    assert_allclose(pair.Z0[0], pd.projector, atol=1e-12)
 
 
 def test_propagators_inverse_pair():
     pd = build_pencil(*demo_EA())
     pair = build_propagators(pd, -0.4)
     # on the core subspace the two step maps are mutual inverses
-    prod = pair.Z0 @ pair.Z1
+    prod = pair.Z0[0] @ pair.Z1[0]
     assert_allclose(prod, pd.projector, atol=1e-10)
 
 
 # ------------------------------------------------- homogeneous mode solutions
 
 def _difference_solution(pair, projector, l1, l2, j):
-    """G(j) = Z0^j P l1 + Z1^j P l2."""
-    return (np.linalg.matrix_power(pair.Z0, j) @ projector @ l1
-            + np.linalg.matrix_power(pair.Z1, j) @ projector @ l2)
+    """G(j) = Z0^j P l1 + Z1^j P l2 of a one-mode pair."""
+    return (np.linalg.matrix_power(pair.Z0[0], j) @ projector @ l1
+            + np.linalg.matrix_power(pair.Z1[0], j) @ projector @ l2)
 
 
 def test_difference_solution_annihilates_nilpotent_directions():
@@ -371,8 +366,8 @@ def test_difference_solution_annihilates_nilpotent_directions():
     # (1, 0, -1) spans the non-core part: both propagators map it to zero
     l1 = np.array([1.0, 0.0, -1.0])
     assert_allclose(pd.projector @ l1, 0.0, atol=1e-12)
-    assert_allclose(pair.Z0 @ l1, 0.0, atol=1e-12)
-    assert_allclose(pair.Z1 @ l1, 0.0, atol=1e-12)
+    assert_allclose(pair.Z0[0] @ l1, 0.0, atol=1e-12)
+    assert_allclose(pair.Z1[0] @ l1, 0.0, atol=1e-12)
 
 
 def test_difference_solution_satisfies_recurrence():

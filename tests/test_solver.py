@@ -232,17 +232,15 @@ def test_mode_coefficients_zero_data():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
-    prop = build_propagators(pd, [spec.mode_rho(pairs[2].lam)],
-                             mode_index=3)
+    prop = build_propagators(pd, [spec.mode_rho(pairs[2].lam)])
     z = np.zeros((1, 3), dtype=complex)
     amps = solve_mode_coefficients(spec, pd, prop, fhat=z, ghat=z)
-    assert amps.mode_index == 3
     assert amps.P.shape == amps.Q.shape == (1, 3)
     assert_allclose(amps.P, 0.0, atol=1e-14)
     assert_allclose(amps.Q, 0.0, atol=1e-14)
-    assert amps.residual.shape == amps.rho.shape == (1,)
+    assert amps.residual.shape == prop.rho.shape == (1,)
     assert amps.residual[0] <= 1e-14
-    assert amps.rho[0] == spec.mode_rho(pairs[2].lam)
+    assert prop.rho[0] == spec.mode_rho(pairs[2].lam)
 
 
 def test_mode_coefficients_branch_equations():
@@ -255,14 +253,13 @@ def test_mode_coefficients_branch_equations():
     ghat = np.array([0.4, -0.28, 0.0], dtype=complex)
     # every mode above the static first one is solved in one call
     rhos = spec.mode_rho(pairs.lam[1:])
-    prop = build_propagators(pd, rhos, mode_index=2)
+    prop = build_propagators(pd, rhos)
     modes = len(rhos)
     amps = solve_mode_coefficients(spec, pd, prop,
                                    fhat=np.tile(fhat, (modes, 1)),
                                    ghat=np.tile(ghat, (modes, 1)))
-    assert amps.mode_index == 2
     assert amps.P.shape == (modes, 3)
-    assert_allclose(amps.rho, rhos, rtol=0, atol=0)
+    assert_allclose(prop.rho, rhos, rtol=0, atol=0)
     assert_allclose(amps.P + amps.Q, np.tile(fhat, (modes, 1)), atol=1e-9)
     step = prop.Z0 @ amps.P[..., None] + prop.Z1 @ amps.Q[..., None]
     assert_allclose(step[..., 0], np.tile(ghat, (modes, 1)), atol=1e-9)
@@ -274,10 +271,12 @@ def test_mode_coefficients_static_direction_mismatch():
     spec = demo_problem(8, 1.0 / 32.0, 1.0)
     pd = build_pencil(spec.E, spec.A)
     pairs = solve_psd(spec.sl_problem())
-    fhat = np.array([[0.4, -0.3, 0.0]], dtype=complex)
-    ghat = np.array([[0.35, -0.28, 0.0]], dtype=complex)
-    prop = build_propagators(pd, [spec.mode_rho(pairs[3].lam)],
-                             mode_index=4)
+    # modes 1 to 3 carry no data, so mode 4 is the first that fails
+    fhat = np.zeros((4, 3), dtype=complex)
+    ghat = np.zeros((4, 3), dtype=complex)
+    fhat[3] = [0.4, -0.3, 0.0]
+    ghat[3] = [0.35, -0.28, 0.0]
+    prop = build_propagators(pd, spec.mode_rho(pairs.lam[:4]))
     with pytest.raises(ConsistencyViolation) as info:
         solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
     assert info.value.condition == "mode-equations-unsolvable"
@@ -297,7 +296,7 @@ def test_single_mode_data_isolates_one_mode():
                        Gv=np.zeros((N + 1, 3), dtype=complex),
                        grid=GridParams.create(N, k, T))
     amps = solve_problem(spec).modes
-    assert amps.mode_index == 1
+    assert amps.P.shape == (N - 1, 3)
     assert_allclose(amps.P[1] + amps.Q[1], [0, 1, 0], atol=1e-9)
     others = np.delete(np.abs(amps.P) + np.abs(amps.Q), 1, axis=0)
     assert others.sum(axis=1).max() <= 1e-9
@@ -464,8 +463,7 @@ def test_stability_demo_report():
     assert stab.power_bound_ok
     pairs = solve_psd(spec.sl_problem())
     rhos = spec.mode_rho(pairs.lam)
-    prop = build_propagators(build_pencil(spec.E, spec.A), rhos,
-                             mode_index=1)
+    prop = build_propagators(build_pencil(spec.E, spec.A), rhos)
     assert power_norms(prop, spec.grid.M).max() <= 1.0 + 1e-10
 
 
@@ -481,8 +479,8 @@ def test_stability_scalar_wave():
 
 def test_solve_problem_record_on_success():
     sol = solve_problem(demo_problem(8, 1.0 / 32.0, 0.5))
-    for name in ("eigenpairs", "pencil", "boundary", "gates", "modes", "U",
-                 "stability"):
+    for name in ("eigenpairs", "pencil", "boundary", "gates", "propagators",
+                 "modes", "U", "stability"):
         assert getattr(sol, name) is not None
 
 
@@ -493,7 +491,7 @@ def test_solve_problem_record_on_rejection():
     assert info.value.condition == "projector-data-mismatch"
     for name in ("eigenpairs", "pencil", "boundary", "gates"):
         assert getattr(sol, name) is not None
-    for name in ("modes", "U", "stability"):
+    for name in ("propagators", "modes", "U", "stability"):
         assert getattr(sol, name) is None
 
 
@@ -506,9 +504,9 @@ def test_solution_reconstructs_from_modes():
     # rebuild step j=M from the stored amplitudes and fresh propagators
     rebuilt = np.zeros((N - 1, spec.m), dtype=complex)
     amps = sol.modes
-    for idx, rho in enumerate(amps.rho):
+    for idx, rho in enumerate(sol.propagators.rho):
         prop = build_propagators(pd, rho)
-        amp = (np.linalg.matrix_power(prop.Z0, M) @ amps.P[idx]
-               + np.linalg.matrix_power(prop.Z1, M) @ amps.Q[idx])
-        rebuilt += np.outer(pairs[amps.mode_index + idx - 1].v, amp)
+        amp = (np.linalg.matrix_power(prop.Z0[0], M) @ amps.P[idx]
+               + np.linalg.matrix_power(prop.Z1[0], M) @ amps.Q[idx])
+        rebuilt += np.outer(pairs[idx].v, amp)
     assert_allclose(rebuilt, sol.U[1:N, M], atol=1e-9)

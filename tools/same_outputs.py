@@ -8,11 +8,13 @@ inputs: the seed-7 ``batch-mixed`` list, problem 0 of ``demo-large`` and
 of ``reference-dense`` and the warm-up problem, all read from
 ``perfbench/workloads.py``, and the six ``singwave.fixtures`` problems,
 which each tree writes with its own ``write_problem``.  Every input goes
-through ``solve`` and then ``verify``; ``singwave example`` runs once.
+through ``solve``, then ``verify`` and then ``eigen``; ``singwave
+example`` runs once.
 
 Prints every exit code and every output file that differs (the fixture
 problem files, ``problem.json`` of ``example``, ``solution.csv``,
-``eigen.csv``, ``report.txt`` and ``verify``'s stdout), then a summary.
+``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt`` and
+``verify``'s stdout), then a summary.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -34,7 +36,8 @@ ROOT = os.path.dirname(HERE)
 FIXTURES = ("demo_problem", "scalar_wave_problem",
             "reject_projector_mismatch", "reject_kernel_violation",
             "reject_full_rank", "reject_rho_degenerate")
-OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out")
+OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out",
+           os.path.join("eigen", "eigen.csv"))
 SEED = 7
 
 
@@ -55,8 +58,9 @@ def write_bench_inputs(out_dir: str) -> None:
 
 def run_tree(inputs_dir: str, out_dir: str) -> None:
     """Run every input through the singwave on sys.path, in a child
-    process; writes each input's outputs under out_dir/<name>/ and the
-    exit codes to out_dir/codes.json."""
+    process; writes each input's outputs under out_dir/<name>/ (those of
+    eigen under out_dir/<name>/eigen/) and the exit codes of solve,
+    verify and eigen to out_dir/codes.json."""
     from singwave import cli, fixtures
 
     inputs = sorted(os.path.join(inputs_dir, f) for f in os.listdir(
@@ -78,10 +82,12 @@ def run_tree(inputs_dir: str, out_dir: str) -> None:
             with contextlib.redirect_stdout(text):
                 verify = cli.main(["verify", "--input", path, "--solution",
                                    os.path.join(run_dir, "solution.csv")])
+            eigen = cli.main(["eigen", "--input", path, "--out-dir",
+                              os.path.join(run_dir, "eigen"), "--quiet"])
         with open(os.path.join(run_dir, "verify.out"), "w",
                   encoding="utf-8") as fh:
             fh.write(text.getvalue())
-        codes[name] = [solve, verify]
+        codes[name] = [solve, verify, eigen]
     with open(os.path.join(out_dir, "codes.json"), "w",
               encoding="utf-8") as fh:
         json.dump(codes, fh)
