@@ -140,6 +140,12 @@ def _repr_runs(column: np.ndarray) -> List[str]:
     return np.repeat(texts, np.diff(starts, append=len(bits))).tolist()
 
 
+def _solution_header(m: int) -> List[str]:
+    """Column names of a solution table with m components."""
+    return ["i", "j", "x", "t"] + [f"u{c}_{part}" for c in range(m)
+                                   for part in ("re", "im")]
+
+
 def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     """Grid values, one row per (i, j), i outer; shortest-round-trip
     (repr) decimal text and CRLF line ends.
@@ -155,9 +161,6 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     held stays flat in N, M and m.
     """
     N, M, m = U.shape[0] - 1, U.shape[1] - 1, U.shape[2]
-    header = ["i", "j", "x", "t"]
-    for c in range(m):
-        header.extend([f"u{c}_re", f"u{c}_im"])
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
         -1, 2 * m)
@@ -166,7 +169,7 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     if M < step:
         js, ts = list(map(str, range(M + 1))), list(map(repr, t.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_solution_header(m)) + "\r\n")
         for start in range(0, len(values), step):
             stop = min(start + step, len(values))
             vals = list(map(",".join, zip(*map(
@@ -200,8 +203,8 @@ def read_solution_csv(path: str) -> np.ndarray:
             header = fh.readline().rstrip("\r\n").split(",")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
-        m, rem = divmod(len(header) - 4, 2)
-        if header[:4] != ["i", "j", "x", "t"] or m < 1 or rem:
+        m = (len(header) - 4) // 2
+        if m < 1 or header != _solution_header(m):
             raise ParseError(f"{path}: not a solution table")
         with warnings.catch_warnings():
             # an empty body is reported below, not warned about

@@ -1,17 +1,17 @@
 """Dense complex matrix algebra on numpy alone.
 
-Norms, generalized (Moore-Penrose) and Drazin inverses, solvability of
-singular linear systems, core-nilpotent splittings, and principal square
-roots of stacks of upper-triangular matrices (the Schur method, which
-needs no eigenvector basis).  Everything works on plain numpy arrays and
-is a pure function of its inputs.  Numerical rank comes from an SVD.
-_svd_rank counts the singular values above a relative tolerance times
-the largest of their matrix, and every minimum-norm solve, the
-Moore-Penrose inverse included, inverts just those (min_norm_solve).
-The kernel chain of core_nilpotent cuts each of its blocks at one fixed
-threshold, the tolerance times the 1-norm of the whole matrix.  The
-number checks that every validator of a problem's values shares live
-here too (is_number, _finite_number, _integer_at_least).
+Norms, minimum-norm solves and kernel bases, core-nilpotent splittings
+with their Drazin inverse, and principal square roots of stacks of
+upper-triangular matrices (the Schur method, which needs no eigenvector
+basis).  Everything works on plain numpy arrays and is a pure function
+of its inputs.  Numerical rank comes from an SVD.  _svd_rank counts the
+singular values above a relative tolerance times the largest of their
+matrix, and min_norm_solve inverts just those: min_norm_solve(A, B)
+applies the Moore-Penrose inverse of A to B.  The kernel chain of
+core_nilpotent cuts each of its blocks at one fixed threshold, the
+tolerance times the 1-norm of the whole matrix.  The number checks that
+every validator of a problem's values shares live here too (is_number,
+_finite_number, _integer_at_least).
 """
 
 from __future__ import annotations
@@ -123,51 +123,6 @@ def rank_and_kernel(M, tol: float = DEFAULT_RANK_TOL):
     return int(rank), Vh[rank:].conj().T
 
 
-def generalized_inverse(M, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with relative cutoff ``tol``.
-
-    Satisfies M G M = M; coincides with the inverse for invertible M.
-    """
-    A = as_matrix(M)
-    return min_norm_solve(A, np.eye(A.shape[0], dtype=complex), tol)
-
-
-@dataclass
-class MitraSolution:
-    """Outcome of a singular linear solve A x = b.
-
-    ``particular`` is the minimum-norm solution and ``kernel`` an
-    orthonormal basis (cols x q) of A's null space.  When ``consistent``,
-    the full solution family is ``particular + kernel @ z`` over
-    arbitrary z.
-    """
-
-    consistent: bool
-    particular: np.ndarray
-    kernel: np.ndarray
-    residual: float
-
-
-def mitra_solve(A, b, tol: float = 1e-8) -> MitraSolution:
-    """Solvability test and general solution of A x = b.
-
-    One SVD of A gives the minimum-norm solution (singular values below
-    DEFAULT_RANK_TOL relative are cut, as in the pseudoinverse) and the
-    kernel basis.  The system is consistent exactly when applying A to
-    that solution reproduces b; inconsistency is reported, not raised.
-    """
-    A = as_matrix(A)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if b.shape[0] != A.shape[0]:
-        raise ShapeError(
-            f"right-hand side has length {b.shape[0]}, expected {A.shape[0]}")
-    U, s, Vh, rank = _svd_rank(A, DEFAULT_RANK_TOL)
-    x = _solve_kept(U, s, Vh, rank, b[:, None])[:, 0]
-    residual = one_norm(A @ x - b)
-    consistent = bool(residual <= tol * (1.0 + one_norm(b)))
-    return MitraSolution(consistent, x, Vh[rank:].conj().T, residual)
-
-
 @dataclass
 class CoreNilpotentDecomposition:
     """Similarity split M = T diag(C, Nblock) T^-1.
@@ -190,6 +145,11 @@ class CoreNilpotentDecomposition:
         """C^-1, upper triangular like C: LU with partial pivoting makes no
         row exchange on a triangular matrix."""
         return np.linalg.solve(self.C, np.eye(self.p, dtype=complex))
+
+    def drazin_inverse(self) -> np.ndarray:
+        """The Drazin inverse T diag(C^-1, 0) T^-1 of the split matrix: the
+        core block inverted and the nilpotent one annihilated."""
+        return self.T[:, : self.p] @ self.core_inverse() @ self.T_inv[: self.p]
 
     def reconstruct(self) -> np.ndarray:
         m = self.p + self.q
@@ -271,17 +231,6 @@ def core_nilpotent(M, tol: float = DEFAULT_RANK_TOL) -> CoreNilpotentDecompositi
         raise EigendecompositionFailure(
             f"core-nilpotent reconstruction error {err:.3e} exceeds tolerance")
     return dec
-
-
-def drazin_inverse(M, tol: float = DEFAULT_RANK_TOL):
-    """Drazin inverse and index of a square matrix.
-
-    Returns ``(D, index)`` with D built from the core-nilpotent split by
-    inverting the core block and annihilating the nilpotent one.
-    """
-    dec = core_nilpotent(M, tol)
-    D = dec.T[:, : dec.p] @ dec.core_inverse() @ dec.T_inv[: dec.p]
-    return D, dec.index_k
 
 
 def snap_real(values) -> np.ndarray:

@@ -154,11 +154,10 @@ def build_pencil(E, A, tol: float = DEFAULT_RANK_TOL) -> PencilData:
             f"shifted solve inaccurate (identity defect {defect:.3e})")
     dec = core_nilpotent(Ehat, tol)
     basis, coords = dec.T[:, : dec.p], dec.T_inv[: dec.p]
-    core_inv = dec.core_inverse()
-    EhatD = basis @ core_inv @ coords
+    EhatD = dec.drazin_inverse()
     projector = Ehat @ EhatD
     reduced = EhatD @ Ahat
-    core = core_inv - gamma * np.eye(dec.p)
+    core = dec.core_inverse() - gamma * np.eye(dec.p)
     diag = np.arange(dec.p)
     d = core[diag, diag] = snap_real(core[diag, diag])
     band = tol * (1.0 + one_norm(reduced))

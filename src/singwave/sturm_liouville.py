@@ -3,8 +3,8 @@
 The second difference on the interior nodes 1..N-1 of a grid with N
 subintervals, with Robin-type endpoint couplings folded into the corner
 entries, gives a symmetric tridiagonal eigenproblem S v = lambda v.  This
-module assembles it, solves it, and provides the expansion/synthesis
-maps.
+module assembles it, solves it, and expands grid functions in its
+eigenbasis; the vectors are orthonormal, so V^T c sums the modes back.
 """
 
 from __future__ import annotations
@@ -112,16 +112,6 @@ def solve_psd(prob: SLProblem) -> np.recarray:
         ("lam", float), ("v", float, (lams.size,))])
 
 
-def orthogonality_defect(modes: np.recarray) -> float:
-    """Largest normalized inner product between distinct modes."""
-    V = modes.v
-    norms = np.linalg.norm(V, axis=1)
-    denom = np.outer(norms, norms)
-    cosines = np.divide(np.abs(V @ V.T), denom, out=np.zeros_like(denom),
-                        where=denom > 0)
-    return float(np.triu(cosines, 1).max(initial=0.0))
-
-
 def expand(u, modes: np.recarray) -> np.ndarray:
     """Coefficients of a grid function in the eigenbasis.
 
@@ -137,11 +127,3 @@ def expand(u, modes: np.recarray) -> np.ndarray:
     energy = np.sum(modes.v * modes.v, axis=1)
     return (modes.v @ U) / energy.reshape((-1,) + (1,) * (U.ndim - 1))
 
-
-def synthesize(coeffs, modes: np.recarray) -> np.ndarray:
-    """Sum of modes with the given coefficients (inverse of expand)."""
-    C = np.asarray(coeffs, dtype=complex)
-    if C.shape[0] != len(modes):
-        raise ShapeError(
-            f"{C.shape[0]} coefficients for {len(modes)} modes")
-    return modes.v.T @ C

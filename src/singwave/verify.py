@@ -161,9 +161,10 @@ class ReferenceSolution:
 
 def _reference_bytes(N: int, M: int, m: int, itemsize: int) -> int:
     """Upper bound on the reference's working memory: eight arrays of the
-    level operator's size (the two operators, their SVD factors and
-    LAPACK's workspace) and eight of the grid's (the levels and the
-    residual's temporaries), of ``itemsize`` bytes per entry."""
+    level operator's size (the two operators, the mid-level operator's LU
+    factors and map, the last level's SVD factors and LAPACK's workspace)
+    and eight of the grid's (the levels and the residual's temporaries),
+    of ``itemsize`` bytes per entry."""
     n = m * (N + 1)
     return itemsize * 8 * n * (n + M + 1)
 
@@ -189,9 +190,12 @@ def brute_force_reference(spec) -> ReferenceSolution:
     endpoint relations at level j+1 and, below M, the level-(j+1) stencil
     times W^H, where W spans the left null space of E; as W^H E = 0 these
     read r^2 W^H A dxx U(., j+1) = 0.  They are invertible row operations
-    per node, so the march has the stack's own solutions.  One SVD of the
-    square mid-level operator serves levels 2 to M-1; the level-M
-    operator gives the minimum-norm last level and the kernel.
+    per node, so the march has the stack's own solutions.  The singular
+    values of the square mid-level operator decide its rank, with the
+    relative cut DEFAULT_RANK_TOL, and one LU solve gives the map from
+    the rows with a non-zero right side to the next level, which serves
+    levels 2 to M-1; an SVD of the level-M operator gives the
+    minimum-norm last level and the kernel.
 
     Raises SizeCapExceeded, before any level-sized array exists, when
     the working memory would pass SIZE_CAP bytes; SingularLevelOperator
@@ -263,14 +267,15 @@ def brute_force_reference(spec) -> ReferenceSolution:
         L_mid = np.vstack([L_last, np.kron(
             np.eye(N - 1, N + 1) - 2.0 * np.eye(N - 1, N + 1, 1)
             + np.eye(N - 1, N + 1, 2), r2 * (Wh @ A))])
-        U_mid, s, Vh, rank = _svd_rank(L_mid, DEFAULT_RANK_TOL)
+        s = np.linalg.svd(L_mid, compute_uv=False)
+        rank = np.count_nonzero(s > DEFAULT_RANK_TOL * s[0])
         if rank < n:
             raise SingularLevelOperator(
                 f"the level operator of levels 2 to M-1 has a kernel of "
                 f"dimension {n - rank}; one level does not fix the next")
         # its inverse, restricted to the rows with a non-zero right side
-        step = (Vh.conj().T @ (U_mid[:fixing].conj().T / s[:, None])
-                ).astype(levels.dtype)
+        step = np.linalg.solve(L_mid, np.eye(n, fixing)).astype(
+            levels.dtype, copy=False)
         for j in range(1, M - 1):
             levels[j + 1] = (step @ fixing_rhs(j)).reshape(N + 1, m)
     if M >= 2:

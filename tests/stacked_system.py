@@ -1,7 +1,27 @@
-"""The whole discrete system as one dense matrix: a test oracle for the
-marched reference in ``singwave.verify``."""
+"""The whole discrete system as one dense matrix, and its general
+solution: a test oracle for the marched reference in ``singwave.verify``."""
+
+from types import SimpleNamespace
 
 import numpy as np
+
+from singwave.matrix_core import min_norm_solve, one_norm, rank_and_kernel
+
+
+def general_solution(A, b, tol=1e-8):
+    """Mitra's general solution of A x = b from the library's own pieces.
+
+    ``particular`` is the minimum-norm solution (min_norm_solve) and
+    ``kernel`` an orthonormal basis of A's null space (rank_and_kernel).
+    ``consistent`` tells whether ``particular`` solves the rows to ``tol``
+    relative to b; then the solutions are ``particular + kernel @ z``.
+    """
+    A = np.asarray(A)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    x = min_norm_solve(A, b[:, None])[:, 0]
+    consistent = one_norm(A @ x - b) <= tol * (1.0 + one_norm(b))
+    return SimpleNamespace(consistent=bool(consistent), particular=x,
+                           kernel=rank_and_kernel(A)[1])
 
 
 def stacked_system(spec):

@@ -24,7 +24,8 @@ from singwave.cli import (
     write_problem,
     write_solution_csv,
 )
-from singwave.errors import InputError, ParseError, ShapeError
+from singwave.errors import (InputError, ParseError, ShapeError,
+                             SingularLevelOperator)
 from singwave.fixtures import (
     _with_boundary,
     demo_problem,
@@ -40,7 +41,7 @@ from singwave.sturm_liouville import (
     boundary_scalars,
     solve_psd,
 )
-from singwave.verify import ResidualReport
+from singwave.verify import ResidualReport, brute_force_reference
 
 from random_matrices import random_orthogonal
 from rotated_demo import rotated_demos
@@ -225,6 +226,25 @@ def test_solution_csv_rejects_bad_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ParseError):
         read_solution_csv(str(path))
+
+
+@pytest.mark.parametrize("values", ["a,b,c,d,e,f", "u0_im,u0_re,u1_re,u1_im,"
+                                    "u2_re,u2_im"], ids=["renamed", "swapped"])
+def test_verify_rejects_misnamed_value_columns(tmp_path, capsys, values):
+    # the value columns must be named as the writer names them, else
+    # verify exits 3 as for any bad header
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "solution.csv"
+    header, body = path.read_text().split("\n", 1)
+    assert header == "i,j,x,t,u0_re,u0_im,u1_re,u1_im,u2_re,u2_im"
+    path.write_text(f"i,j,x,t,{values}\n{body}")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(path)]) == 3
+    assert "not a solution table" in capsys.readouterr().err
 
 
 def test_solution_csv_rejects_missing_rows(tmp_path):
@@ -419,10 +439,9 @@ def test_solve_endpoint_data_off_the_series_rejected(tmp_path):
     assert not (tmp_path / "solution.csv").exists()
 
 
-def test_solve_with_singular_left_endpoint_operator(tmp_path, capsys):
-    # A1 and A2 share the kernel vector e0, so A1 - N*A2 is singular and
-    # the left relation leaves U(0) free in component 0; the endpoint row
-    # must still be the eigenfunctions' a*U(1)
+def _singular_left_endpoint_problem():
+    """A1 and A2 share the kernel vector e0, so A1 - N*A2 is singular and
+    the left relation leaves U(0) free in component 0."""
     N, alpha, beta = 8, 0.3, 1.0
     eye = np.eye(2)
     mats = {"alpha": alpha, "beta": beta}
@@ -435,6 +454,12 @@ def test_solve_with_singular_left_endpoint_operator(tmp_path, capsys):
                        Gv=np.zeros((N + 1, 2)),
                        grid=GridParams.create(N, 1.0 / 32.0, 0.5))
     assert np.linalg.matrix_rank(spec.A1 - N * spec.A2) == 1
+    return spec
+
+
+def test_solve_with_singular_left_endpoint_operator(tmp_path, capsys):
+    # the endpoint row must still be the eigenfunctions' a*U(1)
+    spec = _singular_left_endpoint_problem()
     problem = tmp_path / "problem.json"
     write_problem(spec, str(problem))
     assert main(["solve", "--input", str(problem),
@@ -443,6 +468,14 @@ def test_solve_with_singular_left_endpoint_operator(tmp_path, capsys):
     assert main(["verify", "--input", str(problem),
                  "--solution", str(tmp_path / "solution.csv")]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "OK"
+
+
+def test_reference_names_the_free_endpoint_component():
+    # the reference does not choose U(0)'s free component: its level
+    # operator has that one direction in its kernel, and it says so
+    # rather than return a grid that differs from the solver's
+    with pytest.raises(SingularLevelOperator, match="kernel of dimension 1"):
+        brute_force_reference(_singular_left_endpoint_problem())
 
 
 def test_solve_beyond_the_step_ratio_limit_rejected(tmp_path):

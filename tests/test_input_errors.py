@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from singwave.errors import InputError, ParseError, ShapeError
-from singwave.matrix_core import _require_square, as_matrix
+from singwave.matrix_core import _require_square, as_matrix, core_nilpotent
 from singwave.pencil import build_pencil, find_gamma
-from singwave.sturm_liouville import SLProblem, expand, solve_psd, synthesize
+from singwave.sturm_liouville import SLProblem, expand, solve_psd
 
 
 def _modes():
@@ -24,7 +24,7 @@ def _modes():
     pytest.param(lambda: SLProblem(4, 0.0, float("inf")), ParseError,
                  id="beta-inf"),
     (lambda: expand(np.zeros(7), _modes()), ShapeError),
-    (lambda: synthesize(np.zeros(7), _modes()), ShapeError),
+    (lambda: core_nilpotent(np.zeros((2, 3))), ShapeError),
     (lambda: as_matrix(np.zeros(3)), ShapeError),
     (lambda: _require_square(np.zeros((2, 3))), ShapeError),
     (lambda: find_gamma(np.eye(2), np.eye(3)), ShapeError),

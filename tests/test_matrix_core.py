@@ -10,12 +10,9 @@ from singwave.matrix_core import (
     DEFAULT_RANK_TOL,
     as_matrix,
     core_nilpotent,
-    drazin_inverse,
-    generalized_inverse,
     kernel_invariance_defect,
     matrix_function,
     min_norm_solve,
-    mitra_solve,
     one_norm,
     rank_and_kernel,
 )
@@ -27,6 +24,7 @@ from random_matrices import (
     random_rank_matrix,
     random_real_rank_matrix,
 )
+from stacked_system import general_solution
 
 
 # ---------------------------------------------------------------- one_norm
@@ -90,7 +88,12 @@ def test_rank_and_kernel_orthonormal(rng):
     assert one_norm(A @ kernel) <= 1e-12 * (1 + one_norm(A))
 
 
-# ------------------------------------------------------ generalized_inverse
+# -------------------------------- generalized inverse: min_norm_solve(A, I)
+
+def generalized_inverse(A):
+    """The Moore-Penrose inverse of a square A, as the solve applies it."""
+    return min_norm_solve(A, np.eye(len(A)))
+
 
 def test_generalized_inverse_diagonal():
     assert_allclose(generalized_inverse(np.diag([2.0, 0.0])),
@@ -114,10 +117,10 @@ def test_generalized_inverse_axiom_random(seed, n):
     assert one_norm(A @ G @ A - A) <= 1e-9 * (1 + one_norm(A))
 
 
-# ---------------------------------------------------------------- mitra_solve
+# ------------------------------- general solution of the dense-stack oracle
 
 def test_mitra_consistent_diagonal():
-    sol = mitra_solve(np.diag([1.0, 0.0]), [2.0, 0.0])
+    sol = general_solution(np.diag([1.0, 0.0]), [2.0, 0.0])
     assert sol.consistent
     assert_allclose(sol.particular, [2.0, 0.0], atol=1e-14)
     assert_allclose(sol.kernel @ sol.kernel.conj().T, np.diag([0.0, 1.0]),
@@ -125,7 +128,7 @@ def test_mitra_consistent_diagonal():
 
 
 def test_mitra_inconsistent_diagonal():
-    sol = mitra_solve(np.diag([1.0, 0.0]), [0.0, 1.0])
+    sol = general_solution(np.diag([1.0, 0.0]), [0.0, 1.0])
     assert not sol.consistent
 
 
@@ -133,7 +136,7 @@ def test_mitra_solution_family(rng):
     A = random_rank_matrix(rng, 5, 3)
     x0 = random_complex(rng, 5)
     b = A @ x0
-    sol = mitra_solve(A, b)
+    sol = general_solution(A, b)
     assert sol.consistent
     projector = sol.kernel @ sol.kernel.conj().T
     for _ in range(10):
@@ -149,7 +152,7 @@ def test_mitra_consistency_matches_least_squares(seed):
     n = int(rng.integers(1, 7))
     A = random_rank_matrix(rng, n, int(rng.integers(0, n + 1)))
     b = random_complex(rng, n)
-    sol = mitra_solve(A, b)
+    sol = general_solution(A, b)
     x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
     ls_residual = one_norm(A @ x_ls - b)
     assert sol.consistent == (ls_residual <= 1e-8 * (1 + one_norm(b)))
@@ -171,7 +174,7 @@ def test_mitra_real_matrix_matches_pinv(rows, cols, rank):
     rng = make_rng(100 * rows + 10 * cols + rank)
     A = random_real_rank_matrix(rng, rows, cols, rank)
     b = A @ random_complex(rng, cols)  # complex and consistent
-    sol = mitra_solve(A, b)
+    sol = general_solution(A, b)
     assert sol.consistent
     expected = np.linalg.pinv(A.astype(complex)) @ b
     assert (np.linalg.norm(sol.particular - expected)
@@ -184,7 +187,7 @@ def test_mitra_complex_matrix_matches_pinv(rows, cols, rank):
     rng = make_rng(100 * rows + 10 * cols + rank)
     A = random_complex(rng, rows, rank) @ random_complex(rng, rank, cols)
     b = A @ random_complex(rng, cols)
-    sol = mitra_solve(A, b)
+    sol = general_solution(A, b)
     assert sol.consistent
     expected = np.linalg.pinv(A) @ b
     assert (np.linalg.norm(sol.particular - expected)
@@ -312,7 +315,13 @@ def test_core_nilpotent_perturbed_jordan_stress():
     assert not misses, misses
 
 
-# ------------------------------------------------------------- drazin_inverse
+# ------------------------------------------- Drazin inverse of the split
+
+def drazin_inverse(M):
+    """The Drazin inverse and index from one core-nilpotent split."""
+    dec = core_nilpotent(M)
+    return dec.drazin_inverse(), dec.index_k
+
 
 def test_drazin_identity():
     D, index = drazin_inverse(np.eye(3))

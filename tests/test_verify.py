@@ -21,7 +21,7 @@ from singwave.fixtures import (
     demo_problem,
     scalar_wave_problem,
 )
-from singwave.matrix_core import mitra_solve, rank_and_kernel
+from singwave.matrix_core import rank_and_kernel
 from singwave.pencil import build_pencil
 from singwave.solver import GridParams, ProblemSpec, solve_problem
 from singwave.verify import (
@@ -36,7 +36,7 @@ from singwave.verify import (
 )
 
 from random_matrices import random_real_rank_matrix
-from stacked_system import stacked_system
+from stacked_system import general_solution, stacked_system
 from stencil_oracle import interior_residual_oracle
 
 MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
@@ -312,7 +312,7 @@ def assert_march_matches_stack(spec):
     vanishes below level M) and the stack's own residual."""
     ref = brute_force_reference(spec)
     K, b = stacked_system(spec)
-    dense = mitra_solve(K, b, tol=1e-9)
+    dense = general_solution(K, b, tol=1e-9)
     assert dense.consistent
     N, M, m = spec.grid.N, spec.grid.M, spec.m
     U = dense.particular.reshape(N + 1, M + 1, m)
@@ -330,12 +330,16 @@ def assert_march_matches_stack(spec):
     assert abs(ref.residual - stack_residual) <= 1e-12 * scale
 
 
-def coupled_demo(rng):
+def coupled_demo(rng, unitary=False):
     """Two demo systems side by side, seen through a random orthogonal
-    change of variables u = Q v, so that all m = 6 components couple."""
+    (or, if ``unitary``, complex unitary) change of variables u = Q v,
+    so that all m = 6 components couple."""
     spec = demo_problem(4, 1.0 / 8.0, 0.5)
-    Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    mats = {key: Q @ np.kron(np.eye(2), getattr(spec, key)) @ Q.T
+    X = rng.standard_normal((6, 6))
+    if unitary:
+        X = X + 1j * rng.standard_normal((6, 6))
+    Q, _ = np.linalg.qr(X)
+    mats = {key: Q @ np.kron(np.eye(2), getattr(spec, key)) @ Q.conj().T
             for key in MATRIX_KEYS}
     return SimpleNamespace(
         m=6, grid=spec.grid, F=np.hstack([spec.F, 0.5 * spec.F]) @ Q.T,
@@ -381,6 +385,7 @@ def with_consistent_data(spec, rng):
     lambda rng: scalar_wave_problem(),
     lambda rng: demo_problem(4, 1.0 / 8.0, 0.5),
     coupled_demo,
+    lambda rng: coupled_demo(rng, unitary=True),
     lambda rng: demo_problem(4, 1.0 / 8.0, 1.0 / 8.0),   # M = 1
     lambda rng: scalar_wave_problem(4, 0.1, 0.1),        # M = 1
     lambda rng: demo_problem(4, 1.0 / 8.0, 0.25),        # M = 2
@@ -391,7 +396,7 @@ def with_consistent_data(spec, rng):
     lambda rng: with_consistent_data(random_singular(rng, 2), rng),
     lambda rng: with_consistent_data(random_singular(rng, 1), rng),
     lambda rng: with_consistent_data(random_singular(rng, 0), rng),
-], ids=["scalar", "demo", "coupled-m6", "demo-M1", "scalar-M1", "demo-M2",
+], ids=["scalar", "demo", "coupled-m6", "coupled-m6-complex", "demo-M1", "scalar-M1", "demo-M2",
         "scalar-N2", "demo-N2", "rank2-zero-data", "rank1-zero-data",
         "rank2-data", "rank1-data", "rank0-data"])
 def test_march_matches_dense_stack(make, rng):
@@ -404,7 +409,7 @@ def test_march_and_dense_stack_reject_inconsistent_data(rank, rng):
     spec.F = rng.standard_normal(spec.F.shape)
     spec.Gv = rng.standard_normal(spec.Gv.shape)
     K, b = stacked_system(spec)
-    assert not mitra_solve(K, b, tol=1e-9).consistent
+    assert not general_solution(K, b, tol=1e-9).consistent
     with pytest.raises(InconsistentSystem, match="levels 0 and 1"):
         brute_force_reference(spec)
 
@@ -419,7 +424,7 @@ def test_march_and_dense_stack_reject_late_inconsistency():
         F=np.array([[1.0], [0.0], [0.0]]), Gv=np.zeros((3, 1)),
         grid=GridParams.create(2, 0.25, 0.5))
     K, b = stacked_system(spec)
-    assert not mitra_solve(K, b, tol=1e-9).consistent
+    assert not general_solution(K, b, tol=1e-9).consistent
     with pytest.raises(InconsistentSystem, match="from level 2"):
         brute_force_reference(spec)
 
@@ -432,6 +437,17 @@ def test_reference_agrees_with_solver_at_realistic_size():
     assert reference_deviation(sol.U, ref, pd.projector, spec) <= 1e-6
 
 
+def test_reference_does_not_drift_from_the_solver():
+    # r = 0.5, M = 4N: round-off that the level map amplifies grows
+    # with M, and would show here far above 1e-11
+    spec = demo_problem(128, 0.5 / 128, 2.0)
+    assert (spec.grid.M, spec.grid.r) == (512, 0.5)
+    sol = solve_problem(spec)
+    ref = brute_force_reference(spec)
+    pd = build_pencil(spec.E, spec.A)
+    assert reference_deviation(sol.U, ref, pd.projector, spec) <= 1e-11
+
+
 def test_reference_rejects_singular_level_operator():
     # E and A both annihilate u2, so it enters no stencil row; the
     # clamped ends pin only its end values, and its interior values are
@@ -442,7 +458,7 @@ def test_reference_rejects_singular_level_operator():
         B1=eye, B2=zero, F=np.zeros((5, 2)), Gv=np.zeros((5, 2)),
         grid=GridParams.create(4, 0.1, 0.4))
     K, b = stacked_system(spec)
-    dense = mitra_solve(K, b, tol=1e-9)
+    dense = general_solution(K, b, tol=1e-9)
     # the dense stack's kernel reaches below the last level
     Z = dense.kernel.reshape(5, 5, 2, -1)
     assert np.abs(Z[:, 2]).max() > 0.1
