@@ -191,12 +191,15 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
             fh.write("".join(rows))
 
 
-def read_solution_csv(path: str) -> np.ndarray:
-    """Inverse of write_solution_csv; returns the (N+1, M+1, m) grid.
+def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
+    """Inverse of write_solution_csv; returns the problem's (N+1, M+1, m)
+    grid.
 
     Raises ParseError on text that is not UTF-8, a bad header, a malformed
-    or non-finite cell, an index that is not a non-negative integer, or
-    repeated or missing rows.
+    or non-finite cell, an index that is not a non-negative integer,
+    repeated or missing rows, or an x cell other than i/N or a t cell
+    other than j*k beyond round-off; ShapeError on a grid of another
+    shape than the problem's.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:  # readline decodes a whole buffer, not only the header
@@ -224,16 +227,26 @@ def read_solution_csv(path: str) -> np.ndarray:
         raise ParseError(f"{path}: grid indices must be integers "
                          f"from 0 to {rows - 1}")
     i, j = ij.T.astype(np.int64)
-    flat = i * (j.max() + 1) + j
+    nodes = (int(i.max()) + 1, int(j.max()) + 1)
+    flat = i * nodes[1] + j
     ordered = np.sort(flat)
     if (ordered[1:] == ordered[:-1]).any():
         raise ParseError(f"{path}: repeated grid rows")
-    if rows != (i.max() + 1) * (j.max() + 1):
+    if rows != nodes[0] * nodes[1]:
         raise ParseError(f"{path}: missing grid rows")
+    grid = spec.grid
+    expected = (grid.N + 1, grid.M + 1, spec.m)
+    if (*nodes, m) != expected:
+        raise ShapeError(f"solution grid {(*nodes, m)} does not match "
+                         f"problem {expected}")
+    tol = 1e-12 * max(1.0, grid.T)
+    if (np.abs(table[:, 2] - i / grid.N).max() > tol
+            or np.abs(table[:, 3] - j * grid.k).max() > tol):
+        raise ParseError(f"{path}: an x or t cell is not i/N or j*k")
     values = np.empty((rows, 2 * m))
     values[flat] = table[:, 4:]
     # viewing the float pairs keeps the sign of a -0.0 real part
-    return values.view(complex).reshape(i.max() + 1, j.max() + 1, m)
+    return values.view(complex).reshape(*nodes, m)
 
 
 def write_eigen_csv(eigenpairs: np.recarray, path: str) -> None:
@@ -284,10 +297,14 @@ def build_report(spec: ProblemSpec, sol: DiscreteSolution,
         pd = sol.pencil
         lines.append("== pencil ==")
         lines.append(f"gamma={pd.gamma}")
+        # a 0 for each inactive or nilpotent direction, then the active d
+        d = np.diagonal(pd.core)[pd.active]
+        spectrum = np.concatenate([np.zeros(spec.m - d.size),
+                                   d[np.argsort(np.abs(d), kind="stable")]])
         lines.append("reduced spectrum: "
-                     + " ".join(str(z) for z in pd.spectrum_reduced))
+                     + " ".join(str(z) for z in spectrum))
         lines.append(f"nilpotency index={pd.index_k} "
-                     f"core_active={pd.core_active}")
+                     f"core_active={bool(pd.active.any())}")
     if sol.boundary is not None:
         bm = sol.boundary
         lines.append("== endpoint matrix ==")
@@ -373,12 +390,8 @@ def run_verify(problem_path: str, solution_path: str,
     """Replay the residual oracle on a saved solution; exit 2 when it
     fails the residual gate at the problem's residual tolerance."""
     spec = parse_problem(problem_path)
-    U = read_solution_csv(solution_path)
-    expected = (spec.grid.N + 1, spec.grid.M + 1, spec.m)
-    if U.shape != expected:
-        raise ShapeError(
-            f"solution grid {U.shape} does not match problem {expected}")
-    rep, failure = _residual_gate(U, spec)
+    rep, failure = _residual_gate(read_solution_csv(solution_path, spec),
+                                  spec)
     if not quiet:
         print("\n".join(_residual_lines(rep)))
         print(f"FAIL: {failure}" if failure else "OK")

@@ -3,14 +3,14 @@
 Given square matrices E and A with E possibly singular, a shift gamma is
 chosen so that gamma*E + A is invertible.  The shifted pair
 Ehat = (gamma*E + A)^-1 E, Ahat = (gamma*E + A)^-1 A commutes, and the
-Drazin inverse of Ehat yields a projector onto the subspace where the
-two-level recurrence
+core-nilpotent split of Ehat yields the Drazin projector onto the
+subspace where the two-level recurrence
 
     Ehat G(j+1) - (2 Ehat + rho Ahat) G(j) + Ehat G(j-1) = 0
 
 has propagating solutions.  The propagators Z0, Z1 are the two roots of
 the associated quadratic, taken as triangular matrix functions of the
-reduced operator EhatD @ Ahat on the projector's range, so no eigenvector
+reduced operator's triangular core in that split, so no eigenvector
 basis is needed.
 """
 
@@ -39,13 +39,11 @@ _LADDER = [0.0] + [c for n in range(1, 9)
 
 
 def _cond1(M: np.ndarray) -> float:
+    """1-norm condition number of M; inf, or NaN, where it is singular."""
     try:
-        c = np.abs(np.linalg.cond(M, 1))
+        return float(np.abs(np.linalg.cond(M, 1)))
     except np.linalg.LinAlgError:
         return np.inf
-    if not np.isfinite(c):
-        return np.inf
-    return float(c)
 
 
 def _square_pair(E, A) -> tuple[np.ndarray, np.ndarray]:
@@ -81,24 +79,18 @@ def find_gamma(E, A) -> complex:
 
 @dataclass
 class PencilData:
-    """Shifted pair with its Drazin structure.
+    """Shifted pair as its core-nilpotent split.
 
     projector = basis @ coords and reduced = basis @ core @ coords, with
     orthonormal basis columns and core upper triangular.  active marks
-    the core diagonal entries d with |d| > band; the others count as 0,
-    in spectrum_reduced too.  core_active is False when none is active,
-    in which case the propagating subspace is trivial.
+    the core diagonal entries d with |d| > band; the others count as 0.
+    When none is active the propagating subspace is trivial.
     """
 
     gamma: complex
-    Ehat: np.ndarray
-    Ahat: np.ndarray
-    EhatD: np.ndarray
     projector: np.ndarray
     reduced: np.ndarray
-    spectrum_reduced: np.ndarray
     index_k: int
-    core_active: bool
     basis: np.ndarray
     coords: np.ndarray
     core: np.ndarray
@@ -132,41 +124,34 @@ class PropagatorPair:
 
 
 def build_pencil(E, A, tol: float = DEFAULT_RANK_TOL) -> PencilData:
-    """Form the shifted pair and its Drazin projector and reduced operator.
+    """Form the shifted pair's Drazin projector and reduced operator.
 
     With the shift gamma of find_gamma, S = gamma*E + A is invertible, and
-    Ehat = S^-1 E and Ahat = S^-1 A satisfy gamma*Ehat + Ahat = I, so the
-    two commute and share invariant subspaces with the projector
-    Ehat @ EhatD (SingularShift when the solves miss that identity).  One
-    core-nilpotent split of Ehat with core K gives EhatD and, as
-    EhatD Ahat = EhatD (I - gamma Ehat), the reduced operator's
-    triangular core K^-1 - gamma I.
+    Ehat = S^-1 E and Ahat = S^-1 A, from one solve, satisfy
+    gamma*Ehat + Ahat = I (SingularShift when the solve misses that
+    identity), so the two commute and share invariant subspaces.  One
+    core-nilpotent split T diag(K, N) T^-1 of Ehat gives the projector
+    Ehat EhatD = T diag(I, 0) T^-1 and, as EhatD Ahat = EhatD (I - gamma
+    Ehat), the reduced operator T diag(K^-1 - gamma I, 0) T^-1.
     """
     Em, Am = _square_pair(E, A)
     gamma = find_gamma(Em, Am)
-    S = gamma * Em + Am
-    Ehat = np.linalg.solve(S, Em)
-    Ahat = np.linalg.solve(S, Am)
     m = Em.shape[0]
+    shifted = np.linalg.solve(gamma * Em + Am, np.hstack([Em, Am]))
+    Ehat, Ahat = shifted[:, :m], shifted[:, m:]
     defect = one_norm(gamma * Ehat + Ahat - np.eye(m))
     if defect > 1e-8 * (1.0 + abs(gamma)):
         raise SingularShift(
             f"shifted solve inaccurate (identity defect {defect:.3e})")
     dec = core_nilpotent(Ehat, tol)
     basis, coords = dec.T[:, : dec.p], dec.T_inv[: dec.p]
-    EhatD = dec.drazin_inverse()
-    projector = Ehat @ EhatD
-    reduced = EhatD @ Ahat
     core = dec.core_inverse() - gamma * np.eye(dec.p)
     diag = np.arange(dec.p)
     d = core[diag, diag] = snap_real(core[diag, diag])
+    reduced = basis @ core @ coords
     band = tol * (1.0 + one_norm(reduced))
-    active = np.abs(d) > band
-    spectrum = np.concatenate([np.where(active, d, 0.0), np.zeros(dec.q)])
-    spectrum = spectrum[np.argsort(np.abs(spectrum), kind="stable")]
-    return PencilData(gamma, Ehat, Ahat, EhatD, projector, reduced,
-                      spectrum, dec.index_k, bool(active.any()), basis,
-                      coords, core, band, active)
+    return PencilData(gamma, basis @ coords, reduced, dec.index_k, basis,
+                      coords, core, band, np.abs(d) > band)
 
 
 def raise_on_not_hyperbolic(pd: PencilData) -> None:

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -180,7 +181,9 @@ def test_solution_csv_roundtrip(tmp_path):
     grid = GridParams.create(3, 0.5, 1.0)
     path = tmp_path / "solution.csv"
     write_solution_csv(U, grid, str(path))
-    back = read_solution_csv(str(path))
+    # the reader takes of the problem only its grid and m; the x and t
+    # cells the writer makes are those the grid gives
+    back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=2))
     # bit patterns, so that the sign of a zero counts
     assert back.shape == U.shape
     assert np.array_equal(back.view(np.int64), U.view(np.int64))
@@ -194,7 +197,7 @@ def test_solution_csv_spans_several_blocks(tmp_path, monkeypatch):
     grid = GridParams.create(2, 1e-3, 4.0)
     path = tmp_path / "solution.csv"
     write_solution_csv(U, grid, str(path))
-    back = read_solution_csv(str(path))
+    back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=1))
     assert np.array_equal(back.view(np.int64), U.view(np.int64))
     # the block size does not show in the bytes
     monkeypatch.setattr("singwave.cli._CSV_BLOCK", 7)
@@ -225,7 +228,7 @@ def test_solution_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ParseError):
-        read_solution_csv(str(path))
+        read_solution_csv(str(path), demo_problem())
 
 
 @pytest.mark.parametrize("values", ["a,b,c,d,e,f", "u0_im,u0_re,u1_re,u1_im,"
@@ -255,7 +258,7 @@ def test_solution_csv_rejects_missing_rows(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ParseError):
-        read_solution_csv(str(path))
+        read_solution_csv(str(path), scalar_wave_problem(2, 0.5, 0.5))
 
 
 def _edited_solution(tmp_path, edit):
@@ -280,7 +283,7 @@ def _edited_solution(tmp_path, edit):
 def test_solution_csv_rejects_malformed_rows(tmp_path, edit):
     path = _edited_solution(tmp_path, edit)
     with pytest.raises(ParseError):
-        read_solution_csv(path)
+        read_solution_csv(path, scalar_wave_problem(2, 0.5, 0.5))
 
 
 def test_verify_malformed_solution_exits_3(tmp_path, capsys):
@@ -311,9 +314,48 @@ def test_verify_rejects_a_non_finite_cell(tmp_path, node):
     body[node[0] * 5 + node[1]] = ",".join(row)
     path.write_text("\n".join([header, *body]) + "\n")
     with pytest.raises(ParseError):
-        read_solution_csv(str(path))
+        read_solution_csv(str(path), parse_problem(str(problem)))
     assert main(["verify", "--input", str(problem), "--solution",
                  str(path), "--quiet"]) == 3
+
+
+@pytest.mark.parametrize("cells", [("123.0", "-7.5"), ("123.0", "0.0"),
+                                   ("0.0", "1e-9")],
+                         ids=["x-and-t", "x", "t"])
+def test_verify_rejects_x_or_t_off_the_grid(tmp_path, capsys, cells):
+    # an x cell must be i/N and a t cell j*k of the problem's grid
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "solution.csv"
+    header, first, *rest = path.read_text().splitlines()
+    row = first.split(",")
+    assert row[:4] == ["0", "0", "0.0", "0.0"]
+    row[2:4] = cells
+    path.write_text("\n".join([header, ",".join(row), *rest]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(path), "--quiet"]) == 3
+    assert "x or t cell" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("other, message", [
+    (demo_problem(5, 0.125, 0.5), "(5, 5, 3) does not match problem (6, 5"),
+    (demo_problem(4, 0.125, 0.625), "(5, 5, 3) does not match problem (5, 6"),
+    (scalar_wave_problem(4, 0.125, 0.5), "does not match problem (5, 5, 1)"),
+], ids=["N", "M", "m"])
+def test_verify_rejects_a_solution_of_another_grid(tmp_path, capsys, other,
+                                                   message):
+    problem = tmp_path / "problem.json"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    write_problem(other, str(problem))
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem), "--solution",
+                 str(tmp_path / "solution.csv"), "--quiet"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_verify_gate_fails_a_nan_residual(tmp_path, monkeypatch):
@@ -589,7 +631,8 @@ def test_solve_jordan_reduced_matches_explicit_march(tmp_path):
     assert main(["solve", "--input", str(problem),
                  "--out-dir", str(tmp_path), "--quiet"]) == 0
     assert "ACCEPTED" in (tmp_path / "report.txt").read_text()
-    U = read_solution_csv(str(tmp_path / "solution.csv"))
+    U = read_solution_csv(str(tmp_path / "solution.csv"),
+                          parse_problem(str(problem)))
 
     N, k, M = doc["N"], doc["k"], 4
     r2 = (k * N) ** 2

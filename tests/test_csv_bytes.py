@@ -168,5 +168,5 @@ def test_solve_writes_the_oracle_bytes(tmp_path):
     assert written.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
     assert ((tmp_path / "eigen.csv").read_bytes()
             == (tmp_path / "oracle_eigen.csv").read_bytes())
-    back = read_solution_csv(str(written))
+    back = read_solution_csv(str(written), spec)
     assert np.array_equal(back.view(np.int64), U.view(np.int64))

@@ -20,6 +20,7 @@ from singwave.pencil import (
 )
 
 from random_matrices import make_rng
+from shifted_pair import active_spectrum, shifted_pair
 
 
 GOLDEN_EHAT = np.array([[1.0, 0.0, 1.0],
@@ -86,14 +87,16 @@ def test_build_pencil_golden_matrices():
     E, A = demo_EA()
     pd = build_pencil(E, A)
     assert pd.gamma == 1.0
-    assert_allclose(pd.Ehat, GOLDEN_EHAT, atol=1e-12)
-    assert_allclose(pd.Ahat, GOLDEN_AHAT, atol=1e-12)
-    assert_allclose(pd.EhatD, GOLDEN_EHATD, atol=1e-12)
+    Ehat, Ahat, EhatD = shifted_pair(E, A, pd.gamma)
+    assert_allclose(Ehat, GOLDEN_EHAT, atol=1e-12)
+    assert_allclose(Ahat, GOLDEN_AHAT, atol=1e-12)
+    assert_allclose(EhatD, GOLDEN_EHATD, atol=1e-12)
     assert_allclose(pd.projector, GOLDEN_PROJECTOR, atol=1e-12)
     assert_allclose(pd.reduced, GOLDEN_REDUCED, atol=1e-12)
-    assert_allclose(sorted(np.abs(pd.spectrum_reduced)), [0.0, 0.0, 1.0],
-                    atol=1e-12)
-    assert pd.core_active
+    active, zeros = active_spectrum(pd)
+    assert zeros == 2
+    assert_allclose(np.abs(active), [1.0], atol=1e-12)
+    assert pd.active.any()
 
 
 def test_build_pencil_invertible_mass():
@@ -101,22 +104,32 @@ def test_build_pencil_invertible_mass():
     A = np.diag([1.0, 2.0, 3.0])
     pd = build_pencil(E, A)
     assert_allclose(pd.reduced, A, atol=1e-12)
-    assert_allclose(pd.EhatD @ pd.Ehat, np.eye(3), atol=1e-12)
+    Ehat, _, EhatD = shifted_pair(E, A, pd.gamma)
+    assert_allclose(EhatD @ Ehat, np.eye(3), atol=1e-12)
     assert_allclose(pd.projector, np.eye(3), atol=1e-12)
     assert pd.index_k <= 1
 
 
 def test_build_pencil_zero_mass():
     pd = build_pencil(np.zeros((2, 2)), np.eye(2))
-    assert_allclose(pd.Ehat, 0.0, atol=1e-14)
+    Ehat, _, _ = shifted_pair(np.zeros((2, 2)), np.eye(2), pd.gamma)
+    assert_allclose(Ehat, 0.0, atol=1e-14)
     assert_allclose(pd.projector, 0.0, atol=1e-14)
-    assert not pd.core_active
+    assert not pd.active.any()
 
 
 
 def _orthogonal(rng, m):
     Q, R = np.linalg.qr(rng.standard_normal((m, m)))
     return Q * np.sign(np.diag(R))
+
+
+def _assert_split_matches_shifted_pair(pd, E, A):
+    # the projector and reduced operator built from the core-nilpotent
+    # split are Ehat EhatD and EhatD Ahat
+    Ehat, Ahat, EhatD = shifted_pair(E, A, pd.gamma)
+    assert_allclose(pd.projector, Ehat @ EhatD, atol=1e-12)
+    assert_allclose(pd.reduced, EhatD @ Ahat, atol=1e-12)
 
 
 def test_coupled_pencil_reports_index_1():
@@ -127,7 +140,10 @@ def test_coupled_pencil_reports_index_1():
     Q = _orthogonal(make_rng(7), 12)
     pd = build_pencil(Q @ E @ Q.T, Q @ A @ Q.T)
     assert pd.index_k == 1
-    assert_allclose(pd.spectrum_reduced, [0.0] * 8 + [1.0] * 4, atol=1e-12)
+    active, zeros = active_spectrum(pd)
+    assert zeros == 8
+    assert_allclose(active, [1.0] * 4, atol=1e-12)
+    _assert_split_matches_shifted_pair(pd, Q @ E @ Q.T, Q @ A @ Q.T)
     # the inactive core diagonal holds round-off d < 0, which a raw sign
     # test would reject; within the pencil's band the pair is hyperbolic
     d = np.diagonal(pd.core)
@@ -143,22 +159,28 @@ def test_rotated_index_2_pencil():
     E[0, 1] = 1.0
     E[2:, 2:] = np.eye(3)
     A = np.diag([1.0, 1.0, 2.0, 1.0, 1.0])
-    spectrum = [0.0, 0.0, 1.0, 1.0, 2.0]
+    spectrum = [1.0, 1.0, 2.0]  # and two zeros
     pd = build_pencil(E, A)
     assert pd.index_k == 2
-    assert_allclose(pd.spectrum_reduced, spectrum, atol=1e-12)
+    active, zeros = active_spectrum(pd)
+    assert zeros == 2
+    assert_allclose(active, spectrum, atol=1e-12)
     rng = make_rng(11)
     for _ in range(200):
         Q = _orthogonal(rng, 5)
         pd = build_pencil(Q @ E @ Q.T, Q @ A @ Q.T)
         assert pd.index_k == 2
-        assert_allclose(pd.spectrum_reduced, spectrum, atol=1e-12)
+        active, zeros = active_spectrum(pd)
+        assert zeros == 2
+        assert_allclose(active, spectrum, atol=1e-12)
+        _assert_split_matches_shifted_pair(pd, Q @ E @ Q.T, Q @ A @ Q.T)
 
 
 def test_build_pencil_identity_defect():
     E, A = demo_EA()
     pd = build_pencil(E, A)
-    defect = one_norm(pd.gamma * pd.Ehat + pd.Ahat - np.eye(3))
+    Ehat, Ahat, _ = shifted_pair(E, A, pd.gamma)
+    defect = one_norm(pd.gamma * Ehat + Ahat - np.eye(3))
     assert defect <= 1e-10
 
 
@@ -166,10 +188,11 @@ def test_build_pencil_projector_invariants():
     E, A = demo_EA()
     pd = build_pencil(E, A)
     P = pd.projector
+    Ehat, _, EhatD = shifted_pair(E, A, pd.gamma)
     assert_allclose(P @ P, P, atol=1e-12)
     assert_allclose(P @ pd.reduced, pd.reduced @ P, atol=1e-12)
-    assert_allclose(P @ pd.Ehat, pd.Ehat, atol=1e-12)
-    assert_allclose(pd.Ehat @ pd.EhatD, pd.EhatD @ pd.Ehat, atol=1e-12)
+    assert_allclose(P @ Ehat, Ehat, atol=1e-12)
+    assert_allclose(Ehat @ EhatD, EhatD @ Ehat, atol=1e-12)
 
 
 # ----------------------------------------------------- step-size admissibility
@@ -236,7 +259,7 @@ def test_propagators_degenerate_rho_rejected():
     # at rho = 0 both roots are 1 on the active d = 1; the mode solve
     # names it as RhoDegenerate from the root table's coincide mask
     pd = build_pencil(*demo_EA())
-    active = pd.spectrum_reduced[pd.spectrum_reduced != 0.0]
+    active = np.diagonal(pd.core)[pd.active]
     assert_allclose(coinciding_d(pd, 0.0), active, atol=1e-12)
 
 

@@ -14,7 +14,8 @@ example`` runs once.
 Prints every exit code and every output file that differs (the fixture
 problem files, ``problem.json`` of ``example``, ``solution.csv``,
 ``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt`` and
-``verify``'s stdout), then a summary.
+``verify``'s stdout), with the differing lines of a differing
+``report.txt`` or ``verify.out``, then a summary.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -23,6 +24,7 @@ and numpy only.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import importlib.util
 import io
 import json
@@ -38,6 +40,7 @@ FIXTURES = ("demo_problem", "scalar_wave_problem",
             "reject_full_rank", "reject_rho_degenerate")
 OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out",
            os.path.join("eigen", "eigen.csv"))
+TEXT_OUTPUTS = ("report.txt", "verify.out")
 SEED = 7
 
 
@@ -100,6 +103,14 @@ def _read(path: str):
         return fh.read()
 
 
+def print_line_diff(old: bytes, new: bytes) -> None:
+    """Print the lines removed (-) and added (+) between two texts, with
+    their hunk positions and no context."""
+    lines = [text.decode("utf-8").splitlines() for text in (old, new)]
+    for line in list(difflib.unified_diff(*lines, n=0, lineterm=""))[2:]:
+        print(f"    {line}")
+
+
 def compare(old_dir: str, new_dir: str) -> int:
     """Print the differences between two tree runs; returns their count."""
     codes = [json.loads(_read(os.path.join(d, "codes.json")))
@@ -120,6 +131,8 @@ def compare(old_dir: str, new_dir: str) -> int:
             print(f"DIFFERENT {rel}: "
                   f"{'absent' if old is None else len(old)} -> "
                   f"{'absent' if new is None else len(new)} bytes")
+            if rel.endswith(TEXT_OUTPUTS) and None not in (old, new):
+                print_line_diff(old, new)
     present = sum(_read(os.path.join(new_dir, rel)) is not None
                   for rel in files)
     print(f"{len(codes[0]) - 1} inputs, {present} output files present, "
