@@ -39,10 +39,14 @@ from .solver import (
 from .sturm_liouville import solve_psd
 from .verify import ResidualReport, residual_report
 
-# grid values per block of write_solution_csv (_CSV_BLOCK // m nodes, which
-# may start and end inside an i row); it holds the text of one block at a
+# grid values per block of _write_nodes (_CSV_BLOCK // m nodes, which may
+# start and end inside an i row); it holds the text of one block at a
 # time, so its memory is flat in N, M, m
 _CSV_BLOCK = 4096
+# grid values (2m per node) from which write_solution_csv formats the
+# second half of the nodes in a forked process; below it the fork costs
+# more than it saves (BENCH_27.json holds the break-even ladder)
+_CSV_SPLIT = 2 ** 16
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
 
@@ -146,9 +150,11 @@ def _solution_header(m: int) -> List[str]:
                                    for part in ("re", "im")]
 
 
-def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
-    """Grid values, one row per (i, j), i outer; shortest-round-trip
-    (repr) decimal text and CRLF line ends.
+def _write_nodes(fh, values: np.ndarray, grid: GridParams, lo: int,
+                 hi: int) -> None:
+    """Write the rows of nodes lo to hi - 1 of a solution table; values
+    holds each node's real and imaginary parts interleaved, one row per
+    node, and node i*(M + 1) + j is (i, j).
 
     Each value column of a block is formatted once per run of equal
     values, so a column of zeros (the imaginary parts of a real grid,
@@ -156,39 +162,111 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     per block; a value that repeats apart from its run is formatted
     again, to the same text.  A block's rows are grouped by i,
     and "i," and ",x," with x = i/N are formatted once per group.  The
-    texts of j and t = j*k are formatted once per file when all M + 1
+    texts of j and t = j*k are formatted once per call when all M + 1
     levels fit in one block, and else once per node, so that the memory
-    held stays flat in N, M and m.
+    held stays flat in N, M and m.  A row's text does not depend on the
+    block it falls in, so a table written in any split of its node range
+    has the same bytes.
     """
-    N, M, m = U.shape[0] - 1, U.shape[1] - 1, U.shape[2]
-    # real and imaginary parts interleaved, one row per node
-    values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
-        -1, 2 * m)
+    N, M, m = grid.N, grid.M, values.shape[1] // 2
     step = max(1, _CSV_BLOCK // m)
     t = np.arange(M + 1) * grid.k
     if M < step:
         js, ts = list(map(str, range(M + 1))), list(map(repr, t.tolist()))
+    for start in range(lo, hi, step):
+        stop = min(start + step, hi)
+        vals = list(map(",".join, zip(*map(
+            _repr_runs, values[start:stop].T))))
+        rows = []
+        for i in range(start // (M + 1), (stop - 1) // (M + 1) + 1):
+            # nodes a to b of the block lie on row i, at levels j0 to j1
+            a = max(start, i * (M + 1))
+            b = min(stop, (i + 1) * (M + 1))
+            j0, j1 = a - i * (M + 1), b - i * (M + 1)
+            head, mid = f"{i},", f",{i / N!r},"
+            if M < step:
+                jt, tt = js[j0:j1], ts[j0:j1]
+            else:
+                jt = map(str, range(j0, j1))
+                tt = map(repr, t[j0:j1].tolist())
+            rows += [f"{head}{j}{mid}{tj},{v}\r\n" for j, tj, v in zip(
+                jt, tt, vals[a - start:b - start])]
+        fh.write("".join(rows))
+
+
+def _split_writer() -> bool:
+    """Whether this process can fork a writer that runs beside it."""
+    return (hasattr(os, "fork") and hasattr(os, "memfd_create")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _write_nodes_in_two(fh, values: np.ndarray, grid: GridParams) -> None:
+    """Write every node's row, the second half formatted by a forked child.
+
+    The child writes nodes n/2 to n - 1 into an in-memory file with no
+    name (a memfd) and ends with os._exit; meanwhile this process writes
+    nodes 0 to n/2 - 1 into fh.  It then waits for the child and appends
+    the child's bytes with sendfile, which copies them inside the kernel,
+    so neither process holds more than one block of text.  The child is
+    reaped on every path: on an exception here, KeyboardInterrupt
+    included, it is killed first.  A child that does not exit 0 raises
+    OSError.  The child runs only _write_nodes (no BLAS routine, no lock
+    that another thread may hold), so forking a process with other
+    threads, such as a BLAS pool, is safe here: the DeprecationWarning
+    that os.fork gives then (Python 3.12 and later) is ignored.
+    """
+    half = len(values) // 2
+    part = os.memfd_create("singwave-solution-part")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(part, "w", encoding="utf-8", newline="",
+                          closefd=False) as out:
+                    _write_nodes(out, values, grid, half, len(values))
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            _write_nodes(fh, values, grid, 0, half)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except BaseException:
+            import signal  # here, so that importing this module loads no more
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status != 0:
+            raise OSError(f"the process writing the second half of the "
+                          f"solution table exited with {status}")
+        fh.flush()
+        offset = 0
+        while sent := os.sendfile(fh.fileno(), part, offset, 1 << 20):
+            offset += sent
+    finally:
+        os.close(part)
+
+
+def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
+    """Grid values, one row per (i, j), i outer; shortest-round-trip
+    (repr) decimal text and CRLF line ends.
+
+    _write_nodes formats the rows.  A grid of at least _CSV_SPLIT float
+    values is written by this process and a forked one, each formatting
+    half of the nodes (_write_nodes_in_two), where _split_writer allows;
+    the bytes are those of one process.
+    """
+    # real and imaginary parts interleaved, one row per node
+    values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
+        -1, 2 * U.shape[2])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_solution_header(m)) + "\r\n")
-        for start in range(0, len(values), step):
-            stop = min(start + step, len(values))
-            vals = list(map(",".join, zip(*map(
-                _repr_runs, values[start:stop].T))))
-            rows = []
-            for i in range(start // (M + 1), (stop - 1) // (M + 1) + 1):
-                # nodes a to b of the block lie on row i, at levels j0 to j1
-                a = max(start, i * (M + 1))
-                b = min(stop, (i + 1) * (M + 1))
-                j0, j1 = a - i * (M + 1), b - i * (M + 1)
-                head, mid = f"{i},", f",{i / N!r},"
-                if M < step:
-                    jt, tt = js[j0:j1], ts[j0:j1]
-                else:
-                    jt = map(str, range(j0, j1))
-                    tt = map(repr, t[j0:j1].tolist())
-                rows += [f"{head}{j}{mid}{tj},{v}\r\n" for j, tj, v in zip(
-                    jt, tt, vals[a - start:b - start])]
-            fh.write("".join(rows))
+        fh.write(",".join(_solution_header(U.shape[2])) + "\r\n")
+        if values.size >= _CSV_SPLIT and _split_writer():
+            _write_nodes_in_two(fh, values, grid)
+        else:
+            _write_nodes(fh, values, grid, 0, len(values))
 
 
 def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
@@ -353,7 +431,9 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     rejection condition.  A grid that fails the residual gate, which
     verify applies too, is a NumericalFailure (residual-gate) and writes
     no solution.csv.  A solve that writes none removes one left by an
-    earlier run, which verify would otherwise read as this run's grid.
+    earlier run, which verify would otherwise read as this run's grid,
+    and a write that fails removes the part it wrote before the error
+    propagates.
     """
     os.makedirs(out_dir, exist_ok=True)
     sol = DiscreteSolution()
@@ -371,11 +451,15 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     if sol.eigenpairs is not None:
         write_eigen_csv(sol.eigenpairs, os.path.join(out_dir, "eigen.csv"))
     solution = os.path.join(out_dir, "solution.csv")
-    if error is None:
-        write_solution_csv(sol.U, spec.grid, solution)
-    else:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(solution)
+    written = False
+    try:
+        if error is None:
+            write_solution_csv(sol.U, spec.grid, solution)
+            written = True
+    finally:
+        if not written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(solution)
     report = build_report(spec, sol, residuals, error)
     with open(os.path.join(out_dir, "report.txt"), "w",
               encoding="utf-8", newline="\n") as fh:

@@ -1,9 +1,9 @@
 """Dense complex matrix algebra on numpy alone.
 
 Norms, minimum-norm solves and kernel bases, core-nilpotent splittings
-with their Drazin inverse, and principal square roots of stacks of
-upper-triangular matrices (the Schur method, which needs no eigenvector
-basis).  Everything works on plain numpy arrays and is a pure function
+(whose triangular core the pencil inverts), and principal square roots
+of stacks of upper-triangular matrices (the Schur method, which needs no
+eigenvector basis).  Everything works on plain numpy arrays and is a pure function
 of its inputs.  Numerical rank comes from an SVD.  _svd_rank counts the
 singular values above a relative tolerance times the largest of their
 matrix, and min_norm_solve inverts just those: min_norm_solve(A, B)
@@ -145,11 +145,6 @@ class CoreNilpotentDecomposition:
         """C^-1, upper triangular like C: LU with partial pivoting makes no
         row exchange on a triangular matrix."""
         return np.linalg.solve(self.C, np.eye(self.p, dtype=complex))
-
-    def drazin_inverse(self) -> np.ndarray:
-        """The Drazin inverse T diag(C^-1, 0) T^-1 of the split matrix: the
-        core block inverted and the nilpotent one annihilated."""
-        return self.T[:, : self.p] @ self.core_inverse() @ self.T_inv[: self.p]
 
     def reconstruct(self) -> np.ndarray:
         m = self.p + self.q

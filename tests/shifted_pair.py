@@ -1,9 +1,16 @@
-"""The shifted pair of a pencil, formed apart from build_pencil, so that
-the tests can check the projector and reduced operator it stores."""
+"""The shifted pair of a pencil and the Drazin inverse of a
+core-nilpotent split, formed apart from build_pencil, so that the tests
+can check the projector and reduced operator it stores."""
 
 import numpy as np
 
 from singwave.matrix_core import core_nilpotent
+
+
+def drazin_inverse(dec):
+    """The Drazin inverse T diag(C^-1, 0) T^-1 of a core-nilpotent split:
+    the core block inverted and the nilpotent one annihilated."""
+    return dec.T[:, : dec.p] @ dec.core_inverse() @ dec.T_inv[: dec.p]
 
 
 def shifted_pair(E, A, gamma):
@@ -11,7 +18,8 @@ def shifted_pair(E, A, gamma):
     inverse EhatD of Ehat, each from its own solve or split."""
     S = gamma * E + A
     Ehat = np.linalg.solve(S, E)
-    return Ehat, np.linalg.solve(S, A), core_nilpotent(Ehat).drazin_inverse()
+    return (Ehat, np.linalg.solve(S, A),
+            drazin_inverse(core_nilpotent(Ehat)))
 
 
 def active_spectrum(pd):

@@ -30,7 +30,7 @@ from singwave.verify import (
 
 from power_norms import power_norms
 from random_matrices import make_rng, random_rank_matrix
-from shifted_pair import shifted_pair
+from shifted_pair import drazin_inverse, shifted_pair
 
 
 def test_criterion_1_golden_pencil_matrices():
@@ -82,7 +82,7 @@ def test_criterion_2_random_inverse_axioms():
         assert one_norm(A @ G @ A - A) <= 1e-9 * (1.0 + scale)
 
         dec = core_nilpotent(A)
-        D, index = dec.drazin_inverse(), dec.index_k
+        D, index = drazin_inverse(dec), dec.index_k
         assert one_norm(A @ D - D @ A) <= 1e-9 * (1.0 + scale * one_norm(D))
         assert one_norm(D @ A @ D - D) <= 1e-9 * (1.0 + one_norm(D))
         Ak = np.linalg.matrix_power(A, index)

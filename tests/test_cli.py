@@ -16,6 +16,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import singwave
+from singwave import cli
 from singwave.cli import (
     _make_parser,
     main,
@@ -580,6 +581,37 @@ def test_rejected_solve_removes_an_earlier_solution(tmp_path, monkeypatch,
     assert main(["verify", "--input", str(problem),
                  "--solution", str(tmp_path / "solution.csv"),
                  "--quiet"]) == 3
+
+
+@pytest.mark.skipif(not cli._split_writer(),
+                    reason="needs os.fork, os.memfd_create and two CPUs")
+@pytest.mark.parametrize("side, exc", [
+    ("child", OSError), ("parent", OSError), ("parent", KeyboardInterrupt)],
+    ids=["child-fails", "parent-fails", "parent-interrupted"])
+def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
+    # a two-process write that fails on either side leaves no truncated
+    # solution.csv, no part file and no child process behind
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    parent, write_nodes = os.getpid(), cli._write_nodes
+
+    def failing(fh, values, grid, lo, hi):
+        if (os.getpid() != parent) == (side == "child"):
+            raise exc("forced failure")
+        write_nodes(fh, values, grid, lo, hi)
+
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(cli, "_write_nodes", failing)
+    solve = ["solve", "--input", str(problem), "--out-dir", str(out),
+             "--quiet"]
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(solve)
+    else:
+        assert main(solve) == 3
+    assert os.listdir(out) == ["eigen.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _solve_and_read_imaginary_cells(spec, tmp_path):

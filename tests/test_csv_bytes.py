@@ -1,9 +1,12 @@
 """The CSV writers against the ``csv.writer`` oracle, byte for byte."""
 
+import os
+
 import numpy as np
 import pytest
 
 from csv_oracle import eigen_csv_oracle, solution_csv_oracle
+from singwave import cli
 from singwave.cli import (
     main,
     read_solution_csv,
@@ -96,6 +99,15 @@ def _block_inside_row():
     return U, GridParams.create(2, 1e-3, 2.0)
 
 
+def _split_inside_row_and_zero_run():
+    # m = 2 gives blocks of 2048 nodes, fewer than the 2501 levels; the
+    # middle node 7503 // 2 = 3751, where a two-process write splits, is
+    # (1, 1250): inside row 1 and inside a run of -0.0 in every column
+    U = _pool_values((3, 2501, 2), seed=11)
+    U.reshape(-1, 2)[3740:3760] = complex(-0.0, -0.0)
+    return U, GridParams.create(2, 1e-3, 2.5)
+
+
 CASES = {
     "signed-zeros": _signed_zeros,
     "zero-column": _zero_column,
@@ -117,7 +129,12 @@ CASES = {
     "alternating": _alternating,
     "signed-zero-runs": _signed_zero_runs,
     "block-inside-row": _block_inside_row,
+    "split-inside-row-and-zero-run": _split_inside_row_and_zero_run,
 }
+# where the process may fork a writer that runs beside it
+TWO_PROCESSES = pytest.mark.skipif(
+    not cli._split_writer(), reason="needs os.fork, os.memfd_create and "
+                                    "two CPUs")
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -127,6 +144,15 @@ def test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path):
     solution_csv_oracle(U, grid, str(expected))
     write_solution_csv(U, grid, str(written))
     assert written.read_bytes() == expected.read_bytes()
+
+
+@TWO_PROCESSES
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_split_solution_csv_matches_the_csv_writer_oracle(case, tmp_path,
+                                                         monkeypatch):
+    # every case written by two processes, each formatting half the nodes
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path)
 
 
 def test_oracle_cases_hold_what_they_name(tmp_path):
@@ -152,21 +178,47 @@ def test_oracle_cases_hold_what_they_name(tmp_path):
     U, _ = _block_inside_row()
     levels, step = U.shape[1], 4096 // U.shape[2]
     assert step < levels < 2 * step
+    U, _ = _split_inside_row_and_zero_run()
+    levels, step = U.shape[1], cli._CSV_BLOCK // U.shape[2]
+    i, j = divmod(U.shape[0] * levels // 2, levels)
+    assert levels >= step and 0 < j < levels - 1
+    bits = U.view(np.int64).reshape(-1, 2 * U.shape[2])
+    middle = i * levels + j
+    assert (bits[middle - 1:middle + 1] == negative_zero).all()
 
 
 def test_solve_writes_the_oracle_bytes(tmp_path):
-    spec = demo_problem()
+    _solve_against_the_oracle(demo_problem(), tmp_path, tmp_path)
+
+
+@TWO_PROCESSES
+def test_solve_above_the_split_writes_the_oracle_bytes(tmp_path):
+    # 65 x 257 nodes of 3 components: 100230 values, which two processes
+    # write; only the three outputs are left, and no child process
+    spec = demo_problem(64, 1.0 / 256, 1.0)
+    assert 2 * spec.m * 65 * 257 >= cli._CSV_SPLIT
+    out = tmp_path / "out"
+    _solve_against_the_oracle(spec, tmp_path, out)
+    assert sorted(os.listdir(out)) == ["eigen.csv", "report.txt",
+                                       "solution.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _solve_against_the_oracle(spec, tmp_path, out):
+    """Solve spec through the CLI into out; its solution.csv and
+    eigen.csv must be the oracles' bytes and read back bit for bit."""
     problem = tmp_path / "problem.json"
     write_problem(spec, str(problem))
     assert main(["solve", "--input", str(problem), "--out-dir",
-                 str(tmp_path), "--quiet"]) == 0
+                 str(out), "--quiet"]) == 0
     U = solve_problem(spec).U
     solution_csv_oracle(U, spec.grid, str(tmp_path / "oracle.csv"))
     eigen_csv_oracle(solve_psd(spec.sl_problem()),
                      str(tmp_path / "oracle_eigen.csv"))
-    written = tmp_path / "solution.csv"
+    written = out / "solution.csv"
     assert written.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    assert ((tmp_path / "eigen.csv").read_bytes()
+    assert ((out / "eigen.csv").read_bytes()
             == (tmp_path / "oracle_eigen.csv").read_bytes())
     back = read_solution_csv(str(written), spec)
     assert np.array_equal(back.view(np.int64), U.view(np.int64))

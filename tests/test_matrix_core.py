@@ -24,6 +24,7 @@ from random_matrices import (
     random_rank_matrix,
     random_real_rank_matrix,
 )
+from shifted_pair import drazin_inverse as split_drazin_inverse
 from stacked_system import general_solution
 
 
@@ -320,7 +321,7 @@ def test_core_nilpotent_perturbed_jordan_stress():
 def drazin_inverse(M):
     """The Drazin inverse and index from one core-nilpotent split."""
     dec = core_nilpotent(M)
-    return dec.drazin_inverse(), dec.index_k
+    return split_drazin_inverse(dec), dec.index_k
 
 
 def test_drazin_identity():

@@ -15,7 +15,11 @@ Prints every exit code and every output file that differs (the fixture
 problem files, ``problem.json`` of ``example``, ``solution.csv``,
 ``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt`` and
 ``verify``'s stdout), with the differing lines of a differing
-``report.txt`` or ``verify.out``, then a summary.
+``report.txt`` or ``verify.out``, then every file that either tree left
+in an input's run directory beyond those outputs (such as a leaked part
+file of a solution table), each counted as a difference, then a summary.
+Problem 0 of ``demo-large`` (397062 grid values) is the input whose
+``solution.csv`` is written by two processes.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -133,6 +137,18 @@ def compare(old_dir: str, new_dir: str) -> int:
                   f"{'absent' if new is None else len(new)} bytes")
             if rel.endswith(TEXT_OUTPUTS) and None not in (old, new):
                 print_line_diff(old, new)
+    for tag, tree in (("old", old_dir), ("new", new_dir)):
+        for name in codes[0]:
+            if name == "example":
+                continue
+            run_dir = os.path.join(tree, name)
+            for base, _, names in os.walk(run_dir):
+                for leftover in names:
+                    rel = os.path.relpath(os.path.join(base, leftover),
+                                          run_dir)
+                    if rel not in OUTPUTS:
+                        diffs += 1
+                        print(f"LEFT OVER in {tag} {name}: {rel}")
     present = sum(_read(os.path.join(new_dir, rel)) is not None
                   for rel in files)
     print(f"{len(codes[0]) - 1} inputs, {present} output files present, "
