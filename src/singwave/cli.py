@@ -43,9 +43,9 @@ from .verify import ResidualReport, residual_report
 # start and end inside an i row); it holds the text of one block at a
 # time, so its memory is flat in N, M, m
 _CSV_BLOCK = 4096
-# grid values (2m per node) from which write_solution_csv formats the
-# second half of the nodes in a forked process; below it the fork costs
-# more than it saves (BENCH_27.json holds the break-even ladder)
+# grid values (2m per node) from which a forked process writes and reads
+# the second half of the nodes of solution.csv; below it the fork costs
+# more than it saves (BENCH_27.json, BENCH_28.json: break-even ladders)
 _CSV_SPLIT = 2 ** 16
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
@@ -152,9 +152,9 @@ def _solution_header(m: int) -> List[str]:
 
 def _write_nodes(fh, values: np.ndarray, grid: GridParams, lo: int,
                  hi: int) -> None:
-    """Write the rows of nodes lo to hi - 1 of a solution table; values
-    holds each node's real and imaginary parts interleaved, one row per
-    node, and node i*(M + 1) + j is (i, j).
+    """Write the rows of nodes lo to hi - 1 of a solution table to the
+    binary file fh; values holds each node's real and imaginary parts
+    interleaved, one row per node, and node i*(M + 1) + j is (i, j).
 
     Each value column of a block is formatted once per run of equal
     values, so a column of zeros (the imaginary parts of a real grid,
@@ -191,32 +191,27 @@ def _write_nodes(fh, values: np.ndarray, grid: GridParams, lo: int,
                 tt = map(repr, t[j0:j1].tolist())
             rows += [f"{head}{j}{mid}{tj},{v}\r\n" for j, tj, v in zip(
                 jt, tt, vals[a - start:b - start])]
-        fh.write("".join(rows))
+        fh.write("".join(rows).encode())
 
 
-def _split_writer() -> bool:
-    """Whether this process can fork a writer that runs beside it."""
+def _two_processes() -> bool:
+    """Whether this process can fork a second one that runs beside it."""
     return (hasattr(os, "fork") and hasattr(os, "memfd_create")
             and len(os.sched_getaffinity(0)) >= 2)
 
 
-def _write_nodes_in_two(fh, values: np.ndarray, grid: GridParams) -> None:
-    """Write every node's row, the second half formatted by a forked child.
+@contextlib.contextmanager
+def _in_two(child, parent):
+    """Run child(out) in a forked process beside parent() in this one;
+    out is a binary file on part, a file with no name (a memfd).  The
+    with block gets parent()'s result and part, closed when it ends.
 
-    The child writes nodes n/2 to n - 1 into an in-memory file with no
-    name (a memfd) and ends with os._exit; meanwhile this process writes
-    nodes 0 to n/2 - 1 into fh.  It then waits for the child and appends
-    the child's bytes with sendfile, which copies them inside the kernel,
-    so neither process holds more than one block of text.  The child is
-    reaped on every path: on an exception here, KeyboardInterrupt
-    included, it is killed first.  A child that does not exit 0 raises
-    OSError.  The child runs only _write_nodes (no BLAS routine, no lock
-    that another thread may hold), so forking a process with other
-    threads, such as a BLAS pool, is safe here: the DeprecationWarning
-    that os.fork gives then (Python 3.12 and later) is ignored.
-    """
-    half = len(values) // 2
-    part = os.memfd_create("singwave-solution-part")
+    The child ends with os._exit (0 when child returned) and is reaped
+    before the block; an exception in parent(), KeyboardInterrupt too,
+    kills it first.  A child that exits other than 0 raises OSError.  A
+    child runs only CSV code (no BLAS, no lock another thread may hold),
+    so os.fork's DeprecationWarning is ignored."""
+    part = os.memfd_create("singwave-part")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -224,14 +219,13 @@ def _write_nodes_in_two(fh, values: np.ndarray, grid: GridParams) -> None:
         if pid == 0:
             status = 1
             try:
-                with open(part, "w", encoding="utf-8", newline="",
-                          closefd=False) as out:
-                    _write_nodes(out, values, grid, half, len(values))
+                with open(part, "wb", closefd=False) as out:
+                    child(out)
                 status = 0
             finally:
                 os._exit(status)
         try:
-            _write_nodes(fh, values, grid, 0, half)
+            result = parent()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         except BaseException:
             import signal  # here, so that importing this module loads no more
@@ -239,12 +233,8 @@ def _write_nodes_in_two(fh, values: np.ndarray, grid: GridParams) -> None:
             os.waitpid(pid, 0)
             raise
         if status != 0:
-            raise OSError(f"the process writing the second half of the "
-                          f"solution table exited with {status}")
-        fh.flush()
-        offset = 0
-        while sent := os.sendfile(fh.fileno(), part, offset, 1 << 20):
-            offset += sent
+            raise OSError(f"the forked process exited with {status}")
+        yield result, part
     finally:
         os.close(part)
 
@@ -254,24 +244,63 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     (repr) decimal text and CRLF line ends.
 
     _write_nodes formats the rows.  A grid of at least _CSV_SPLIT float
-    values is written by this process and a forked one, each formatting
-    half of the nodes (_write_nodes_in_two), where _split_writer allows;
-    the bytes are those of one process.
+    values is written by two processes where _two_processes allows: a
+    forked child formats the second half of the nodes into a memfd, which
+    sendfile appends to the first half; the bytes are those of one.
     """
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
         -1, 2 * U.shape[2])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_solution_header(U.shape[2])) + "\r\n")
-        if values.size >= _CSV_SPLIT and _split_writer():
-            _write_nodes_in_two(fh, values, grid)
-        else:
-            _write_nodes(fh, values, grid, 0, len(values))
+    n, half = len(values), len(values) // 2
+    with open(path, "wb") as fh:
+        fh.write((",".join(_solution_header(U.shape[2])) + "\r\n").encode())
+        if values.size < _CSV_SPLIT or not _two_processes():
+            return _write_nodes(fh, values, grid, 0, n)
+        with _in_two(lambda out: _write_nodes(out, values, grid, half, n),
+                     lambda: _write_nodes(fh, values, grid, 0, half)
+                     ) as (_, part):
+            fh.flush()
+            offset = 0
+            while sent := os.sendfile(fh.fileno(), part, offset, 1 << 20):
+                offset += sent
+
+
+def _loadtxt(source, **span) -> np.ndarray:
+    """The float rows of a solution table's open file or, by span, path."""
+    with warnings.catch_warnings():
+        # an empty body is reported by the checks, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
+                          encoding="utf-8", **span)
+
+
+def _read_in_two(source: str, half: int, width: int) -> np.ndarray:
+    """The rows of the table at path source, its first half parsed here
+    and the rest by a forked process; np.loadtxt reads a path in C
+    chunks.  A blank line in the first half makes the halves overlap."""
+    def parse(**span) -> np.ndarray:
+        if (table := _loadtxt(source, **span)).shape[1] != width:
+            raise ValueError("rows of another width")
+        return table
+
+    with _in_two(lambda out: out.write(parse(skiprows=1 + half)),
+                 lambda: parse(skiprows=1, max_rows=half)) as (head, part):
+        table = np.empty((len(head) + os.fstat(part).st_size // (8 * width),
+                          width))
+        table[:len(head)] = head
+        with open(part, "rb", closefd=False) as fh:
+            fh.seek(0)  # the child's writes moved the offset both share
+            fh.readinto(table[len(head):])
+    return table
 
 
 def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
     """Inverse of write_solution_csv; returns the problem's (N+1, M+1, m)
     grid.
+
+    A table of at least _CSV_SPLIT values (2m per node of spec.grid) is
+    parsed by two processes where _two_processes allows; on any failure
+    one process parses it again, so the grid and errors are those of one.
 
     Raises ParseError on text that is not UTF-8, a bad header, a malformed
     or non-finite cell, an index that is not a non-negative integer,
@@ -287,18 +316,28 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
         m = (len(header) - 4) // 2
         if m < 1 or header != _solution_header(m):
             raise ParseError(f"{path}: not a solution table")
-        with warnings.catch_warnings():
-            # an empty body is reported below, not warned about
-            warnings.simplefilter("ignore", UserWarning)
-            try:
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ParseError(f"{path}: {exc}") from exc
+        nodes = (spec.grid.N + 1) * (spec.grid.M + 1)
+        if 2 * m * nodes >= _CSV_SPLIT and _two_processes():
+            # fh's file by a path numpy takes for no URL and no archive
+            with contextlib.suppress(ValueError, OSError):
+                return _solution_grid(path, _read_in_two(
+                    f"/proc/self/fd/{fh.fileno()}", nodes // 2,
+                    len(header)), m, spec)
+        try:
+            table = _loadtxt(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    return _solution_grid(path, table, m, spec)
+
+
+def _solution_grid(path: str, table: np.ndarray, m: int,
+                   spec: ProblemSpec) -> np.ndarray:
+    """read_solution_csv's grid of the rows of a table of m components."""
     if not np.isfinite(table).all():
         raise ParseError(f"{path}: non-finite cell")
     rows = len(table)
-    if rows == 0 or table.shape[1] != len(header):
-        raise ParseError(f"{path}: expected rows of {len(header)} numbers")
+    if rows == 0 or table.shape[1] != 4 + 2 * m:
+        raise ParseError(f"{path}: expected rows of {4 + 2 * m} numbers")
     ij = table[:, :2]
     # every index of a complete grid is below its number of rows
     if ((ij < 0) | (ij >= rows) | (ij != np.floor(ij))).any():
@@ -432,8 +471,8 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     verify applies too, is a NumericalFailure (residual-gate) and writes
     no solution.csv.  A solve that writes none removes one left by an
     earlier run, which verify would otherwise read as this run's grid,
-    and a write that fails removes the part it wrote before the error
-    propagates.
+    and a write that fails removes the part it wrote and an earlier
+    run's report.txt before the error propagates.
     """
     os.makedirs(out_dir, exist_ok=True)
     sol = DiscreteSolution()
@@ -451,6 +490,7 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     if sol.eigenpairs is not None:
         write_eigen_csv(sol.eigenpairs, os.path.join(out_dir, "eigen.csv"))
     solution = os.path.join(out_dir, "solution.csv")
+    report_path = os.path.join(out_dir, "report.txt")
     written = False
     try:
         if error is None:
@@ -458,11 +498,11 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
             written = True
     finally:
         if not written:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(solution)
+            for stale in (solution, report_path):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(stale)
     report = build_report(spec, sol, residuals, error)
-    with open(os.path.join(out_dir, "report.txt"), "w",
-              encoding="utf-8", newline="\n") as fh:
+    with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report)
     if not quiet:
         sys.stdout.write(report)

@@ -48,6 +48,11 @@ from singwave.verify import ResidualReport, brute_force_reference
 from random_matrices import random_orthogonal
 from rotated_demo import rotated_demos
 
+# where the process may fork a writer or reader that runs beside it
+TWO_PROCESSES = pytest.mark.skipif(
+    not cli._two_processes(),
+    reason="needs os.fork, os.memfd_create and two CPUs")
+
 
 # ------------------------------------------------------------ file formats
 
@@ -223,6 +228,31 @@ def test_solution_csv_memory_stays_flat(tmp_path, shape):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@TWO_PROCESSES
+def test_split_read_memory_stays_near_the_serial_read(tmp_path, monkeypatch):
+    # a grid of the demo at N = 128, M = 512 (397062 values, which two
+    # processes read); the values do not change what the read holds
+    rng = np.random.default_rng(13)
+    U = rng.standard_normal((129, 513, 3)) + 1j * rng.standard_normal(
+        (129, 513, 3))
+    spec = SimpleNamespace(grid=GridParams.create(128, 1.0 / 512, 1.0), m=3)
+    path = str(tmp_path / "solution.csv")
+    write_solution_csv(U, spec.grid, path)
+    peaks = {}
+    for split in (U.size * 2 + 1, cli._CSV_SPLIT):
+        monkeypatch.setattr(cli, "_CSV_SPLIT", split)
+        tracemalloc.start()
+        try:
+            back = read_solution_csv(path, spec)
+            _, peaks[split] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.view(np.int64), U.view(np.int64))
+        del back
+    serial, two = peaks.values()
+    assert two <= 1.1 * serial
 
 
 def test_solution_csv_rejects_bad_header(tmp_path):
@@ -583,27 +613,59 @@ def test_rejected_solve_removes_an_earlier_solution(tmp_path, monkeypatch,
                  "--quiet"]) == 3
 
 
-@pytest.mark.skipif(not cli._split_writer(),
-                    reason="needs os.fork, os.memfd_create and two CPUs")
-@pytest.mark.parametrize("side, exc", [
-    ("child", OSError), ("parent", OSError), ("parent", KeyboardInterrupt)],
-    ids=["child-fails", "parent-fails", "parent-interrupted"])
-def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
-    # a two-process write that fails on either side leaves no truncated
-    # solution.csv, no part file and no child process behind
+def test_failed_write_removes_an_earlier_report(tmp_path, monkeypatch):
+    # a write that fails after an accepted solve into the same directory
+    # leaves no ACCEPTED report.txt beside this run's eigen.csv
     problem, out = tmp_path / "problem.json", tmp_path / "out"
     write_problem(demo_problem(4, 0.125, 0.5), str(problem))
-    parent, write_nodes = os.getpid(), cli._write_nodes
-
-    def failing(fh, values, grid, lo, hi):
-        if (os.getpid() != parent) == (side == "child"):
-            raise exc("forced failure")
-        write_nodes(fh, values, grid, lo, hi)
-
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_write_nodes", failing)
     solve = ["solve", "--input", str(problem), "--out-dir", str(out),
              "--quiet"]
+    assert main(solve) == 0
+    assert "ACCEPTED" in (out / "report.txt").read_text()
+
+    def full_disk(U, grid, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "write_solution_csv", full_disk)
+    assert main(solve) == 3
+    assert os.listdir(out) == ["eigen.csv"]
+
+
+FAILURES = pytest.mark.parametrize("side, exc", [
+    ("child", OSError), ("parent", OSError), ("parent", KeyboardInterrupt)],
+    ids=["child-fails", "parent-fails", "parent-interrupted"])
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _fails_on(side, exc, function):
+    """function, made to raise exc in the forked child or in this
+    process; it keeps its own behaviour on the other side."""
+    parent = os.getpid()
+
+    def failing(*args, **kwargs):
+        if (os.getpid() != parent) == (side == "child"):
+            raise exc("forced failure")
+        return function(*args, **kwargs)
+    return failing
+
+
+@TWO_PROCESSES
+@FAILURES
+def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
+    # a two-process write that fails on either side leaves no truncated
+    # solution.csv, no part file, no open memfd and no child process
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(cli, "_write_nodes",
+                        _fails_on(side, exc, cli._write_nodes))
+    solve = ["solve", "--input", str(problem), "--out-dir", str(out),
+             "--quiet"]
+    fds = _open_fds()
     if exc is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):
             main(solve)
@@ -612,6 +674,38 @@ def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
     assert os.listdir(out) == ["eigen.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@TWO_PROCESSES
+@FAILURES
+def test_failed_split_read_leaves_nothing_behind(tmp_path, monkeypatch, side,
+                                                 exc):
+    # a two-process read that fails on either side leaves no open memfd
+    # and no child process; a failure is read again by one process,
+    # which returns the grid
+    spec = demo_problem(4, 0.125, 0.5)
+    problem = tmp_path / "problem.json"
+    write_problem(spec, str(problem))
+    assert main(["solve", "--input", str(problem), "--out-dir",
+                 str(tmp_path), "--quiet"]) == 0
+    path = str(tmp_path / "solution.csv")
+    expected = read_solution_csv(path, spec)
+    serial, failing = cli._loadtxt, _fails_on(side, exc, cli._loadtxt)
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    # only the two halves, which np.loadtxt reads by rows of the path, fail
+    monkeypatch.setattr(cli, "_loadtxt", lambda source, **span: (
+        failing if span else serial)(source, **span))
+    fds = _open_fds()
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            read_solution_csv(path, spec)
+    else:
+        back = read_solution_csv(path, spec)
+        assert np.array_equal(back.view(np.int64), expected.view(np.int64))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def _solve_and_read_imaginary_cells(spec, tmp_path):

@@ -1,6 +1,8 @@
-"""The CSV writers against the ``csv.writer`` oracle, byte for byte."""
+"""The CSV writers against the ``csv.writer`` oracle, byte for byte, and
+the two-process read of ``solution.csv`` against the one-process read."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from singwave.cli import (
     write_problem,
     write_solution_csv,
 )
+from singwave.errors import ParseError
 from singwave.fixtures import demo_problem
 from singwave.solver import GridParams, solve_problem
 from singwave.sturm_liouville import solve_psd
@@ -131,10 +134,10 @@ CASES = {
     "block-inside-row": _block_inside_row,
     "split-inside-row-and-zero-run": _split_inside_row_and_zero_run,
 }
-# where the process may fork a writer that runs beside it
+# where the process may fork a writer or reader that runs beside it
 TWO_PROCESSES = pytest.mark.skipif(
-    not cli._split_writer(), reason="needs os.fork, os.memfd_create and "
-                                    "two CPUs")
+    not cli._two_processes(),
+    reason="needs os.fork, os.memfd_create and two CPUs")
 
 
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
@@ -153,6 +156,128 @@ def test_split_solution_csv_matches_the_csv_writer_oracle(case, tmp_path,
     # every case written by two processes, each formatting half the nodes
     monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
     test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path)
+
+
+def _serial_body(path):
+    """The float rows of a solution table, read by one process."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        return cli._loadtxt(fh)
+
+
+@TWO_PROCESSES
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_split_read_returns_the_serial_bits(case, tmp_path, monkeypatch):
+    # the halves joined are the one-process table, bit for bit, and the
+    # grid read through them is the grid written
+    U, grid = case()
+    path = str(tmp_path / "solution.csv")
+    write_solution_csv(U, grid, path)
+    serial = _serial_body(path)
+    nodes, width = serial.shape
+    two = cli._read_in_two(path, nodes // 2, width)
+    assert np.array_equal(two.view(np.int64), serial.view(np.int64))
+    # the two halves give the grid: a read by one process fails the test
+    loadtxt = cli._loadtxt
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(cli, "_loadtxt", lambda source, **span: (
+        loadtxt(source, **span) if span else pytest.fail("one process")))
+    back = read_solution_csv(path, SimpleNamespace(grid=grid, m=U.shape[2]))
+    assert np.array_equal(back.view(np.int64), U.view(np.int64))
+
+
+# a 3 x 401 grid of 2 components, 1203 nodes of about 100 bytes: the
+# parent parses body rows 0 to 600, the child rows 601 to 1202, and a row
+# of either half lies past the first 8192 bytes, which the header's
+# readline decodes
+ROWS, HALF = 1203, 601
+PARENT_ROW, CHILD_ROW = 300, 900
+
+
+def _set_cell(column, text):
+    def edit(lines, r):
+        cells = lines[r].split(b",")
+        cells[column] = text
+        lines[r] = b",".join(cells)
+    return edit
+
+
+def _insert(lines, r):
+    lines.insert(r, lines[r])
+
+
+DEFECTS = {
+    "bad-cell": _set_cell(5, b"abc"),
+    "nan": _set_cell(4, b"nan"),
+    "x-off-the-grid": _set_cell(2, b"123.0"),
+    "t-off-the-grid": _set_cell(3, b"1e-9"),
+    "repeated-row": _insert,
+    "missing-row": lambda lines, r: lines.pop(r),
+    "invalid-utf8": lambda lines, r: lines.__setitem__(
+        r, lines[r][:7] + b"\xff" + lines[r][8:]),
+}
+
+
+def _damaged_table(tmp_path, edit):
+    """Write the 1203-node table, pass its body rows to edit, and return
+    its path and the reader's spec."""
+    U, grid = _pool_values((3, 401, 2), seed=14), GridParams.create(
+        2, 1e-3, 0.4)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(U, grid, str(path))
+    header, *lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == ROWS + 1  # the text ends with a line end
+    assert len(header) + sum(map(len, lines[:PARENT_ROW])) > 8192
+    edit(lines)
+    path.write_bytes(b"\r\n".join([header, *lines]))
+    return str(path), SimpleNamespace(grid=grid, m=2)
+
+
+def _serial_and_split_errors(path, spec, monkeypatch):
+    messages = []
+    for split in (2 ** 62, 1):
+        monkeypatch.setattr(cli, "_CSV_SPLIT", split)
+        with pytest.raises(ParseError) as info:
+            read_solution_csv(path, spec)
+        messages.append(str(info.value))
+    return messages
+
+
+@TWO_PROCESSES
+@pytest.mark.parametrize("row", [PARENT_ROW, CHILD_ROW],
+                         ids=["parent-half", "child-half"])
+@pytest.mark.parametrize("defect", DEFECTS.values(), ids=DEFECTS.keys())
+def test_split_read_raises_the_serial_error(defect, row, tmp_path,
+                                            monkeypatch):
+    assert (row < HALF) == (row == PARENT_ROW)
+    path, spec = _damaged_table(tmp_path, lambda lines: defect(lines, row))
+    serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+    assert split == serial
+
+
+@TWO_PROCESSES
+def test_split_read_of_a_body_shorter_than_half(tmp_path, monkeypatch):
+    # 450 rows: row 0 and part of row 1
+    path, spec = _damaged_table(tmp_path, lambda lines: lines.__delitem__(
+        slice(450, -1)))
+    serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+    assert split == serial and "missing grid rows" in serial
+
+
+@TWO_PROCESSES
+def test_split_read_accepts_a_blank_line_as_the_serial_read_does(
+        tmp_path, monkeypatch):
+    # np.loadtxt skips a blank line, so the parent's half ends one line
+    # later and the halves share a row; the repeated-row check sends the
+    # read back to one process
+    path, spec = _damaged_table(tmp_path, lambda lines: lines.insert(
+        PARENT_ROW, b""))
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    serial = _serial_body(path)
+    assert len(cli._read_in_two(path, HALF, serial.shape[1])) == ROWS + 1
+    back = read_solution_csv(path, spec)
+    assert np.array_equal(back.reshape(-1).view(np.int64).reshape(ROWS, 4),
+                          serial[:, 4:].view(np.int64))
 
 
 def test_oracle_cases_hold_what_they_name(tmp_path):

@@ -19,7 +19,8 @@ problem files, ``problem.json`` of ``example``, ``solution.csv``,
 in an input's run directory beyond those outputs (such as a leaked part
 file of a solution table), each counted as a difference, then a summary.
 Problem 0 of ``demo-large`` (397062 grid values) is the input whose
-``solution.csv`` is written by two processes.
+``solution.csv`` is written by two processes in ``solve`` and read by
+two processes in ``verify``.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
