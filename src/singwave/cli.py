@@ -318,7 +318,7 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
             raise ParseError(f"{path}: not a solution table")
         nodes = (spec.grid.N + 1) * (spec.grid.M + 1)
         if 2 * m * nodes >= _CSV_SPLIT and _two_processes():
-            # fh's file by a path numpy takes for no URL and no archive
+            # fh's own file, by a path numpy takes for no URL or archive
             with contextlib.suppress(ValueError, OSError):
                 return _solution_grid(path, _read_in_two(
                     f"/proc/self/fd/{fh.fileno()}", nodes // 2,
