@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 import warnings
 from typing import Dict, List, Optional, Sequence
@@ -43,9 +44,9 @@ from .verify import ResidualReport, residual_report
 # start and end inside an i row); it holds the text of one block at a
 # time, so its memory is flat in N, M, m
 _CSV_BLOCK = 4096
-# grid values (2m per node) from which a forked process writes and reads
-# the second half of the nodes of solution.csv; below it the fork costs
-# more than it saves (BENCH_27.json, BENCH_28.json: break-even ladders)
+# grid values (2m per node) from which a forked process writes the second
+# half of solution.csv's nodes and reads the second half of its bytes;
+# below it the fork costs more (break-even ladders: BENCH_27.json to 29)
 _CSV_SPLIT = 2 ** 16
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
@@ -200,6 +201,10 @@ def _two_processes() -> bool:
             and len(os.sched_getaffinity(0)) >= 2)
 
 
+class _NoChild(OSError):
+    """_in_two could not start its child; nothing has run."""
+
+
 @contextlib.contextmanager
 def _in_two(child, parent):
     """Run child(out) in a forked process beside parent() in this one;
@@ -210,12 +215,17 @@ def _in_two(child, parent):
     before the block; an exception in parent(), KeyboardInterrupt too,
     kills it first.  A child that exits other than 0 raises OSError.  A
     child runs only CSV code (no BLAS, no lock another thread may hold),
-    so os.fork's DeprecationWarning is ignored."""
-    part = os.memfd_create("singwave-part")
+    so os.fork's DeprecationWarning is ignored.  When os.memfd_create or
+    os.fork raises OSError, no child is started and _NoChild is raised."""
+    part = None
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        try:
+            part = os.memfd_create("singwave-part")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError as exc:
+            raise _NoChild(*exc.args) from exc
         if pid == 0:
             status = 1
             try:
@@ -236,7 +246,8 @@ def _in_two(child, parent):
             raise OSError(f"the forked process exited with {status}")
         yield result, part
     finally:
-        os.close(part)
+        if part is not None:
+            os.close(part)
 
 
 def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
@@ -244,9 +255,10 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     (repr) decimal text and CRLF line ends.
 
     _write_nodes formats the rows.  A grid of at least _CSV_SPLIT float
-    values is written by two processes where _two_processes allows: a
-    forked child formats the second half of the nodes into a memfd, which
-    sendfile appends to the first half; the bytes are those of one.
+    values is written by two processes where _two_processes allows and
+    the child starts: a forked child formats the second half of the nodes
+    into a memfd, which sendfile appends to the first half; the bytes are
+    those of one.
     """
     # real and imaginary parts interleaved, one row per node
     values = np.ascontiguousarray(U, dtype=complex).view(float).reshape(
@@ -254,44 +266,83 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
     n, half = len(values), len(values) // 2
     with open(path, "wb") as fh:
         fh.write((",".join(_solution_header(U.shape[2])) + "\r\n").encode())
-        if values.size < _CSV_SPLIT or not _two_processes():
-            return _write_nodes(fh, values, grid, 0, n)
-        with _in_two(lambda out: _write_nodes(out, values, grid, half, n),
-                     lambda: _write_nodes(fh, values, grid, 0, half)
-                     ) as (_, part):
-            fh.flush()
-            offset = 0
-            while sent := os.sendfile(fh.fileno(), part, offset, 1 << 20):
-                offset += sent
+        if values.size >= _CSV_SPLIT and _two_processes():
+            with contextlib.suppress(_NoChild), _in_two(
+                    lambda out: _write_nodes(out, values, grid, half, n),
+                    lambda: _write_nodes(fh, values, grid, 0, half)
+                    ) as (_, part):
+                fh.flush()
+                offset = 0
+                while sent := os.sendfile(fh.fileno(), part, offset, 1 << 20):
+                    offset += sent
+                return
+        _write_nodes(fh, values, grid, 0, n)
 
 
-def _loadtxt(source, **span) -> np.ndarray:
-    """The float rows of a solution table's open file or, by span, path."""
+def _loadtxt(source) -> np.ndarray:
+    """The float rows of a solution table's open file or path."""
     with warnings.catch_warnings():
         # an empty body is reported by the checks, not warned about
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
-                          encoding="utf-8", **span)
+                          encoding="utf-8")
 
 
-def _read_in_two(source: str, half: int, width: int) -> np.ndarray:
-    """The rows of the table at path source, its first half parsed here
-    and the rest by a forked process; np.loadtxt reads a path in C
-    chunks.  A blank line in the first half makes the halves overlap."""
-    def parse(**span) -> np.ndarray:
-        if (table := _loadtxt(source, **span)).shape[1] != width:
-            raise ValueError("rows of another width")
-        return table
+def _parse_bytes(fd: int, lo: int, hi: int) -> np.ndarray:
+    """The float rows of bytes lo to hi - 1 of file fd, copied in the
+    kernel into a memfd, whose path np.loadtxt reads in C chunks."""
+    text = os.memfd_create("singwave-text")
+    try:
+        while lo < hi and (sent := os.sendfile(text, fd, lo, hi - lo)):
+            lo += sent
+        return _loadtxt(f"/proc/self/fd/{text}")
+    finally:
+        os.close(text)
 
-    with _in_two(lambda out: out.write(parse(skiprows=1 + half)),
-                 lambda: parse(skiprows=1, max_rows=half)) as (head, part):
-        table = np.empty((len(head) + os.fstat(part).st_size // (8 * width),
-                          width))
-        table[:len(head)] = head
+
+def _on_grid(table: np.ndarray, i, j, grid: GridParams) -> bool:
+    """Whether the x and t cells of table's rows are i/N and j*k within
+    1e-12 * max(1, T); a NaN is not."""
+    tol = 1e-12 * max(1.0, grid.T)
+    return bool((np.abs(table[:, 2] - i / grid.N) <= tol).all()
+                and (np.abs(table[:, 3] - j * grid.k) <= tol).all())
+
+
+def _read_halves(fd: int, start: int, spec: ProblemSpec) -> np.ndarray:
+    """spec's grid from the body of the table in file fd, from byte start
+    on, cut at the first line start at or after its middle.  This process
+    parses the first range and a forked one the second; each keeps its
+    rows only as the writer's first or last nodes, in order, finite and
+    on the grid, and the child hands back only its value columns."""
+    end, grid, m = os.fstat(fd).st_size, spec.grid, spec.m
+    nodes, mid = (grid.N + 1) * (grid.M + 1), start + (end - start) // 2
+    # a CRLF, LF or CR line end, from the byte before the middle on
+    found = re.search(rb"\r\n?|\n", os.pread(fd, 1 << 16, mid - 1))
+    if found is None:
+        raise ValueError("no line end after the middle")
+    cut = mid - 1 + found.end()
+
+    def own(lo, hi, last):
+        rows = _parse_bytes(fd, lo, hi)
+        first = nodes - len(rows) if last else 0
+        i, j = np.divmod(np.arange(first, first + len(rows)), grid.M + 1)
+        if not (rows.shape[1] == 4 + 2 * m and (rows[:, 0] == i).all()
+                and (rows[:, 1] == j).all() and _on_grid(rows, i, j, grid)
+                and np.isfinite(rows[:, 4:]).all()):
+            raise ValueError("not the writer's rows")
+        return rows[:, 4:]
+
+    with _in_two(lambda out: out.write(own(cut, end, True).copy()),
+                 lambda: own(start, cut, False)) as (head, part):
+        values = np.empty((nodes, 2 * m))
+        values[:len(head)] = head
+        if os.fstat(part).st_size != values[len(head):].nbytes:
+            raise ValueError("the halves do not meet")
         with open(part, "rb", closefd=False) as fh:
             fh.seek(0)  # the child's writes moved the offset both share
-            fh.readinto(table[len(head):])
-    return table
+            fh.readinto(values[len(head):])
+    # viewing the float pairs keeps the sign of a -0.0 real part
+    return values.view(complex).reshape(grid.N + 1, grid.M + 1, m)
 
 
 def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
@@ -299,8 +350,10 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
     grid.
 
     A table of at least _CSV_SPLIT values (2m per node of spec.grid) is
-    parsed by two processes where _two_processes allows; on any failure
-    one process parses it again, so the grid and errors are those of one.
+    read by two processes where _two_processes allows (_read_halves):
+    its body is split by bytes, and each process accepts its rows only
+    as the writer's, in order.  Any other table, and any failure, is
+    parsed again by one process, so the grid and errors are those of one.
 
     Raises ParseError on text that is not UTF-8, a bad header, a malformed
     or non-finite cell, an index that is not a non-negative integer,
@@ -310,19 +363,18 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:  # readline decodes a whole buffer, not only the header
-            header = fh.readline().rstrip("\r\n").split(",")
+            line = fh.readline()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: {exc}") from exc
+        header = line.rstrip("\r\n").split(",")
         m = (len(header) - 4) // 2
         if m < 1 or header != _solution_header(m):
             raise ParseError(f"{path}: not a solution table")
         nodes = (spec.grid.N + 1) * (spec.grid.M + 1)
-        if 2 * m * nodes >= _CSV_SPLIT and _two_processes():
-            # fh's own file, by a path numpy takes for no URL or archive
+        if m == spec.m and 2 * m * nodes >= _CSV_SPLIT and _two_processes():
+            # the header is ASCII: its characters are its bytes
             with contextlib.suppress(ValueError, OSError):
-                return _solution_grid(path, _read_in_two(
-                    f"/proc/self/fd/{fh.fileno()}", nodes // 2,
-                    len(header)), m, spec)
+                return _read_halves(fh.fileno(), len(line), spec)
         try:
             table = _loadtxt(fh)
         except ValueError as exc:
@@ -356,9 +408,7 @@ def _solution_grid(path: str, table: np.ndarray, m: int,
     if (*nodes, m) != expected:
         raise ShapeError(f"solution grid {(*nodes, m)} does not match "
                          f"problem {expected}")
-    tol = 1e-12 * max(1.0, grid.T)
-    if (np.abs(table[:, 2] - i / grid.N).max() > tol
-            or np.abs(table[:, 3] - j * grid.k).max() > tol):
+    if not _on_grid(table, i, j, grid):
         raise ParseError(f"{path}: an x or t cell is not i/N or j*k")
     values = np.empty((rows, 2 * m))
     values[flat] = table[:, 4:]

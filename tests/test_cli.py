@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -36,7 +37,8 @@ from singwave.fixtures import (
     reject_rho_degenerate,
     scalar_wave_problem,
 )
-from singwave.solver import GridParams, ProblemSpec, Tolerances
+from singwave.solver import (GridParams, ProblemSpec, Tolerances,
+                             solve_problem)
 from singwave.sturm_liouville import (
     SLProblem,
     assemble_pencil,
@@ -45,6 +47,7 @@ from singwave.sturm_liouville import (
 )
 from singwave.verify import ResidualReport, brute_force_reference
 
+from csv_oracle import solution_csv_oracle
 from random_matrices import random_orthogonal
 from rotated_demo import rotated_demos
 
@@ -678,6 +681,34 @@ def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
 
 
 @TWO_PROCESSES
+@pytest.mark.parametrize("call, error", [
+    ("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)],
+    ids=["fork-EAGAIN", "memfd_create-EMFILE"])
+def test_solve_writes_from_one_process_when_no_child_starts(
+        tmp_path, monkeypatch, call, error):
+    # a fork or memfd that the system refuses leaves the table to this
+    # process: exit 0, the oracle's bytes and no open file left
+    spec = demo_problem(16, 1.0 / 64, 1.0)
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    write_problem(spec, str(problem))
+
+    def refused(*args):
+        raise OSError(error, os.strerror(error))
+
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(os, call, refused)
+    fds = _open_fds()
+    assert main(["solve", "--input", str(problem), "--out-dir", str(out),
+                 "--quiet"]) == 0
+    assert _open_fds() == fds
+    oracle = tmp_path / "oracle.csv"
+    solution_csv_oracle(solve_problem(spec).U, spec.grid, str(oracle))
+    assert (out / "solution.csv").read_bytes() == oracle.read_bytes()
+    assert sorted(os.listdir(out)) == ["eigen.csv", "report.txt",
+                                       "solution.csv"]
+
+
+@TWO_PROCESSES
 @FAILURES
 def test_failed_split_read_leaves_nothing_behind(tmp_path, monkeypatch, side,
                                                  exc):
@@ -691,11 +722,10 @@ def test_failed_split_read_leaves_nothing_behind(tmp_path, monkeypatch, side,
                  str(tmp_path), "--quiet"]) == 0
     path = str(tmp_path / "solution.csv")
     expected = read_solution_csv(path, spec)
-    serial, failing = cli._loadtxt, _fails_on(side, exc, cli._loadtxt)
     monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    # only the two halves, which np.loadtxt reads by rows of the path, fail
-    monkeypatch.setattr(cli, "_loadtxt", lambda source, **span: (
-        failing if span else serial)(source, **span))
+    # the parse of a byte range fails; the one-process read does not
+    monkeypatch.setattr(cli, "_parse_bytes",
+                        _fails_on(side, exc, cli._parse_bytes))
     fds = _open_fds()
     if exc is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):

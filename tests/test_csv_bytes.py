@@ -2,6 +2,8 @@
 the two-process read of ``solution.csv`` against the one-process read."""
 
 import os
+import pathlib
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -165,25 +167,27 @@ def _serial_body(path):
         return cli._loadtxt(fh)
 
 
+def _one_process(*args):
+    pytest.fail("the table was read by one process")
+
+
 @TWO_PROCESSES
 @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
 def test_split_read_returns_the_serial_bits(case, tmp_path, monkeypatch):
-    # the halves joined are the one-process table, bit for bit, and the
-    # grid read through them is the grid written
+    # two processes, each parsing and checking its own byte range, return
+    # the grid that one process reads and that was written, bit for bit;
+    # a table sent back to one process fails the test
     U, grid = case()
     path = str(tmp_path / "solution.csv")
     write_solution_csv(U, grid, path)
-    serial = _serial_body(path)
-    nodes, width = serial.shape
-    two = cli._read_in_two(path, nodes // 2, width)
-    assert np.array_equal(two.view(np.int64), serial.view(np.int64))
-    # the two halves give the grid: a read by one process fails the test
-    loadtxt = cli._loadtxt
+    spec = SimpleNamespace(grid=grid, m=U.shape[2])
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 2 ** 62)
+    serial = read_solution_csv(path, spec)
     monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_loadtxt", lambda source, **span: (
-        loadtxt(source, **span) if span else pytest.fail("one process")))
-    back = read_solution_csv(path, SimpleNamespace(grid=grid, m=U.shape[2]))
-    assert np.array_equal(back.view(np.int64), U.view(np.int64))
+    monkeypatch.setattr(cli, "_solution_grid", _one_process)
+    two = read_solution_csv(path, spec)
+    for back in (serial, two):
+        assert np.array_equal(back.view(np.int64), U.view(np.int64))
 
 
 # a 3 x 401 grid of 2 components, 1203 nodes of about 100 bytes: the
@@ -209,6 +213,9 @@ def _insert(lines, r):
 DEFECTS = {
     "bad-cell": _set_cell(5, b"abc"),
     "nan": _set_cell(4, b"nan"),
+    # an index cell that names another node, with x and t left alone
+    "i-off-the-order": _set_cell(0, b"1"),
+    "j-off-the-order": _set_cell(1, b"7"),
     "x-off-the-grid": _set_cell(2, b"123.0"),
     "t-off-the-grid": _set_cell(3, b"1e-9"),
     "repeated-row": _insert,
@@ -265,19 +272,103 @@ def test_split_read_of_a_body_shorter_than_half(tmp_path, monkeypatch):
 
 
 @TWO_PROCESSES
+@pytest.mark.parametrize("defect", ["repeated-row", "missing-row"])
+def test_split_read_raises_the_serial_error_about_the_cut(defect, tmp_path,
+                                                         monkeypatch):
+    # a row repeated or missing at each of the rows about the middle, so
+    # that one of them falls where the body is cut: each half alone is
+    # in the writer's order, and only the count of nodes tells
+    for row in range(HALF - 3, HALF + 4):
+        (tmp_path / str(row)).mkdir()
+        path, spec = _damaged_table(tmp_path / str(row), lambda lines: (
+            DEFECTS[defect](lines, row)))
+        serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+        assert split == serial
+
+
+@TWO_PROCESSES
+def test_split_read_of_a_header_alone(tmp_path, monkeypatch):
+    path, spec = _damaged_table(tmp_path, lambda lines: lines.__delitem__(
+        slice(0, -1)))
+    serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+    assert split == serial and "expected rows of 8 numbers" in serial
+
+
+@TWO_PROCESSES
 def test_split_read_accepts_a_blank_line_as_the_serial_read_does(
         tmp_path, monkeypatch):
-    # np.loadtxt skips a blank line, so the parent's half ends one line
-    # later and the halves share a row; the repeated-row check sends the
-    # read back to one process
-    path, spec = _damaged_table(tmp_path, lambda lines: lines.insert(
-        PARENT_ROW, b""))
+    # np.loadtxt skips a blank line in either byte range, and the ranges
+    # cannot overlap, so two processes read the table themselves
+    monkeypatch.setattr(cli, "_solution_grid", _one_process)
     monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    for row in (PARENT_ROW, CHILD_ROW):
+        (tmp_path / str(row)).mkdir()
+        path, spec = _damaged_table(tmp_path / str(row),
+                                    lambda lines: lines.insert(row, b""))
+        serial = _serial_body(path)
+        back = read_solution_csv(path, spec)
+        assert np.array_equal(
+            back.reshape(-1).view(np.int64).reshape(ROWS, 4),
+            serial[:, 4:].view(np.int64))
+
+
+def _logged(log, function):
+    """function, which appends the byte range it is called on to the file
+    log, in the forked child as in this process."""
+    def logging(fd, lo, hi):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{lo} {hi}\n")
+        return function(fd, lo, hi)
+    return logging
+
+
+@TWO_PROCESSES
+@pytest.mark.parametrize("end", [b"\r\n", b"\n", b"\r"],
+                         ids=["crlf", "lf", "cr"])
+def test_split_read_cuts_the_body_at_a_line_start(end, tmp_path,
+                                                  monkeypatch):
+    # the two byte ranges join to exactly the body, cut at its first line
+    # start at or after the middle, whatever the line ends; the table is
+    # read by the two processes, which leave no child and no open file
+    path, spec = _damaged_table(tmp_path, lambda lines: None)
+    header, body = pathlib.Path(path).read_bytes().split(b"\r\n", 1)
+    with open(path, "wb") as fh:
+        fh.write(header + end + body.replace(b"\r\n", end))
     serial = _serial_body(path)
-    assert len(cli._read_in_two(path, HALF, serial.shape[1])) == ROWS + 1
+    log = str(tmp_path / "ranges.txt")
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(cli, "_solution_grid", _one_process)
+    monkeypatch.setattr(cli, "_parse_bytes", _logged(log, cli._parse_bytes))
+    fds = sorted(os.listdir("/proc/self/fd"))
     back = read_solution_csv(path, spec)
     assert np.array_equal(back.reshape(-1).view(np.int64).reshape(ROWS, 4),
                           serial[:, 4:].view(np.int64))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+    text = pathlib.Path(path).read_bytes()
+    start = len(header + end)
+    ranges = sorted(tuple(map(int, line.split()))
+                    for line in pathlib.Path(log).read_text().splitlines())
+    (lo, cut), (cut2, hi) = ranges
+    assert (lo, cut2, hi) == (start, cut, len(text))
+    middle = start + (len(text) - start) // 2
+    line_starts = [m.end() for m in re.finditer(re.escape(end), text)]
+    assert cut == min(p for p in line_starts if p >= middle)
+
+
+@TWO_PROCESSES
+def test_split_read_of_a_header_of_another_m(tmp_path, monkeypatch):
+    # a header of three components above rows of two, read for a
+    # problem of two: rows of the problem's width do not make the split
+    # accept a table that one process rejects
+    path, spec = _damaged_table(tmp_path, lambda lines: None)
+    header, body = pathlib.Path(path).read_bytes().split(b"\r\n", 1)
+    with open(path, "wb") as fh:
+        fh.write(",".join(cli._solution_header(3)).encode() + b"\r\n"
+                 + body)
+    serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+    assert split == serial and "expected rows of 10 numbers" in serial
 
 
 def test_oracle_cases_hold_what_they_name(tmp_path):

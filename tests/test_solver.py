@@ -36,7 +36,7 @@ from singwave.solver import (
     solve_mode_coefficients,
     solve_problem,
 )
-from singwave.sturm_liouville import SLProblem, solve_psd
+from singwave.sturm_liouville import SLProblem, expand, solve_psd
 from singwave.verify import residual_report
 
 from power_norms import power_norms
@@ -363,6 +363,40 @@ def test_solution_linear_superposition():
     U_a = solve_problem(sub_spec(first, np.zeros_like(G_int))).U
     U_b = solve_problem(sub_spec(second, G_int)).U
     assert_allclose(U_a + U_b, U_full, atol=1e-10)
+
+
+@pytest.fixture(scope="module")
+def demo_256():
+    """The demo at N = 256, M = 512 (r = 0.5) and its grid."""
+    spec = demo_problem(256, 0.5 / 256, 1.0)
+    return spec, solve_problem(spec).U
+
+
+def test_solution_reversed_in_time(demo_256):
+    # the scheme is symmetric in time: from U(M) and the velocity that
+    # gives U(M - 1) as the first level, the march runs U backwards
+    spec, U = demo_256
+    k = spec.grid.k
+    back = dataclasses.replace(spec, F=U[:, -1],
+                               Gv=(U[:, -2] - U[:, -1]) / k)
+    deviation = np.abs(solve_problem(back).U - U[:, ::-1]).max()
+    assert deviation <= 1e-12 * np.abs(U).max()
+
+
+def test_solution_superposition_by_spatial_mode(demo_256, rng):
+    # F and G split by a random weight per spatial mode: each part keeps
+    # every mode's admissible direction (a weight per node would put
+    # velocity on the lowest mode, which does not propagate), and the two
+    # solutions add up to the whole
+    spec, U = demo_256
+    N = spec.grid.N
+    modes = solve_psd(spec.sl_problem())
+    w = rng.uniform(size=(len(modes), 1))
+    parts = [dataclasses.replace(spec, **{key: _with_boundary(
+        modes.v.T @ (weight * expand(getattr(spec, key)[1:N], modes)),
+        demo_matrices()) for key in ("F", "Gv")}) for weight in (w, 1 - w)]
+    total = sum(solve_problem(part).U for part in parts)
+    assert np.abs(total - U).max() <= 1e-12 * np.abs(U).max()
 
 
 def test_solution_scaling_equivariance():

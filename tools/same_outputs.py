@@ -20,7 +20,11 @@ in an input's run directory beyond those outputs (such as a leaked part
 file of a solution table), each counted as a difference, then a summary.
 Problem 0 of ``demo-large`` (397062 grid values) is the input whose
 ``solution.csv`` is written by two processes in ``solve`` and read by
-two processes in ``verify``.
+two processes in ``verify``.  Each tree then runs ``verify`` on four
+damaged copies of its own table of that problem (``damaged_tables``: a
+repeated row in the first quarter of the body, a bad cell in the last
+quarter, a blank line in the middle and LF line ends), and the exit code
+and the text on stdout and stderr of each are compared too.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -45,8 +49,10 @@ FIXTURES = ("demo_problem", "scalar_wave_problem",
             "reject_full_rank", "reject_rho_degenerate")
 OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out",
            os.path.join("eigen", "eigen.csv"))
-TEXT_OUTPUTS = ("report.txt", "verify.out")
+TEXT_OUTPUTS = ("report.txt", ".out")
 SEED = 7
+# the input whose table is damaged, and where the damaged copies go
+DAMAGED_INPUT, DAMAGED_DIR = "demo-large0", "damaged"
 
 
 def write_bench_inputs(out_dir: str) -> None:
@@ -62,6 +68,52 @@ def write_bench_inputs(out_dir: str) -> None:
     os.makedirs(out_dir)
     for entry in entries:
         wl._dump(entry, out_dir)
+
+
+def damaged_tables(text: bytes) -> dict:
+    """Damaged copies of a solution table with CRLF line ends, by name: a
+    repeated row in the first quarter of its body (a two-process read's
+    first half), a bad cell in the last quarter (its second half), a
+    blank line in the middle, and LF line ends."""
+    header, *rows = text.split(b"\r\n")
+    n = len(rows) - 1  # the text ends with a line end
+
+    def edited(change):
+        lines = list(rows)
+        change(lines)
+        return b"\r\n".join([header, *lines])
+
+    cells = rows[3 * n // 4].split(b",")
+    bad = b",".join(cells[:4] + [b"abc"] + cells[5:])
+    return {
+        "repeated-row": edited(lambda l: l.insert(n // 4, l[n // 4])),
+        "bad-cell": edited(lambda l: l.__setitem__(3 * n // 4, bad)),
+        "blank-line": edited(lambda l: l.insert(n // 2, b"")),
+        "lf-line-ends": text.replace(b"\r\n", b"\n"),
+    }
+
+
+def verify_damaged(cli, problem: str, out_dir: str, codes: dict) -> None:
+    """Run verify on each damaged copy of out_dir's table of the damaged
+    input; its exit code goes into codes and its stdout and stderr, with
+    out_dir written as <tree>, into DAMAGED_DIR/<name>.out."""
+    table = _read(os.path.join(out_dir, DAMAGED_INPUT, "solution.csv"))
+    if table is None:
+        return
+    os.makedirs(os.path.join(out_dir, DAMAGED_DIR))
+    for name, text in damaged_tables(table).items():
+        path = os.path.join(out_dir, DAMAGED_DIR, name + ".csv")
+        with open(path, "wb") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            code = cli.main(["verify", "--input", problem, "--solution",
+                             path])
+        codes[f"{DAMAGED_DIR}-{name}"] = [code]
+        with open(path[:-len(".csv")] + ".out", "w",
+                  encoding="utf-8") as fh:
+            fh.write(out.getvalue().replace(out_dir, "<tree>"))
 
 
 def run_tree(inputs_dir: str, out_dir: str) -> None:
@@ -96,6 +148,8 @@ def run_tree(inputs_dir: str, out_dir: str) -> None:
                   encoding="utf-8") as fh:
             fh.write(text.getvalue())
         codes[name] = [solve, verify, eigen]
+    verify_damaged(cli, os.path.join(inputs_dir, DAMAGED_INPUT + ".json"),
+                   out_dir, codes)
     with open(os.path.join(out_dir, "codes.json"), "w",
               encoding="utf-8") as fh:
         json.dump(codes, fh)
@@ -127,7 +181,10 @@ def compare(old_dir: str, new_dir: str) -> int:
         same = "same" if old == new else "DIFFERENT"
         diffs += old != new
         print(f"{name}: exit {old} -> {new} ({same})")
-        if name != "example":
+        if name.startswith(DAMAGED_DIR + "-"):
+            files.append(os.path.join(DAMAGED_DIR, name[len(DAMAGED_DIR)
+                                                        + 1:] + ".out"))
+        elif name != "example":
             files += [os.path.join(name, out) for out in OUTPUTS]
     for rel in files:
         old, new = (_read(os.path.join(d, rel)) for d in (old_dir, new_dir))
@@ -140,7 +197,7 @@ def compare(old_dir: str, new_dir: str) -> int:
                 print_line_diff(old, new)
     for tag, tree in (("old", old_dir), ("new", new_dir)):
         for name in codes[0]:
-            if name == "example":
+            if name == "example" or name.startswith(DAMAGED_DIR + "-"):
                 continue
             run_dir = os.path.join(tree, name)
             for base, _, names in os.walk(run_dir):
@@ -152,7 +209,9 @@ def compare(old_dir: str, new_dir: str) -> int:
                         print(f"LEFT OVER in {tag} {name}: {rel}")
     present = sum(_read(os.path.join(new_dir, rel)) is not None
                   for rel in files)
-    print(f"{len(codes[0]) - 1} inputs, {present} output files present, "
+    inputs = sum(name != "example" and not name.startswith(DAMAGED_DIR)
+                 for name in codes[0])
+    print(f"{inputs} inputs, {present} output files present, "
           f"{diffs} differences")
     return diffs
 
