@@ -213,7 +213,9 @@ def _in_two(child, parent):
 
     The child ends with os._exit (0 when child returned) and is reaped
     before the block; an exception in parent(), KeyboardInterrupt too,
-    kills it first.  A child that exits other than 0 raises OSError.  A
+    kills it first.  A child that raises writes the exception's errno and
+    text over part and exits 1, and OSError is raised with them; any
+    other status but 0 raises OSError naming it.  A
     child runs only CSV code (no BLAS, no lock another thread may hold),
     so os.fork's DeprecationWarning is ignored.  When os.memfd_create or
     os.fork raises OSError, no child is started and _NoChild is raised."""
@@ -232,6 +234,11 @@ def _in_two(child, parent):
                 with open(part, "wb", closefd=False) as out:
                     child(out)
                 status = 0
+            except BaseException as exc:
+                code = getattr(exc, "errno", None)
+                note = f"{code} {exc.strerror}" if code else f"- {exc!r}"
+                os.ftruncate(part, 0)
+                os.pwrite(part, note.encode(), 0)
             finally:
                 os._exit(status)
         try:
@@ -242,6 +249,10 @@ def _in_two(child, parent):
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             raise
+        if status == 1:  # the child's exception, as it wrote it
+            code, _, text = os.pread(part, 1 << 12, 0).decode(
+                errors="replace").partition(" ")
+            raise OSError(int(code), text) if code.isdigit() else OSError(text)
         if status != 0:
             raise OSError(f"the forked process exited with {status}")
         yield result, part

@@ -9,9 +9,10 @@ singular values above a relative tolerance times the largest of their
 matrix, and min_norm_solve inverts just those: min_norm_solve(A, B)
 applies the Moore-Penrose inverse of A to B.  The kernel chain of
 core_nilpotent cuts each of its blocks at one fixed threshold, the
-tolerance times the 1-norm of the whole matrix.  The number checks that
-every validator of a problem's values shares live here too (is_number,
-_finite_number, _integer_at_least).
+tolerance times the 1-norm of the whole matrix.  The checks that every
+validator of a problem's values shares live here too: as_matrix for a
+table of numbers, is_number, _finite_number and _integer_at_least for a
+number; and peak_norm, the largest nodal 1-norm of a table.
 """
 
 from __future__ import annotations
@@ -61,20 +62,37 @@ def _integer_at_least(value, name: str, low: int) -> int:
     return int(value)
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D complex ndarray."""
-    A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise ShapeError(f"{name} must be two dimensional, got shape {A.shape}")
-    if A.size and not np.all(np.isfinite(A)):
-        raise NonFiniteValue(f"{name} contains non-finite entries")
-    return A
+def as_matrix(value, name: str = "matrix", shape=None) -> np.ndarray:
+    """``value``, a table of numbers, as a complex matrix: the one check
+    of every table, in this order.  ShapeError for rows of unequal
+    length, ParseError for entries that are not numbers (a bool is not
+    one), ShapeError unless the table is two dimensional and, when
+    ``shape`` is given, of that shape, NonFiniteValue for a NaN or an
+    infinite entry."""
+    want = "be two dimensional" if shape is None else f"have shape {shape}"
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # rows of unequal length
+        raise ShapeError(f'"{name}" must {want}, got uneven rows') from exc
+    if arr.dtype.kind not in "iufc":
+        raise ParseError(f'"{name}" entries must be numbers, got {arr.dtype}')
+    if arr.ndim != 2 or shape not in (None, arr.shape):
+        raise ShapeError(f'"{name}" must {want}, got {arr.shape}')
+    if not np.isfinite(arr).all():
+        raise NonFiniteValue(f'"{name}" contains non-finite entries')
+    return arr.astype(complex, copy=False)
 
 
-def _require_square(A: np.ndarray, name: str = "matrix") -> int:
-    if A.shape[0] != A.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {A.shape}")
-    return A.shape[0]
+def _square(value, name: str = "matrix") -> np.ndarray:
+    """as_matrix of a square table."""
+    A = as_matrix(value, name)
+    return as_matrix(A, name, (len(A), len(A)))
+
+
+def peak_norm(rows) -> float:
+    """Largest 1-norm over the last axis of ``rows``; 0.0 when empty."""
+    A = np.asarray(rows)
+    return float(np.abs(A).sum(axis=-1).max()) if A.size else 0.0
 
 
 def one_norm(M) -> float:
@@ -183,8 +201,8 @@ def core_nilpotent(M, tol: float = DEFAULT_RANK_TOL) -> CoreNilpotentDecompositi
 
     EigendecompositionFailure when T diag(C, Nblock) T^-1 misses M.
     """
-    A = as_matrix(M)
-    m = _require_square(A)
+    A = _square(M)
+    m = len(A)
     scale = one_norm(A)
     thresh = tol * scale
     # 1. H = Q^H A^H Q: its leading q columns hold zero diagonal blocks
@@ -281,8 +299,7 @@ def matrix_function(T) -> np.ndarray:
 def kernel_invariance_defect(B, A, kernel) -> float:
     """Norm of B A (I - B^g B) = B A K K^H, with K the orthonormal kernel
     basis of B (rank_and_kernel); zero when Ker(B) is invariant under A."""
-    Bm, Am, K = as_matrix(B, "B"), as_matrix(A, "A"), as_matrix(kernel, "K")
-    _require_square(Am, "A")
+    Bm, Am, K = as_matrix(B, "B"), _square(A, "A"), as_matrix(kernel, "K")
     if not Bm.shape[1] == Am.shape[0] == K.shape[0]:
         raise ShapeError(f"B {Bm.shape}, A {Am.shape} and K {K.shape} "
                          "do not conform")

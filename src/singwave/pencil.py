@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ModelRejection, NoRegularizingGamma, NoSquareRoot,
-                     RhoDegenerate, ShapeError, SingularShift,
-                     UnstableStepRatio)
+                     RhoDegenerate, SingularShift, UnstableStepRatio)
 from .matrix_core import (
     DEFAULT_RANK_TOL,
+    _square,
     as_matrix,
     core_nilpotent,
     matrix_function,
@@ -48,11 +48,8 @@ def _cond1(M: np.ndarray) -> float:
 
 def _square_pair(E, A) -> tuple[np.ndarray, np.ndarray]:
     """E and A as complex matrices of one square shape (else ShapeError)."""
-    Em, Am = as_matrix(E, "E"), as_matrix(A, "A")
-    if Em.shape != Am.shape or Em.shape[0] != Em.shape[1]:
-        raise ShapeError(f"E and A must be square with equal shapes, "
-                         f"got {Em.shape} and {Am.shape}")
-    return Em, Am
+    Em = _square(E, "E")
+    return Em, as_matrix(A, "A", Em.shape)
 
 
 def find_gamma(E, A) -> complex:

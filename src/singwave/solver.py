@@ -23,21 +23,16 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConsistencyViolation,
-    NonFiniteValue,
-    ParseError,
-    RankFull,
-    RhoDegenerate,
-    ShapeError,
-)
+from .errors import ConsistencyViolation, ParseError, RankFull, RhoDegenerate
 from .matrix_core import (
     DEFAULT_RANK_TOL,
     _finite_number,
     _integer_at_least,
+    as_matrix,
     kernel_invariance_defect,
     min_norm_solve,
     one_norm,
+    peak_norm,
     rank_and_kernel,
 )
 from .pencil import (
@@ -103,29 +98,13 @@ class GridParams:
 MATRIX_KEYS = ("E", "A", "A1", "A2", "B1", "B2")
 
 
-def _finite_table(value, name: str, shape: tuple) -> np.ndarray:
-    """``value`` as a complex array of ``shape`` with finite entries."""
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # rows of unequal length
-        raise ShapeError(
-            f'"{name}" must have shape {shape}, got uneven rows') from exc
-    if arr.dtype.kind not in "iufc":
-        raise ParseError(f'"{name}" entries must be numbers, got {arr.dtype}')
-    if arr.shape != shape:
-        raise ShapeError(f'"{name}" must have shape {shape}, got {arr.shape}')
-    if not np.isfinite(arr).all():
-        raise NonFiniteValue(f'"{name}" contains non-finite entries')
-    return arr.astype(complex, copy=False)
-
-
 @dataclass
 class ProblemSpec:
     """Complete description of one discrete mixed problem.
 
     Construction, dataclasses.replace included, is the one validator of a
-    problem's values (GridParams.create checks the grid again); it raises
-    ShapeError, NonFiniteValue or ParseError.
+    problem's values (GridParams.create checks the grid again, as_matrix
+    each table); it raises ShapeError, NonFiniteValue or ParseError.
     """
 
     m: int
@@ -149,10 +128,9 @@ class ProblemSpec:
         grid = self.grid = GridParams.create(self.grid.N, self.grid.k,
                                              self.grid.T)
         for name in MATRIX_KEYS:
-            setattr(self, name, _finite_table(getattr(self, name), name,
-                                              (m, m)))
-        self.F = _finite_table(self.F, "F", (grid.N + 1, m))
-        self.Gv = _finite_table(self.Gv, "Gv", (grid.N + 1, m))
+            setattr(self, name, as_matrix(getattr(self, name), name, (m, m)))
+        self.F = as_matrix(self.F, "F", (grid.N + 1, m))
+        self.Gv = as_matrix(self.Gv, "Gv", (grid.N + 1, m))
         self.alpha = _finite_number(self.alpha, "alpha")
         self.beta = _finite_number(self.beta, "beta")
 
@@ -164,9 +142,7 @@ class ProblemSpec:
         residual oracle measures grid increments, where the velocity data
         enter as k*Gv.
         """
-        fmax = float(np.abs(self.F).sum(axis=1).max())
-        gmax = float(np.abs(self.Gv).sum(axis=1).max())
-        return 1.0 + max(fmax, gmax)
+        return 1.0 + max(peak_norm(self.F), peak_norm(self.Gv))
 
     def sl_problem(self) -> SLProblem:
         return SLProblem(self.grid.N, self.alpha, self.beta)
@@ -226,11 +202,6 @@ class Gate:
         return bool(self.defect <= self.limit)
 
 
-def _peak(rows: np.ndarray) -> float:
-    """Largest 1-norm over the rows (last axis) of ``rows``."""
-    return float(np.abs(rows).sum(axis=-1).max())
-
-
 def check_consistency(spec: ProblemSpec, pd: PencilData,
                       bm: BoundaryMatrix) -> List[Gate]:
     """Four admissibility gates, reported rather than raised.
@@ -251,11 +222,11 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
     return [
         Gate("projector_fixes_data", "projector-data-mismatch",
              "pencil projector alters the initial data",
-             _peak(data @ pd.projector.T - data),
+             peak_norm(data @ pd.projector.T - data),
              tol * (1.0 + one_norm(pd.projector)) * scale),
         Gate("data_in_kernel", "data-outside-boundary-kernel",
              "interior data leaves the endpoint kernel",
-             _peak(data[:, 1:N] @ bm.Gab.T),
+             peak_norm(data[:, 1:N] @ bm.Gab.T),
              tol * (1.0 + one_norm(bm.Gab)) * scale),
         Gate("kernel_invariant", "boundary-kernel-not-invariant",
              "endpoint kernel is not invariant under the reduced operator",
@@ -263,7 +234,7 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
              tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))),
         Gate("ends_match", "endpoint-data-mismatch",
              "endpoint data differ from the eigenfunction endpoint rows",
-             _peak(ends), tol * (1.0 + max(abs(a), abs(b))) * scale),
+             peak_norm(ends), tol * (1.0 + max(abs(a), abs(b))) * scale),
     ]
 
 
@@ -418,7 +389,7 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
     """
     k = spec.grid.k
     top = propagators.modulus.max(axis=-1, initial=1.0)  # one per mode
-    sup = float(np.abs(U).sum(axis=2).max()) if U.size else 0.0
+    sup = peak_norm(U)
     worst = float(top.max(initial=1.0))
     margin = float(propagators.z.real.min(initial=np.inf)) + 4.0
     return StabilityReport(np.log(top) / k, float(np.log(worst) / k), sup,

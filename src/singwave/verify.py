@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentSystem, SingularLevelOperator, SizeCapExceeded
-from .matrix_core import DEFAULT_RANK_TOL, _solve_kept, _svd_rank
+from .matrix_core import DEFAULT_RANK_TOL, _solve_kept, _svd_rank, peak_norm
 
 # Bytes the reference may hold at once (see _reference_bytes).
 SIZE_CAP = 2 ** 28
@@ -40,14 +40,10 @@ def data_normalizer(spec) -> float:
     The residuals compare grid values and one-step increments, and the
     velocity data enter those as k*Gv, so Gv is scaled by k here.  The
     solver's ProblemSpec.data_scale tests the data vectors themselves and
-    leaves Gv unscaled; it is not imported, so the oracle shares no code
-    with the construction.
+    leaves Gv unscaled; it is not imported, so the oracle shares only the
+    dense utilities (peak_norm) with the construction.
     """
-    F = np.asarray(spec.F)
-    Gv = np.asarray(spec.Gv)
-    fmax = float(np.abs(F).sum(axis=1).max()) if F.size else 0.0
-    gmax = float(np.abs(Gv).sum(axis=1).max()) if Gv.size else 0.0
-    return 1.0 + max(fmax, spec.grid.k * gmax)
+    return 1.0 + max(peak_norm(spec.F), spec.grid.k * peak_norm(spec.Gv))
 
 
 @dataclass
@@ -68,12 +64,6 @@ class ResidualReport:
     def worst(self) -> float:
         """The largest of the five defects, or NaN if any is NaN."""
         return float(np.max([getattr(self, name) for name in self.DEFECTS]))
-
-
-def _node_norms(rows: np.ndarray) -> float:
-    if rows.size == 0:
-        return 0.0
-    return float(np.abs(rows).sum(axis=-1).max())
 
 
 def interior_residual(U, E, A, grid, normalizer: float = 1.0) -> float:
@@ -100,7 +90,7 @@ def interior_residual(U, E, A, grid, normalizer: float = 1.0) -> float:
         dtt = U[lo:hi, 2:M + 1] - 2.0 * inner + U[lo:hi, 0:M - 1]
         dxx = U[lo + 1:hi + 1, 1:M] - 2.0 * inner + U[lo - 1:hi - 1, 1:M]
         res = dtt @ Em.T - r2 * (dxx @ Am.T)
-        maxima.append(_node_norms(res))
+        maxima.append(peak_norm(res))
     return float(np.max(maxima)) / normalizer
 
 
@@ -119,7 +109,7 @@ def boundary_residual(U, spec, normalizer: float = None) -> tuple[float, float]:
             + N * (U[1, cols] - U[0, cols]) @ spec.A2.T)
     right = (U[N, cols] @ spec.B1.T
              + N * (U[N, cols] - U[N - 1, cols]) @ spec.B2.T)
-    return _node_norms(left) / normalizer, _node_norms(right) / normalizer
+    return peak_norm(left) / normalizer, peak_norm(right) / normalizer
 
 
 def initial_residual(U, spec, normalizer: float = None) -> tuple[float, float]:
@@ -131,7 +121,7 @@ def initial_residual(U, spec, normalizer: float = None) -> tuple[float, float]:
     k = spec.grid.k
     pos = U[:, 0] - spec.F
     vel = (U[:, 1] - U[:, 0]) / k - spec.Gv
-    return _node_norms(pos) / normalizer, _node_norms(vel) / normalizer
+    return peak_norm(pos) / normalizer, peak_norm(vel) / normalizer
 
 
 def residual_report(U, spec) -> ResidualReport:
@@ -317,4 +307,4 @@ def reference_deviation(U, ref: ReferenceSolution, projector,
     last = d[:, -1].reshape(-1)
     d[:, -1] = (last - Z @ (Z.conj().T @ last)).reshape(d.shape[0], -1)
     nodes = d.reshape(-1, spec.m) @ np.asarray(projector, dtype=complex).T
-    return _node_norms(nodes) / data_normalizer(spec)
+    return peak_norm(nodes) / data_normalizer(spec)

@@ -680,6 +680,30 @@ def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
     assert _open_fds() == fds
 
 
+NO_SPACE = os.strerror(errno.ENOSPC)
+
+
+@TWO_PROCESSES
+@pytest.mark.parametrize("failure, message", [
+    (lambda _: OSError(errno.ENOSPC, NO_SPACE),
+     f"[Errno {errno.ENOSPC}] {NO_SPACE}"),
+    (ValueError, "ValueError('forced failure')")],
+    ids=["ENOSPC", "no-errno"])
+def test_failing_child_names_its_error(tmp_path, monkeypatch, capsys,
+                                       failure, message):
+    # the child's own exception reaches stderr: a full disk in the
+    # child's half reads as a full disk, with exit 3
+    problem, out = tmp_path / "problem.json", tmp_path / "out"
+    write_problem(demo_problem(4, 0.125, 0.5), str(problem))
+    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(cli, "_write_nodes",
+                        _fails_on("child", failure, cli._write_nodes))
+    assert main(["solve", "--input", str(problem), "--out-dir", str(out),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == f"i/o error: {message}\n"
+    assert os.listdir(out) == ["eigen.csv"]
+
+
 @TWO_PROCESSES
 @pytest.mark.parametrize("call, error", [
     ("fork", errno.EAGAIN), ("memfd_create", errno.EMFILE)],

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from singwave.errors import (
     SingwaveError,
     ConsistencyViolation,
+    InputError,
     NonFiniteValue,
     ParseError,
     RankFull,
@@ -40,7 +41,7 @@ from singwave.sturm_liouville import SLProblem, expand, solve_psd
 from singwave.verify import residual_report
 
 from power_norms import power_norms
-from random_matrices import random_orthogonal, random_unitary
+from random_matrices import make_rng, random_orthogonal, random_unitary
 from rotated_demo import rotated_demos
 
 
@@ -103,6 +104,21 @@ def test_problem_spec_rejects_non_finite_data():
         ProblemSpec(m=3, E=mats["E"], A=mats["A"], A1=mats["A1"],
                     A2=mats["A2"], B1=mats["B1"], B2=mats["B2"],
                     alpha=2.0, beta=1.0, F=bad, Gv=Z, grid=grid)
+
+
+@pytest.mark.parametrize("E, message", [
+    ([[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]],
+     '"E" must have shape (3, 3), got uneven rows'),
+    ([["1", 0, 0], [0, 1, 0], [0, 0, 1]],
+     '"E" entries must be numbers, got <U21'),
+    (np.eye(2), '"E" must have shape (3, 3), got (2, 2)'),
+    (np.diag([np.nan, 1.0, 1.0]), '"E" contains non-finite entries'),
+], ids=["uneven-rows", "string-cell", "shape", "nan"])
+def test_problem_spec_names_the_bad_table(E, message):
+    # the CLI prints these messages, so they are kept word for word
+    with pytest.raises(InputError) as info:
+        _zero_data_spec(E=E)
+    assert str(info.value) == message
 
 
 def test_mode_rho_default_and_override():
@@ -365,17 +381,30 @@ def test_solution_linear_superposition():
     assert_allclose(U_a + U_b, U_full, atol=1e-10)
 
 
-@pytest.fixture(scope="module")
-def demo_256():
-    """The demo at N = 256, M = 512 (r = 0.5) and its grid."""
-    spec = demo_problem(256, 0.5 / 256, 1.0)
+# the problems of the exact checks below, by id
+EXACT_CHECKS = {
+    "demo-N256": lambda rng: demo_problem(256, 0.5 / 256, 1.0),
+    "rotated-orthogonal": lambda rng: rotated_demos(
+        random_orthogonal(rng, 9)),
+    "rotated-complex": lambda rng: rotated_demos(random_orthogonal(rng, 9),
+                                                 1.0 + 1.0j),
+    "rotated-unitary": lambda rng: rotated_demos(random_unitary(rng, 9)),
+}
+
+
+@pytest.fixture(scope="module", params=list(EXACT_CHECKS))
+def solved(request):
+    """A problem and its grid: the demo at N = 256, M = 512 (r = 0.5), or
+    three coupled demos (m = 9, N = 8) through a real orthogonal change
+    of unknowns, the same with complex positions, or a unitary one."""
+    spec = EXACT_CHECKS[request.param](make_rng(20250822))
     return spec, solve_problem(spec).U
 
 
-def test_solution_reversed_in_time(demo_256):
+def test_solution_reversed_in_time(solved):
     # the scheme is symmetric in time: from U(M) and the velocity that
     # gives U(M - 1) as the first level, the march runs U backwards
-    spec, U = demo_256
+    spec, U = solved
     k = spec.grid.k
     back = dataclasses.replace(spec, F=U[:, -1],
                                Gv=(U[:, -2] - U[:, -1]) / k)
@@ -383,20 +412,36 @@ def test_solution_reversed_in_time(demo_256):
     assert deviation <= 1e-12 * np.abs(U).max()
 
 
-def test_solution_superposition_by_spatial_mode(demo_256, rng):
+def test_solution_superposition_by_spatial_mode(solved, rng):
     # F and G split by a random weight per spatial mode: each part keeps
     # every mode's admissible direction (a weight per node would put
     # velocity on the lowest mode, which does not propagate), and the two
     # solutions add up to the whole
-    spec, U = demo_256
+    spec, U = solved
     N = spec.grid.N
     modes = solve_psd(spec.sl_problem())
     w = rng.uniform(size=(len(modes), 1))
     parts = [dataclasses.replace(spec, **{key: _with_boundary(
         modes.v.T @ (weight * expand(getattr(spec, key)[1:N], modes)),
-        demo_matrices()) for key in ("F", "Gv")}) for weight in (w, 1 - w)]
+        vars(spec)) for key in ("F", "Gv")}) for weight in (w, 1 - w)]
     total = sum(solve_problem(part).U for part in parts)
     assert np.abs(total - U).max() <= 1e-12 * np.abs(U).max()
+
+
+def test_convergence_is_first_order():
+    # the clamped scalar wave from sin(pi x) at rest, r = 0.5, T = 0.5,
+    # against the exact cos(pi t) sin(pi x): the interior scheme is second
+    # order, but the first level U(1) = F + k G makes the max error halve
+    # with h (an eigenvector paired with another mode's lambda does not)
+    errors = []
+    for N in (16, 32, 64, 128):
+        spec = dataclasses.replace(scalar_wave_problem(N, 0.5 / N, 0.5),
+                                   Gv=np.zeros((N + 1, 1)))
+        x, t = np.arange(N + 1) / N, np.arange(spec.grid.M + 1) * spec.grid.k
+        exact = np.outer(np.sin(np.pi * x), np.cos(np.pi * t))
+        errors.append(np.abs(solve_problem(spec).U[..., 0] - exact).max())
+    order = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.abs(order - 1.0).max() <= 0.1, order
 
 
 def test_solution_scaling_equivariance():

@@ -3,21 +3,25 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``singwave`` package (a
-checkout's ``src/``).  Each tree runs in its own process on the same 21
+checkout's ``src/``).  Each tree runs in its own process on the same 26
 inputs: the seed-7 ``batch-mixed`` list, problem 0 of ``demo-large`` and
 of ``reference-dense`` and the warm-up problem, all read from
-``perfbench/workloads.py``, and the six ``singwave.fixtures`` problems,
-which each tree writes with its own ``write_problem``.  Every input goes
-through ``solve``, then ``verify`` and then ``eigen``; ``singwave
-example`` runs once.
+``perfbench/workloads.py``, five malformed copies of the warm-up problem
+(``MALFORMED``: a ragged ``E``, a string cell, a ``NaN`` cell, an ``F``
+of the wrong shape and a ``true`` cell), and the six
+``singwave.fixtures`` problems, which each tree writes with its own
+``write_problem``.  Every input goes through ``solve``, then ``verify``
+and then ``eigen``; ``singwave example`` runs once.
 
 Prints every exit code and every output file that differs (the fixture
 problem files, ``problem.json`` of ``example``, ``solution.csv``,
-``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt`` and
-``verify``'s stdout), with the differing lines of a differing
-``report.txt`` or ``verify.out``, then every file that either tree left
-in an input's run directory beyond those outputs (such as a leaked part
-file of a solution table), each counted as a difference, then a summary.
+``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt``,
+``verify``'s stdout and the three commands' stderr, with the tree's
+directory written as ``<tree>``), with the differing lines of a
+differing ``report.txt`` or ``.out`` file, then every file that either
+tree left in an input's run directory beyond those outputs (such as a
+leaked part file of a solution table), each counted as a difference,
+then a summary.
 Problem 0 of ``demo-large`` (397062 grid values) is the input whose
 ``solution.csv`` is written by two processes in ``solve`` and read by
 two processes in ``verify``.  Each tree then runs ``verify`` on four
@@ -48,15 +52,24 @@ FIXTURES = ("demo_problem", "scalar_wave_problem",
             "reject_projector_mismatch", "reject_kernel_violation",
             "reject_full_rank", "reject_rho_degenerate")
 OUTPUTS = ("solution.csv", "eigen.csv", "report.txt", "verify.out",
-           os.path.join("eigen", "eigen.csv"))
+           "stderr.out", os.path.join("eigen", "eigen.csv"))
 TEXT_OUTPUTS = ("report.txt", ".out")
 SEED = 7
 # the input whose table is damaged, and where the damaged copies go
 DAMAGED_INPUT, DAMAGED_DIR = "demo-large0", "damaged"
+# edits of the warm-up problem's document that every command must refuse
+MALFORMED = {
+    "ragged-E": lambda doc: doc["E"][0].pop(),
+    "string-cell": lambda doc: doc["E"][1].__setitem__(1, "1"),
+    "nan-cell": lambda doc: doc["E"][1].__setitem__(1, float("nan")),
+    "F-shape": lambda doc: doc["F"].pop(),
+    "true-cell": lambda doc: doc["E"][1].__setitem__(1, True),
+}
 
 
 def write_bench_inputs(out_dir: str) -> None:
-    """Write the 15 benchmark inputs as problem files."""
+    """Write the 15 benchmark inputs and the MALFORMED copies of the
+    warm-up problem as problem files."""
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     wl = importlib.util.module_from_spec(spec)
@@ -66,6 +79,10 @@ def write_bench_inputs(out_dir: str) -> None:
                   for name in ("demo-large", "reference-dense")]
                + [wl.warmup_problem()])
     os.makedirs(out_dir)
+    for name, edit in MALFORMED.items():
+        doc = wl.warmup_problem()["doc"]
+        edit(doc)
+        wl._dump({"name": "malformed-" + name, "doc": doc}, out_dir)
     for entry in entries:
         wl._dump(entry, out_dir)
 
@@ -135,8 +152,8 @@ def run_tree(inputs_dir: str, out_dir: str) -> None:
     for path in inputs:
         name = os.path.splitext(os.path.basename(path))[0]
         run_dir = os.path.join(out_dir, name)
-        text = io.StringIO()
-        with contextlib.redirect_stderr(io.StringIO()):  # rejections
+        text, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
             solve = cli.main(["solve", "--input", path, "--out-dir",
                               run_dir, "--quiet"])
             with contextlib.redirect_stdout(text):
@@ -144,9 +161,11 @@ def run_tree(inputs_dir: str, out_dir: str) -> None:
                                    os.path.join(run_dir, "solution.csv")])
             eigen = cli.main(["eigen", "--input", path, "--out-dir",
                               os.path.join(run_dir, "eigen"), "--quiet"])
-        with open(os.path.join(run_dir, "verify.out"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text.getvalue())
+        os.makedirs(run_dir, exist_ok=True)  # a refused input makes none
+        for out, stream in (("verify.out", text), ("stderr.out", err)):
+            with open(os.path.join(run_dir, out), "w",
+                      encoding="utf-8") as fh:
+                fh.write(stream.getvalue().replace(out_dir, "<tree>"))
         codes[name] = [solve, verify, eigen]
     verify_damaged(cli, os.path.join(inputs_dir, DAMAGED_INPUT + ".json"),
                    out_dir, codes)
