@@ -102,7 +102,8 @@ class PropagatorPair:
     rho is a vector, one entry per mode; row idx of every field belongs
     to spatial mode idx + 1.  Z0, Z1, C and S are (modes, ., .), with
     Z0 = basis (C + S) coords and Z1 = basis (C - S) coords and C, S
-    triangular in core coordinates.
+    triangular in core coordinates.  Assembly takes closed-form powers
+    of c +- s when the core, so C and S, is diagonal, else steps Z0, Z1.
 
     The root table, (modes, p) over the core diagonal: z = rho*d,
     coincide where the roots c +- s of p^2 - (2 + z) p + 1 = 0 coincide,

@@ -335,14 +335,27 @@ class DiscreteSolution:
     stability: Optional[StabilityReport] = None
 
 
-def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
-                      amps: ModeAmplitudes, eigenpairs: np.recarray
-                      ) -> np.ndarray:
+def _scaled_powers(root: np.ndarray, amp: np.ndarray, M: int) -> np.ndarray:
+    """amp * root^j for j = 0..M as a (modes, M+1, p) array: the amplitude,
+    then the root M times, multiplied up by one cumulative product."""
+    out = np.empty((len(root), M + 1, root.shape[1]), dtype=complex)
+    out[:, 0], out[:, 1:] = amp, root[:, None]
+    return np.multiply.accumulate(out, axis=1, out=out)
+
+
+def assemble_solution(spec: ProblemSpec, pd: PencilData,
+                      propagators: PropagatorPair, amps: ModeAmplitudes,
+                      eigenpairs: np.recarray) -> np.ndarray:
     """Superpose the modes on interior nodes and extend to the endpoints.
 
-    ``propagators`` is the (modes, m, m) stack, stepped for all modes at
-    once, and the (modes, N-1) eigenvectors ``eigenpairs.v`` carry it to
-    the grid in one product, written straight into U's interior rows.
+    Mode l's table is Z0_l^j P_l + Z1_l^j Q_l, j = 0..M.  A pencil core
+    with nothing above its diagonal (the demo, every m = 1 problem) makes
+    C and S diagonal, so each core direction's table is p+^j Pc + p-^j Qc
+    with roots p+- = c +- s and amplitudes Pc, Qc in core coordinates:
+    closed-form powers, mapped to components, then one real product with
+    the real eigenvectors ``eigenpairs.v`` into U's interior rows.  Any
+    other core (a Jordan block, off-diagonals of round-off size) steps
+    the (modes, m, m) propagator stack M times, then one complex product.
     The endpoint rows are the eigenfunctions' own, U(0) = a U(1) and
     U(N) = b U(N-1) (boundary_scalars).  Amplitudes in
     the kernel of the endpoint matrix, which check_consistency gates,
@@ -357,18 +370,29 @@ def assemble_solution(spec: ProblemSpec, propagators: PropagatorPair,
     grid = spec.grid
     N, M, m = grid.N, grid.M, spec.m
     U = np.empty((N + 1, M + 1, m), dtype=complex)
-    # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as one
-    # (branch, modes, m, 1) stack of columns
-    Z = np.stack([propagators.Z0, propagators.Z1])
-    cur = np.stack([amps.P, amps.Q])[..., None]
-    tables = np.empty((amps.P.shape[0], M + 1, m), dtype=complex)
-    tables[:, 0] = cur.sum(axis=0)[..., 0]
-    for j in range(1, M + 1):
-        cur = Z @ cur
-        tables[:, j] = cur.sum(axis=0)[..., 0]
-    # one BLAS product carries every mode to every interior node
-    np.matmul(eigenpairs.v.T, tables.reshape(len(tables), -1),
-              out=U[1:N].reshape(N - 1, (M + 1) * m))
+    interior = U[1:N].reshape(N - 1, -1)
+    if np.triu(pd.core, 1).any():
+        # tables[l, j] = Z0_l^j P_l + Z1_l^j Q_l, both branches stepped as
+        # one (branch, modes, m, 1) stack of columns
+        Z = np.stack([propagators.Z0, propagators.Z1])
+        cur = np.stack([amps.P, amps.Q])[..., None]
+        tables = np.empty((len(amps.P), M + 1, m), dtype=complex)
+        tables[:, 0] = cur.sum(axis=0)[..., 0]
+        for j in range(1, M + 1):
+            cur = Z @ cur
+            tables[:, j] = cur.sum(axis=0)[..., 0]
+        # one BLAS product carries every mode to every interior node
+        np.matmul(eigenpairs.v.T, tables.reshape(len(tables), -1),
+                  out=interior)
+    else:
+        diag = np.arange(pd.core.shape[0])
+        c, s = propagators.C[:, diag, diag], propagators.S[:, diag, diag]
+        core = _scaled_powers(c + s, amps.P @ pd.coords.T, M)
+        core += _scaled_powers(c - s, amps.Q @ pd.coords.T, M)
+        tables = core @ pd.basis.T
+        # the real eigenvectors times the tables' (re, im) pairs
+        np.matmul(eigenpairs.v.T, tables.view(float).reshape(len(c), -1),
+                  out=interior.view(float))
 
     a, b = boundary_scalars(spec.sl_problem())
     # at a Dirichlet end a zero scalar times a negative value is -0.0;
@@ -423,6 +447,6 @@ def solve_problem(spec: ProblemSpec,
         pd, spec.mode_rho(eigenpairs.lam))
     raise_on_unstable_roots(pd, propagators)
     sol.modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
-    sol.U = assemble_solution(spec, propagators, sol.modes, eigenpairs)
+    sol.U = assemble_solution(spec, pd, propagators, sol.modes, eigenpairs)
     sol.stability = stability_report(spec, propagators, sol.U)
     return sol

@@ -43,6 +43,7 @@ from singwave.verify import residual_report
 from power_norms import power_norms
 from random_matrices import make_rng, random_orthogonal, random_unitary
 from rotated_demo import rotated_demos
+from stepped_assembly import stepped_assembly
 
 
 # ------------------------------------------------------------------ grid
@@ -528,6 +529,80 @@ def test_complex_problem_keeps_its_imaginary_part(make, rng):
     assert not spec.is_real()
     U = solve_problem(spec).U
     assert np.abs(U.imag).max() > 0.1 * np.abs(U).max()
+
+
+def _robin_growth_problem() -> ProblemSpec:
+    """m = 1 with a Robin end, alpha = 0.5 and beta = 0 at N = 8: the
+    lowest spatial eigenvalue is negative, so its roots leave the unit
+    circle; F = sin(pi x) with the eigenfunction endpoint rows, at rest."""
+    N = 8
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    F = _with_boundary(np.sin(np.pi * np.arange(1, N) / N)[:, None],
+                       {"alpha": 0.5, "beta": 0.0})
+    return ProblemSpec(m=1, E=one, A=one, A1=one, A2=0.5 * one, B1=one,
+                       B2=zero, alpha=0.5, beta=0.0, F=F,
+                       Gv=np.zeros((N + 1, 1)),
+                       grid=GridParams.create(N, 0.5 / N, 1.0))
+
+
+def _empty_core_problem() -> ProblemSpec:
+    """E = 0, A = I with clamped ends and zero data: nothing propagates,
+    the pencil's core is 0 x 0."""
+    N, eye, zero = 8, np.eye(2), np.zeros((2, 2))
+    return ProblemSpec(m=2, E=zero, A=eye, A1=eye, A2=zero, B1=eye, B2=zero,
+                       alpha=0.0, beta=0.0, F=np.zeros((N + 1, 2)),
+                       Gv=np.zeros((N + 1, 2)),
+                       grid=GridParams.create(N, 1.0 / 16.0, 1.0))
+
+
+def _complex_demo() -> ProblemSpec:
+    spec = demo_problem()
+    return dataclasses.replace(spec, F=(1.0 + 1.0j) * spec.F,
+                               Gv=(1.0 - 2.0j) * spec.Gv)
+
+
+# problems whose pencil core is diagonal, by id
+DIAGONAL_CORES = {
+    "demo-N128": lambda: demo_problem(128, 0.5 / 128, 2.0),
+    "scalar-N256": lambda: scalar_wave_problem(256, 0.5 / 256, 0.5),
+    "demo-complex": _complex_demo,
+    "robin-growth": _robin_growth_problem,
+    "empty-core": _empty_core_problem,
+}
+
+
+@pytest.mark.parametrize("name", list(DIAGONAL_CORES))
+def test_diagonal_core_matches_the_stepped_grid(name):
+    # a diagonal core's tables are closed-form powers of its roots, which
+    # round otherwise than M steps do, by a few ulps of max|U| per step
+    spec = DIAGONAL_CORES[name]()
+    sol = solve_problem(spec)
+    assert not np.triu(sol.pencil.core, 1).any()
+    ref = stepped_assembly(spec, sol.propagators, sol.modes, sol.eigenpairs)
+    bound = 4 * spec.grid.M * np.finfo(float).eps * np.abs(ref).max()
+    assert np.abs(sol.U - ref).max() <= bound
+    if name == "robin-growth":
+        lam = solve_psd(spec.sl_problem()).lam[0] * spec.grid.N ** 2
+        assert lam == pytest.approx(-5.01, abs=0.005)
+        assert sol.stability.max_root_modulus > 1.0
+    if name == "empty-core":
+        assert sol.pencil.core.shape == (0, 0)
+        assert not sol.U.any()
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _jordan_problem(),
+    lambda rng: rotated_demos(random_orthogonal(rng, 9)),
+], ids=["jordan", "rotated"])
+def test_other_cores_keep_the_stepped_grid(make, rng):
+    # a Jordan block, or off-diagonals of round-off size, step bit for
+    # bit as before; the rotated demos' lowest mode has rho = 0, so its C
+    # is the identity, and a mode's C cannot tell the core's shape
+    spec = make(rng)
+    sol = solve_problem(spec)
+    assert np.triu(sol.pencil.core, 1).any()
+    ref = stepped_assembly(spec, sol.propagators, sol.modes, sol.eigenpairs)
+    assert sol.U.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------- stability

@@ -18,7 +18,10 @@ problem files, ``problem.json`` of ``example``, ``solution.csv``,
 ``eigen.csv`` of ``solve`` and of ``eigen``, ``report.txt``,
 ``verify``'s stdout and the three commands' stderr, with the tree's
 directory written as ``<tree>``), with the differing lines of a
-differing ``report.txt`` or ``.out`` file, then every file that either
+differing ``report.txt`` or ``.out`` file and, for a differing
+``solution.csv``, max|dU|/max|U| over its value columns (the grid's
+change relative to the old grid's largest modulus, so a change of
+rounding alone shows as a few ulps), then every file that either
 tree left in an input's run directory beyond those outputs (such as a
 leaked part file of a solution table), each counted as a difference,
 then a summary.
@@ -45,6 +48,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -189,6 +194,19 @@ def print_line_diff(old: bytes, new: bytes) -> None:
         print(f"    {line}")
 
 
+def value_deviation(old: bytes, new: bytes) -> str:
+    """max|dU|/max|U| between two solution tables of one grid: each
+    u<c>_re, u<c>_im pair is one complex value, and the old table's
+    largest modulus is the base (max|dU| alone when that is 0)."""
+    old_u, new_u = ((cells[:, 4::2] + 1j * cells[:, 5::2]) for cells in (
+        np.loadtxt(io.BytesIO(text), delimiter=",", skiprows=1, ndmin=2)
+        for text in (old, new)))
+    peak, dev = np.abs(old_u).max(), np.abs(new_u - old_u).max()
+    if not peak:
+        return f"max|dU| = {dev:.3e}, max|U| = 0"
+    return f"max|dU|/max|U| = {dev / peak:.3e}"
+
+
 def compare(old_dir: str, new_dir: str) -> int:
     """Print the differences between two tree runs; returns their count."""
     codes = [json.loads(_read(os.path.join(d, "codes.json")))
@@ -214,6 +232,8 @@ def compare(old_dir: str, new_dir: str) -> int:
                   f"{'absent' if new is None else len(new)} bytes")
             if rel.endswith(TEXT_OUTPUTS) and None not in (old, new):
                 print_line_diff(old, new)
+            if rel.endswith("solution.csv") and None not in (old, new):
+                print(f"    {value_deviation(old, new)}")
     for tag, tree in (("old", old_dir), ("new", new_dir)):
         for name in codes[0]:
             if name == "example" or name.startswith(DAMAGED_DIR + "-"):
