@@ -20,6 +20,7 @@ import warnings
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import (
     NumericalFailure,
@@ -27,7 +28,6 @@ from .errors import (
     ShapeError,
     SingwaveError,
 )
-from .fixtures import demo_problem
 from .matrix_core import is_number
 from .solver import (
     MATRIX_KEYS,
@@ -42,12 +42,17 @@ from .verify import ResidualReport, residual_report
 
 # grid values per block of _write_nodes (_CSV_BLOCK // m nodes, which may
 # start and end inside an i row); it holds the text of one block at a
-# time, so its memory is flat in N, M, m
+# time, so its memory is flat in N and m, and in M apart from the j and t
+# texts of the levels
 _CSV_BLOCK = 4096
 # grid values (2m per node) from which a forked process writes the second
 # half of solution.csv's nodes and reads the second half of its bytes;
 # below it the fork costs more (break-even ladders: BENCH_27.json to 29)
 _CSV_SPLIT = 2 ** 16
+# orjson's exponents that repr writes otherwise: a sign before a positive
+# one, a zero before a negative one of one digit
+_EXP_POSITIVE = re.compile(rb"e(?=\d)")
+_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d\b)")
 # keys every problem file holds; "tolerances" is the one optional key
 _REQUIRED_KEYS = ("m", *MATRIX_KEYS, "alpha", "beta", "N", "k", "T", "F", "G")
 
@@ -132,17 +137,26 @@ def write_problem(spec: ProblemSpec, path: str) -> None:
         fh.write("\n")
 
 
-def _repr_runs(column: np.ndarray) -> List[str]:
-    """repr of each float of a column, called once per run of equal bit
-    patterns; the int64 view keeps -0.0 apart from 0.0."""
-    bits = column.view(np.int64)
-    starts = np.flatnonzero(np.not_equal(bits[1:], bits[:-1])) + 1
-    if len(starts) == len(bits) - 1:
-        return list(map(repr, column.tolist()))
-    starts = np.concatenate(([0], starts))
-    texts = np.empty(len(starts), dtype=object)
-    texts[:] = list(map(repr, column[starts].tolist()))
-    return np.repeat(texts, np.diff(starts, append=len(bits))).tolist()
+def _float_rows(block: np.ndarray) -> List[bytes]:
+    """The text of each row of a float block: its cells as repr writes
+    them, joined by commas.
+
+    orjson formats the whole block with Ryu's shortest round-trip digits,
+    which are repr's, and its exponents (e16, e-7) are rewritten as
+    repr's (e+16, e-07).  orjson writes a decimal exponent of -5
+    positionally (0.00001) and inf and nan as null, so a row with a cell
+    of magnitude in [1e-5, 1e-4) or one that is not finite is formatted
+    by repr instead.
+    """
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text:
+        text = _EXP_ONE_DIGIT.sub(b"e-0", _EXP_POSITIVE.sub(b"e+", text))
+    rows = text[2:-2].split(b"],[")
+    size = np.abs(block)
+    odd = ((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(size)
+    for r in np.flatnonzero(odd.any(axis=1)).tolist():
+        rows[r] = ",".join(map(repr, block[r].tolist())).encode()
+    return rows
 
 
 def _solution_header(m: int) -> List[str]:
@@ -157,42 +171,36 @@ def _write_nodes(fh, values: np.ndarray, grid: GridParams, lo: int,
     binary file fh; values holds each node's real and imaginary parts
     interleaved, one row per node, and node i*(M + 1) + j is (i, j).
 
-    Each value column of a block is formatted once per run of equal
-    values, so a column of zeros (the imaginary parts of a real grid,
-    which every real problem gets from assemble_solution) costs one repr
-    per block; a value that repeats apart from its run is formatted
-    again, to the same text.  A block's rows are grouped by i,
-    and "i," and ",x," with x = i/N are formatted once per group.  The
-    texts of j and t = j*k are formatted once per call when all M + 1
-    levels fit in one block, and else once per node, so that the memory
-    held stays flat in N, M and m.  A row's text does not depend on the
-    block it falls in, so a table written in any split of its node range
-    has the same bytes.
+    _float_rows formats the value cells of a block.  The texts of j and
+    t = j*k are formatted once per call, for all M + 1 levels, and those
+    of i and x = i/N once per i row of a block.  A row's text does not
+    depend on the block it falls in, so a table written in any split of
+    its node range has the same bytes.
     """
     N, M, m = grid.N, grid.M, values.shape[1] // 2
     step = max(1, _CSV_BLOCK // m)
-    t = np.arange(M + 1) * grid.k
-    if M < step:
-        js, ts = list(map(str, range(M + 1))), list(map(repr, t.tolist()))
+    # fixed-width bytes, not lists of objects, so that a level holds about
+    # 30 bytes; a repr has at most 24 characters
+    js = np.fromiter((f"{j},".encode() for j in range(M + 1)),
+                     dtype=f"S{len(str(M)) + 1}", count=M + 1)
+    ts = np.fromiter((f"{j * grid.k!r},".encode() for j in range(M + 1)),
+                     dtype="S25", count=M + 1)
     for start in range(lo, hi, step):
         stop = min(start + step, hi)
-        vals = list(map(",".join, zip(*map(
-            _repr_runs, values[start:stop].T))))
-        rows = []
+        # six pieces a row: i, j, x, t, the values and the line end
+        parts = [b"\r\n"] * (6 * (stop - start))
+        parts[4::6] = _float_rows(values[start:stop])
         for i in range(start // (M + 1), (stop - 1) // (M + 1) + 1):
             # nodes a to b of the block lie on row i, at levels j0 to j1
             a = max(start, i * (M + 1))
             b = min(stop, (i + 1) * (M + 1))
             j0, j1 = a - i * (M + 1), b - i * (M + 1)
-            head, mid = f"{i},", f",{i / N!r},"
-            if M < step:
-                jt, tt = js[j0:j1], ts[j0:j1]
-            else:
-                jt = map(str, range(j0, j1))
-                tt = map(repr, t[j0:j1].tolist())
-            rows += [f"{head}{j}{mid}{tj},{v}\r\n" for j, tj, v in zip(
-                jt, tt, vals[a - start:b - start])]
-        fh.write("".join(rows).encode())
+            first, end = 6 * (a - start), 6 * (b - start)
+            parts[first:end:6] = [f"{i},".encode()] * (b - a)
+            parts[first + 1:end:6] = js[j0:j1].tolist()
+            parts[first + 2:end:6] = [f"{i / N!r},".encode()] * (b - a)
+            parts[first + 3:end:6] = ts[j0:j1].tolist()
+        fh.write(b"".join(parts))
 
 
 def _two_processes() -> bool:
@@ -639,6 +647,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(path)
             return 0
         if args.command == "example":
+            from .fixtures import demo_problem
             spec = demo_problem()
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, "problem.json")

@@ -1,13 +1,17 @@
-"""The CSV writers against the ``csv.writer`` oracle, byte for byte, and
-the two-process read of ``solution.csv`` against the one-process read."""
+"""The CSV writers against the ``csv.writer`` oracle, byte for byte, the
+value cells of ``solution.csv`` against ``repr``, and the two-process read
+of ``solution.csv`` against the one-process read."""
 
+import io
 import os
 import pathlib
 import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csv_oracle import eigen_csv_oracle, solution_csv_oracle
 from singwave import cli
@@ -158,6 +162,56 @@ def test_split_solution_csv_matches_the_csv_writer_oracle(case, tmp_path,
     # every case written by two processes, each formatting half the nodes
     monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
     test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path)
+
+
+def _rows_against_repr(cells, m):
+    """Write cells, zero-padded, as the value columns of a grid of N = 2
+    with m components; each row's value cells must be repr's text."""
+    width = 3 * 2 * m  # one level of the grid
+    values = np.zeros(max(2, -(-len(cells) // width)) * width)
+    values[:len(cells)] = cells
+    values = values.reshape(-1, 2 * m)
+    out = io.BytesIO()
+    cli._write_nodes(out, values, _grid(2, len(values) // 3 - 1), 0,
+                     len(values))
+    rows = out.getvalue().split(b"\r\n")
+    assert rows.pop() == b""
+    assert [row.split(b",", 4)[4] for row in rows] == [
+        ",".join(map(repr, row)).encode() for row in values.tolist()]
+
+
+def _float_of_bits(sign, exponent, mantissa):
+    return struct.unpack("<d", struct.pack(
+        "<Q", sign << 63 | exponent << 52 | mantissa))[0]
+
+
+# finite floats of every binary exponent (subnormals and zeros among
+# them), floats about the decimal exponents where repr's or orjson's text
+# changes form (-5 and 16), and hypothesis's own finite floats
+FINITE = st.one_of(
+    st.builds(_float_of_bits, st.integers(0, 1), st.integers(0, 2046),
+              st.integers(0, 2 ** 52 - 1)),
+    st.builds(lambda mantissa, exponent: mantissa * 10.0 ** exponent,
+              st.floats(-10, 10), st.integers(-12, 20)),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+# 30 to 60 cells an example, so that a cell in [1e-5, 1e-4) turns up in
+# about half of the examples
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(cells=st.lists(FINITE, min_size=30, max_size=60),
+       m=st.integers(1, 3))
+def test_value_cells_are_repr_of_finite_floats(cells, m):
+    _rows_against_repr(cells, m)
+
+
+# where orjson's text is not repr's (a decimal exponent of -5, inf and
+# nan) or where repr changes form, each beside cells of either form
+@pytest.mark.parametrize("value", [
+    0.0, -0.0, 5e-324, 1e-05, 9.999999999999999e-05, 1e-4, 1e16,
+    9999999999999998.0, float("inf"), float("nan")], ids=repr)
+def test_value_cells_are_repr_where_the_form_changes(value):
+    _rows_against_repr([value, 1.5e-07, -value, 1e+22, 1.0, value], 1)
 
 
 def _serial_body(path):

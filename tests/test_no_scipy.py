@@ -1,5 +1,5 @@
-"""The package runs on numpy alone: no module under src/ imports scipy,
-and pyproject.toml does not depend on it."""
+"""The package runs on numpy and orjson, without scipy: no module under
+src/ imports scipy, and pyproject.toml does not depend on it."""
 
 import ast
 import glob

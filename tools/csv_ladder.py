@@ -5,7 +5,8 @@
 SRC is a directory holding the ``singwave`` package (a checkout's
 ``src/``), so that two trees can run the same ladder.  Each rung is a
 random complex grid of the demo's shape (m = 3, M = 4N, k = 1/M) with
-2^13 to 2^18 float values.  At each rung the grid is written and read R
+2^13 to 2^20.6 float values; N = 128 is ``demo-large``'s size
+(2^18.6 values).  At each rung the grid is written and read R
 times by one process (``cli._CSV_SPLIT`` set above the grid's size) and R
 times by two (``cli._CSV_SPLIT`` set to 1), alternating which runs first;
 every written file must have the same bytes both ways and every read must
@@ -36,7 +37,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-RUNGS = (18, 26, 37, 52, 74, 105)  # N: 2^13 to 2^18 values at m = 3
+RUNGS = (18, 26, 37, 52, 74, 105, 128, 256)  # N: 2^13 to 2^20.6 values
 
 
 def _quartiles(times):
