@@ -66,9 +66,9 @@ def as_matrix(value, name: str = "matrix", shape=None) -> np.ndarray:
     """``value``, a table of numbers, as a complex matrix: the one check
     of every table, in this order.  ShapeError for rows of unequal
     length, ParseError for entries that are not numbers (a bool is not
-    one), ShapeError unless the table is two dimensional and, when
-    ``shape`` is given, of that shape, NonFiniteValue for a NaN or an
-    infinite entry."""
+    one, also among numbers), ShapeError unless the table is two
+    dimensional and, when ``shape`` is given, of that shape,
+    NonFiniteValue for a NaN or an infinite entry."""
     want = "be two dimensional" if shape is None else f"have shape {shape}"
     try:
         arr = np.asarray(value)
@@ -76,6 +76,10 @@ def as_matrix(value, name: str = "matrix", shape=None) -> np.ndarray:
         raise ShapeError(f'"{name}" must {want}, got uneven rows') from exc
     if arr.dtype.kind not in "iufc":
         raise ParseError(f'"{name}" entries must be numbers, got {arr.dtype}')
+    # numpy casts a bool among numbers to a number; the cells' types show it
+    if not (isinstance(value, np.ndarray) or {bool, np.bool_}.isdisjoint(
+            map(type, np.array(value, dtype=object).flat))):
+        raise ParseError(f'"{name}" entries must be numbers, got bool')
     if arr.ndim != 2 or shape not in (None, arr.shape):
         raise ShapeError(f'"{name}" must {want}, got {arr.shape}')
     if not np.isfinite(arr).all():

@@ -1,5 +1,5 @@
 """The output tables written row by row through ``csv.writer``: a test
-oracle for the bytes of ``singwave.cli.write_solution_csv`` and
+oracle for the bytes of ``singwave.csv_io.write_solution_csv`` and
 ``write_eigen_csv``."""
 
 import csv

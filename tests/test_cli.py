@@ -17,7 +17,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import singwave
-from singwave import cli
+from singwave import cli, csv_io
 from singwave.cli import (
     _make_parser,
     main,
@@ -53,7 +53,7 @@ from rotated_demo import rotated_demos
 
 # where the process may fork a writer or reader that runs beside it
 TWO_PROCESSES = pytest.mark.skipif(
-    not cli._two_processes(),
+    not csv_io._two_processes(),
     reason="needs os.fork, os.memfd_create and two CPUs")
 
 
@@ -152,6 +152,21 @@ def test_problem_file_pair_entries(tmp_path):
     assert spec.E[0, 0] == 1.0 + 0.5j
 
 
+@pytest.mark.parametrize("cell", [
+    [1.0, 0.5, 0.0], ["1", 0.5], [True, 0.0], [[1.0, 0.5]], [10 ** 400, 0]],
+    ids=["three-parts", "string-part", "bool-part", "nested", "huge-part"])
+def test_problem_file_refuses_a_list_cell_that_is_not_a_pair(tmp_path, cell):
+    # only an [re, im] pair of numbers is read as a complex; as_matrix
+    # refuses any other list cell
+    doc = json.loads(json.dumps(serialize_problem(
+        demo_problem(4, 0.125, 0.5))))
+    doc["E"][0][0] = cell
+    path = tmp_path / "bad_pair.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        parse_problem(str(path))
+
+
 def test_problem_file_missing_keys(tmp_path):
     doc = serialize_problem(demo_problem(4, 0.125, 0.5))
     del doc["E"]
@@ -209,7 +224,7 @@ def test_solution_csv_spans_several_blocks(tmp_path, monkeypatch):
     back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=1))
     assert np.array_equal(back.view(np.int64), U.view(np.int64))
     # the block size does not show in the bytes
-    monkeypatch.setattr("singwave.cli._CSV_BLOCK", 7)
+    monkeypatch.setattr("singwave.csv_io._CSV_BLOCK", 7)
     small = tmp_path / "small_blocks.csv"
     write_solution_csv(U, grid, str(small))
     assert small.read_bytes() == path.read_bytes()
@@ -244,8 +259,8 @@ def test_split_read_memory_stays_near_the_serial_read(tmp_path, monkeypatch):
     path = str(tmp_path / "solution.csv")
     write_solution_csv(U, spec.grid, path)
     peaks = {}
-    for split in (U.size * 2 + 1, cli._CSV_SPLIT):
-        monkeypatch.setattr(cli, "_CSV_SPLIT", split)
+    for split in (U.size * 2 + 1, csv_io._CSV_SPLIT):
+        monkeypatch.setattr(csv_io, "_CSV_SPLIT", split)
         tracemalloc.start()
         try:
             back = read_solution_csv(path, spec)
@@ -312,8 +327,10 @@ def _edited_solution(tmp_path, edit):
     lambda body: body[:-1] + ["-1,1,1.0,0.5,5.0,0.0"],
     lambda body: body + [body[0]],
     lambda body: [],
+    # node (3, 0) of a grid one row taller, with its x and t
+    lambda body: body + ["3,0,1.5,0.0,0.0,0.0"],
 ], ids=["non-numeric", "fractional-index", "negative-index", "repeated",
-        "empty"])
+        "empty", "row-past-the-grid"])
 def test_solution_csv_rejects_malformed_rows(tmp_path, edit):
     path = _edited_solution(tmp_path, edit)
     with pytest.raises(ParseError):
@@ -390,6 +407,32 @@ def test_verify_rejects_a_solution_of_another_grid(tmp_path, capsys, other,
     assert main(["verify", "--input", str(problem), "--solution",
                  str(tmp_path / "solution.csv"), "--quiet"]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", [
+    8, pytest.param(64, marks=TWO_PROCESSES, id="64-split-then-one")])
+def test_verify_rejects_rows_out_of_the_writer_order(tmp_path, capsys, N):
+    # the body rows permuted: at N = 8 one process reads the table; at
+    # N = 64, M = 256 (100230 values) two processes read it, refuse it
+    # and leave it to one; either way its rows must be in the writer's
+    # order
+    spec = demo_problem(N, 1.0 / (4 * N), 1.0)
+    values = 2 * spec.m * (N + 1) * (4 * N + 1)
+    assert (values >= csv_io._CSV_SPLIT) == (N == 64)
+    problem = tmp_path / "problem.json"
+    write_problem(spec, str(problem))
+    assert main(["solve", "--input", str(problem),
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    path = tmp_path / "solution.csv"
+    header, *body, end = path.read_bytes().split(b"\r\n")
+    order = np.random.default_rng(16).permutation(len(body))
+    path.write_bytes(b"\r\n".join([header, *(body[r] for r in order), end]))
+    with pytest.raises(ParseError):
+        read_solution_csv(str(path), spec)
+    capsys.readouterr()
+    assert main(["verify", "--input", str(problem),
+                 "--solution", str(path), "--quiet"]) == 3
+    assert "input error [parse-error]" in capsys.readouterr().err
 
 
 def test_verify_gate_fails_a_nan_residual(tmp_path, monkeypatch):
@@ -663,9 +706,9 @@ def test_failed_write_leaves_no_solution(tmp_path, monkeypatch, side, exc):
     problem, out = tmp_path / "problem.json", tmp_path / "out"
     write_problem(demo_problem(4, 0.125, 0.5), str(problem))
 
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_write_nodes",
-                        _fails_on(side, exc, cli._write_nodes))
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_write_nodes",
+                        _fails_on(side, exc, csv_io._write_nodes))
     solve = ["solve", "--input", str(problem), "--out-dir", str(out),
              "--quiet"]
     fds = _open_fds()
@@ -695,9 +738,9 @@ def test_failing_child_names_its_error(tmp_path, monkeypatch, capsys,
     # child's half reads as a full disk, with exit 3
     problem, out = tmp_path / "problem.json", tmp_path / "out"
     write_problem(demo_problem(4, 0.125, 0.5), str(problem))
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_write_nodes",
-                        _fails_on("child", failure, cli._write_nodes))
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_write_nodes",
+                        _fails_on("child", failure, csv_io._write_nodes))
     assert main(["solve", "--input", str(problem), "--out-dir", str(out),
                  "--quiet"]) == 3
     assert capsys.readouterr().err == f"i/o error: {message}\n"
@@ -719,7 +762,7 @@ def test_solve_writes_from_one_process_when_no_child_starts(
     def refused(*args):
         raise OSError(error, os.strerror(error))
 
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
     monkeypatch.setattr(os, call, refused)
     fds = _open_fds()
     assert main(["solve", "--input", str(problem), "--out-dir", str(out),
@@ -746,10 +789,10 @@ def test_failed_split_read_leaves_nothing_behind(tmp_path, monkeypatch, side,
                  str(tmp_path), "--quiet"]) == 0
     path = str(tmp_path / "solution.csv")
     expected = read_solution_csv(path, spec)
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
     # the parse of a byte range fails; the one-process read does not
-    monkeypatch.setattr(cli, "_parse_bytes",
-                        _fails_on(side, exc, cli._parse_bytes))
+    monkeypatch.setattr(csv_io, "_parse_bytes",
+                        _fails_on(side, exc, csv_io._parse_bytes))
     fds = _open_fds()
     if exc is KeyboardInterrupt:
         with pytest.raises(KeyboardInterrupt):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csv_oracle import eigen_csv_oracle, solution_csv_oracle
-from singwave import cli
+from singwave import csv_io
 from singwave.cli import (
     main,
     read_solution_csv,
@@ -142,7 +142,7 @@ CASES = {
 }
 # where the process may fork a writer or reader that runs beside it
 TWO_PROCESSES = pytest.mark.skipif(
-    not cli._two_processes(),
+    not csv_io._two_processes(),
     reason="needs os.fork, os.memfd_create and two CPUs")
 
 
@@ -160,7 +160,7 @@ def test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path):
 def test_split_solution_csv_matches_the_csv_writer_oracle(case, tmp_path,
                                                          monkeypatch):
     # every case written by two processes, each formatting half the nodes
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
     test_solution_csv_matches_the_csv_writer_oracle(case, tmp_path)
 
 
@@ -172,8 +172,8 @@ def _rows_against_repr(cells, m):
     values[:len(cells)] = cells
     values = values.reshape(-1, 2 * m)
     out = io.BytesIO()
-    cli._write_nodes(out, values, _grid(2, len(values) // 3 - 1), 0,
-                     len(values))
+    csv_io._write_nodes(out, values, _grid(2, len(values) // 3 - 1), 0,
+                        len(values))
     rows = out.getvalue().split(b"\r\n")
     assert rows.pop() == b""
     assert [row.split(b",", 4)[4] for row in rows] == [
@@ -218,7 +218,7 @@ def _serial_body(path):
     """The float rows of a solution table, read by one process."""
     with open(path, encoding="utf-8", newline="") as fh:
         fh.readline()
-        return cli._loadtxt(fh)
+        return csv_io._loadtxt(fh)
 
 
 def _one_process(*args):
@@ -235,10 +235,10 @@ def test_split_read_returns_the_serial_bits(case, tmp_path, monkeypatch):
     path = str(tmp_path / "solution.csv")
     write_solution_csv(U, grid, path)
     spec = SimpleNamespace(grid=grid, m=U.shape[2])
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 2 ** 62)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 2 ** 62)
     serial = read_solution_csv(path, spec)
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_solution_grid", _one_process)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_solution_grid", _one_process)
     two = read_solution_csv(path, spec)
     for back in (serial, two):
         assert np.array_equal(back.view(np.int64), U.view(np.int64))
@@ -297,7 +297,7 @@ def _damaged_table(tmp_path, edit):
 def _serial_and_split_errors(path, spec, monkeypatch):
     messages = []
     for split in (2 ** 62, 1):
-        monkeypatch.setattr(cli, "_CSV_SPLIT", split)
+        monkeypatch.setattr(csv_io, "_CSV_SPLIT", split)
         with pytest.raises(ParseError) as info:
             read_solution_csv(path, spec)
         messages.append(str(info.value))
@@ -353,8 +353,8 @@ def test_split_read_accepts_a_blank_line_as_the_serial_read_does(
         tmp_path, monkeypatch):
     # np.loadtxt skips a blank line in either byte range, and the ranges
     # cannot overlap, so two processes read the table themselves
-    monkeypatch.setattr(cli, "_solution_grid", _one_process)
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_solution_grid", _one_process)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
     for row in (PARENT_ROW, CHILD_ROW):
         (tmp_path / str(row)).mkdir()
         path, spec = _damaged_table(tmp_path / str(row),
@@ -390,9 +390,10 @@ def test_split_read_cuts_the_body_at_a_line_start(end, tmp_path,
         fh.write(header + end + body.replace(b"\r\n", end))
     serial = _serial_body(path)
     log = str(tmp_path / "ranges.txt")
-    monkeypatch.setattr(cli, "_CSV_SPLIT", 1)
-    monkeypatch.setattr(cli, "_solution_grid", _one_process)
-    monkeypatch.setattr(cli, "_parse_bytes", _logged(log, cli._parse_bytes))
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
+    monkeypatch.setattr(csv_io, "_solution_grid", _one_process)
+    monkeypatch.setattr(csv_io, "_parse_bytes",
+                        _logged(log, csv_io._parse_bytes))
     fds = sorted(os.listdir("/proc/self/fd"))
     back = read_solution_csv(path, spec)
     assert np.array_equal(back.reshape(-1).view(np.int64).reshape(ROWS, 4),
@@ -419,7 +420,7 @@ def test_split_read_of_a_header_of_another_m(tmp_path, monkeypatch):
     path, spec = _damaged_table(tmp_path, lambda lines: None)
     header, body = pathlib.Path(path).read_bytes().split(b"\r\n", 1)
     with open(path, "wb") as fh:
-        fh.write(",".join(cli._solution_header(3)).encode() + b"\r\n"
+        fh.write(",".join(csv_io._solution_header(3)).encode() + b"\r\n"
                  + body)
     serial, split = _serial_and_split_errors(path, spec, monkeypatch)
     assert split == serial and "expected rows of 10 numbers" in serial
@@ -449,7 +450,7 @@ def test_oracle_cases_hold_what_they_name(tmp_path):
     levels, step = U.shape[1], 4096 // U.shape[2]
     assert step < levels < 2 * step
     U, _ = _split_inside_row_and_zero_run()
-    levels, step = U.shape[1], cli._CSV_BLOCK // U.shape[2]
+    levels, step = U.shape[1], csv_io._CSV_BLOCK // U.shape[2]
     i, j = divmod(U.shape[0] * levels // 2, levels)
     assert levels >= step and 0 < j < levels - 1
     bits = U.view(np.int64).reshape(-1, 2 * U.shape[2])
@@ -466,7 +467,7 @@ def test_solve_above_the_split_writes_the_oracle_bytes(tmp_path):
     # 65 x 257 nodes of 3 components: 100230 values, which two processes
     # write; only the three outputs are left, and no child process
     spec = demo_problem(64, 1.0 / 256, 1.0)
-    assert 2 * spec.m * 65 * 257 >= cli._CSV_SPLIT
+    assert 2 * spec.m * 65 * 257 >= csv_io._CSV_SPLIT
     out = tmp_path / "out"
     _solve_against_the_oracle(spec, tmp_path, out)
     assert sorted(os.listdir(out)) == ["eigen.csv", "report.txt",

@@ -19,6 +19,7 @@ _BAD_TABLES = {
     "string-cell": ([[1.0, "x"], [0.0, 1.0]], ParseError),
     "ragged-rows": ([[1.0, 0.0], [1.0]], ShapeError),
     "booleans": (np.eye(2, dtype=bool), ParseError),
+    "boolean-among-numbers": ([[1.0, True], [0.0, 1.0]], ParseError),
 }
 _TABLE_TAKERS = {
     "build_pencil": lambda M: build_pencil(M, np.eye(2)),

@@ -114,7 +114,10 @@ def test_problem_spec_rejects_non_finite_data():
      '"E" entries must be numbers, got <U21'),
     (np.eye(2), '"E" must have shape (3, 3), got (2, 2)'),
     (np.diag([np.nan, 1.0, 1.0]), '"E" contains non-finite entries'),
-], ids=["uneven-rows", "string-cell", "shape", "nan"])
+    ([[1.0, True, 0], [0, 1, 0], [0, 0, 1]],
+     '"E" entries must be numbers, got bool'),
+], ids=["uneven-rows", "string-cell", "shape", "nan",
+        "boolean-among-numbers"])
 def test_problem_spec_names_the_bad_table(E, message):
     # the CLI prints these messages, so they are kept word for word
     with pytest.raises(InputError) as info:

@@ -7,13 +7,14 @@ SRC is a directory holding the ``singwave`` package (a checkout's
 random complex grid of the demo's shape (m = 3, M = 4N, k = 1/M) with
 2^13 to 2^20.6 float values; N = 128 is ``demo-large``'s size
 (2^18.6 values).  At each rung the grid is written and read R
-times by one process (``cli._CSV_SPLIT`` set above the grid's size) and R
-times by two (``cli._CSV_SPLIT`` set to 1), alternating which runs first;
-every written file must have the same bytes both ways and every read must
-return the written grid bit for bit, or the tool stops.  Before the
-ladder one demo solve at N = 128, M = 512 runs and its result stays
-referenced, so that the heap a fork copies is like that of ``verify`` in
-a benchmark worker.
+times by one process (``_CSV_SPLIT`` of the codec module,
+``singwave.csv_io``, or ``singwave.cli`` in trees older than it, set above
+the grid's size) and R times by two (``_CSV_SPLIT`` set to 1),
+alternating which runs first; every written file must have the same bytes
+both ways and every read must return the written grid bit for bit, or the
+tool stops.  Before the ladder one demo solve at N = 128, M = 512 runs
+and its result stays referenced, so that the heap a fork copies is like
+that of ``verify`` in a benchmark worker.
 
 Prints, or writes to FILE, one JSON document: per rung the medians and
 quartiles (``statistics.quantiles``, n = 4) of the write and read times
@@ -55,7 +56,7 @@ def _timed(function):
             resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
 
 
-def rung(cli, N, repetitions, work, rng):
+def rung(csv_io, N, repetitions, work, rng):
     """The write and read times of one demo-shaped random grid."""
     from singwave.solver import GridParams
 
@@ -73,9 +74,9 @@ def rung(cli, N, repetitions, work, rng):
     for rep in range(repetitions):
         order = list(ways) if rep % 2 == 0 else list(ways)[::-1]
         for way in order:
-            cli._CSV_SPLIT = ways[way]
+            csv_io._CSV_SPLIT = ways[way]
             path = os.path.join(work, f"{way}.csv")
-            _, seconds, _ = _timed(lambda: cli.write_solution_csv(
+            _, seconds, _ = _timed(lambda: csv_io.write_solution_csv(
                 U, grid, path))
             times[f"write_{way}"].append(seconds)
             with open(path, "rb") as fh:
@@ -84,7 +85,7 @@ def rung(cli, N, repetitions, work, rng):
                 expected = text
             if text != expected:
                 sys.exit(f"N={N}: the {way} write differs")
-            back, seconds, minflt = _timed(lambda: cli.read_solution_csv(
+            back, seconds, minflt = _timed(lambda: csv_io.read_solution_csv(
                 path, spec))
             if not np.array_equal(back.view(np.int64), bits):
                 sys.exit(f"N={N}: the {way} read differs")
@@ -110,16 +111,19 @@ def main() -> int:
     parser.add_argument("--out", help="JSON file to write (default stdout)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from singwave import cli
+    try:
+        from singwave import csv_io
+    except ImportError:  # a tree whose cli module holds the codec
+        from singwave import cli as csv_io
     from singwave.fixtures import demo_problem
     from singwave.solver import solve_problem
 
-    if not cli._two_processes():
+    if not csv_io._two_processes():
         sys.exit("this host cannot run two processes; nothing to compare")
     held = solve_problem(demo_problem(128, 1.0 / 512, 1.0))  # noqa: F841
     rng = np.random.default_rng(29)
     with tempfile.TemporaryDirectory(prefix="csv_ladder-") as work:
-        rows = [rung(cli, N, args.repetitions, work, rng) for N in RUNGS]
+        rows = [rung(csv_io, N, args.repetitions, work, rng) for N in RUNGS]
     doc = {"src": os.path.abspath(args.src),
            "python": platform.python_version(), "numpy": np.__version__,
            "cpus": len(os.sched_getaffinity(0)),

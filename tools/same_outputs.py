@@ -27,11 +27,12 @@ leaked part file of a solution table), each counted as a difference,
 then a summary.
 Problem 0 of ``demo-large`` (397062 grid values) is the input whose
 ``solution.csv`` is written by two processes in ``solve`` and read by
-two processes in ``verify``.  Each tree then runs ``verify`` on four
+two processes in ``verify``.  Each tree then runs ``verify`` on five
 damaged copies of its own table of that problem (``damaged_tables``: a
 repeated row in the first quarter of the body, a bad cell in the last
-quarter, a blank line in the middle and LF line ends), and the exit code
-and the text on stdout and stderr of each are compared too.
+quarter, a blank line in the middle, LF line ends and the body rows
+shuffled), and the exit code and the text on stdout and stderr of each
+are compared too.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -96,7 +97,8 @@ def damaged_tables(text: bytes) -> dict:
     """Damaged copies of a solution table with CRLF line ends, by name: a
     repeated row in the first quarter of its body (a two-process read's
     first half), a bad cell in the last quarter (its second half), a
-    blank line in the middle, and LF line ends."""
+    blank line in the middle, LF line ends, and its body rows in a
+    seeded random order."""
     header, *rows = text.split(b"\r\n")
     n = len(rows) - 1  # the text ends with a line end
 
@@ -112,6 +114,8 @@ def damaged_tables(text: bytes) -> dict:
         "bad-cell": edited(lambda l: l.__setitem__(3 * n // 4, bad)),
         "blank-line": edited(lambda l: l.insert(n // 2, b"")),
         "lf-line-ends": text.replace(b"\r\n", b"\n"),
+        "shuffled-rows": edited(lambda l: l.__setitem__(slice(0, n), [
+            l[r] for r in np.random.default_rng(SEED).permutation(n)])),
     }
 
 
