@@ -18,6 +18,7 @@ import sys
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+import orjson
 
 from .csv_io import read_solution_csv, write_eigen_csv, write_solution_csv
 from .errors import NumericalFailure, ParseError, SingwaveError
@@ -42,31 +43,39 @@ def _pair_to_complex(cell):
     numbers; every other cell is as_matrix's to check."""
     if (isinstance(cell, list) and len(cell) == 2
             and all(is_number(p) for p in cell)):
-        with contextlib.suppress(OverflowError):  # an int too large
-            return complex(cell[0], cell[1])
+        return complex(cell[0], cell[1])
     return cell
 
 
-def _parse_table(doc: dict, key: str) -> list:
-    """A table of the file, a list of rows of cells, with its [re, im]
-    pairs read as complex numbers; ProblemSpec checks its cells and its
-    shape."""
+def _parse_table(doc: dict, key: str, numeric: bool):
+    """A table of the file, with its [re, im] pairs of numbers read as
+    complex numbers; ProblemSpec checks its cells and its shape.  When
+    ``numeric`` (no true or false in the file, so orjson made no bool), a
+    table of numbers or of pairs takes one np.asarray; others stay rows."""
     rows = doc[key]
     if not (isinstance(rows, list)
             and all(isinstance(row, list) for row in rows)):
         raise ParseError(f'"{key}" must be a list of rows, got {rows!r}')
+    if numeric:
+        with contextlib.suppress(ValueError):  # uneven or mixed cells
+            table = np.asarray(rows)
+            if table.dtype.kind in "iuf" and table.ndim == 2:
+                return table
+            if table.dtype.kind in "iuf" and table.shape[2:] == (2,):
+                return table.astype(float).view(complex)[..., 0]
     # a row with no list cell needs no reading
     return [[_pair_to_complex(cell) for cell in row]
             if list in map(type, row) else row for row in rows]
 
 
 def parse_problem(path: str) -> ProblemSpec:
-    """Read a problem file: check the document's structure and read its
-    cells; the ProblemSpec it builds validates every value."""
+    """Read a problem file as strict JSON: check the document's structure
+    and read its cells; the ProblemSpec it builds validates every value."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError as exc:  # invalid UTF-8 among them
         raise ParseError(f"{path}: invalid UTF-8 JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
@@ -83,12 +92,13 @@ def parse_problem(path: str) -> ProblemSpec:
     if not (isinstance(tdoc, dict) and set(tdoc) <= set(known)):
         raise ParseError(f'"tolerances" must be an object with keys '
                          f'from {known}, got {tdoc!r}')
+    numeric = b"true" not in raw and b"false" not in raw
     return ProblemSpec(
         m=doc["m"], alpha=doc["alpha"], beta=doc["beta"],
-        F=_parse_table(doc, "F"), Gv=_parse_table(doc, "G"),
+        F=_parse_table(doc, "F", numeric), Gv=_parse_table(doc, "G", numeric),
         grid=GridParams.create(doc["N"], doc["k"], doc["T"]),
         tolerances=Tolerances(**tdoc),
-        **{key: _parse_table(doc, key) for key in MATRIX_KEYS})
+        **{key: _parse_table(doc, key, numeric) for key in MATRIX_KEYS})
 
 
 def _pair_rows(table: np.ndarray) -> list:

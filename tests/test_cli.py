@@ -9,11 +9,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import singwave
@@ -37,8 +39,8 @@ from singwave.fixtures import (
     reject_rho_degenerate,
     scalar_wave_problem,
 )
-from singwave.solver import (GridParams, ProblemSpec, Tolerances,
-                             solve_problem)
+from singwave.solver import (MATRIX_KEYS, GridParams, ProblemSpec,
+                             Tolerances, solve_problem)
 from singwave.sturm_liouville import (
     SLProblem,
     assemble_pencil,
@@ -193,6 +195,106 @@ def test_problem_file_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         parse_problem(str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(b"12345.5", b"NaN"),
+    lambda text: text.replace(b"12345.5", b"Infinity"),
+    lambda text: text.replace(b"12345.5", b"-Infinity"),
+    lambda text: text.replace(b"12345.5", b"1e400"),
+    lambda text: b"\xef\xbb\xbf" + text,
+    lambda text: text.replace(b'"alpha"', b'"alpha\xff"'),
+], ids=["nan", "infinity", "minus-infinity", "1e400", "utf8-bom",
+        "invalid-utf8"])
+def test_problem_file_that_is_not_strict_json_is_refused(tmp_path, edit):
+    # the file is read as RFC 8259 JSON: no NaN or Infinity literal, no
+    # number beyond a double's range, no byte order mark
+    doc = serialize_problem(demo_problem(4, 0.125, 0.5))
+    doc["E"][0][0][0] = 12345.5
+    path = tmp_path / "problem.json"
+    path.write_bytes(edit(json.dumps(doc).encode()))
+    with pytest.raises(ParseError, match=str(path)):
+        parse_problem(str(path))
+    assert main(["solve", "--input", str(path), "--out-dir",
+                 str(tmp_path), "--quiet"]) == 3
+
+
+def _spec_bytes(spec: ProblemSpec) -> dict:
+    """Each field of a spec, a table as its bytes (which tell -0.0 from
+    0.0)."""
+    return {f.name: (value.tobytes() if isinstance(value, np.ndarray)
+                     else value)
+            for f in dataclasses.fields(spec)
+            for value in [getattr(spec, f.name)]}
+
+
+def _read_doc(tmp_path, doc: dict) -> ProblemSpec:
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    return parse_problem(str(path))
+
+
+@pytest.mark.parametrize("big", [2 ** 64 + 1, -2 ** 63 - 1, 10 ** 30],
+                         ids=["2**64+1", "-2**63-1", "10**30"])
+@pytest.mark.parametrize("pair", [False, True], ids=["plain", "pair"])
+def test_an_integer_beyond_64_bits_reads_as_its_decimal_spelling(
+        tmp_path, big, pair):
+    spelled = {}
+    for cell in (big, float(big)):
+        doc = _plain_scalar_doc()
+        doc["A"] = [[[cell, 0] if pair else cell]]
+        spelled[type(cell)] = _spec_bytes(_read_doc(tmp_path, doc))
+    assert spelled[int] == spelled[float]
+
+
+# a table cell: a float, -0.0 or an int of either 64-bit range
+_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.just(-0.0), st.integers(-2 ** 63, 2 ** 64 - 1))
+
+
+@st.composite
+def _problem_cells(draw):
+    """m, then every table of a problem on the grid N = 2, M = 2 as rows
+    of (re, im) cells, im None for a real cell."""
+    m = draw(st.integers(1, 3))
+    im = st.none() if draw(st.booleans()) else st.one_of(st.none(), _CELLS)
+    cell = st.tuples(_CELLS, im)
+    return m, {key: draw(st.lists(st.lists(cell, min_size=m, max_size=m),
+                                  min_size=rows, max_size=rows))
+               for key, rows in [*((key, m) for key in MATRIX_KEYS),
+                                 ("F", 3), ("G", 3)]}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(problem=_problem_cells(), mask=st.randoms(use_true_random=False))
+def test_problem_file_reads_every_spelling_to_the_same_bits(problem, mask):
+    # plain numbers, [re, im] pairs and a mix of both give the bits of the
+    # library's spec, and so does the file write_problem writes of it
+    m, tables = problem
+    pairs = {key: [[[re, 0.0 if im is None else im] for re, im in row]
+                   for row in rows] for key, rows in tables.items()}
+    spec = ProblemSpec(
+        m=m, alpha=0.0, beta=0.0, grid=GridParams.create(2, 0.25, 0.5),
+        **{"Gv" if key == "G" else key: [[complex(*cell) for cell in row]
+                                         for row in rows]
+           for key, rows in pairs.items()})
+    want = _spec_bytes(spec)
+    spellings = {
+        "pairs": lambda re, im: [re, 0.0 if im is None else im],
+        "plain": lambda re, im: re if im is None else [re, im],
+        "mixed": lambda re, im: (re if im is None and mask.random() < 0.5
+                                 else [re, 0.0 if im is None else im])}
+    doc = dict(_plain_scalar_doc(), m=m)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = pathlib.Path(tmp)
+        for name, spell in spellings.items():
+            doc.update((key, [[spell(*cell) for cell in row]
+                              for row in rows])
+                       for key, rows in tables.items())
+            assert _spec_bytes(_read_doc(tmp_path, doc)) == want, name
+        write_problem(spec, str(tmp_path / "written.json"))
+        assert _spec_bytes(parse_problem(
+            str(tmp_path / "written.json"))) == want
 
 
 def test_solution_csv_roundtrip(tmp_path):

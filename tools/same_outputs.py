@@ -3,12 +3,13 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``singwave`` package (a
-checkout's ``src/``).  Each tree runs in its own process on the same 26
+checkout's ``src/``).  Each tree runs in its own process on the same 28
 inputs: the seed-7 ``batch-mixed`` list, problem 0 of ``demo-large`` and
 of ``reference-dense`` and the warm-up problem, all read from
-``perfbench/workloads.py``, five malformed copies of the warm-up problem
+``perfbench/workloads.py``, seven malformed copies of the warm-up problem
 (``MALFORMED``: a ragged ``E``, a string cell, a ``NaN`` cell, an ``F``
-of the wrong shape and a ``true`` cell), and the six
+of the wrong shape, a ``true`` cell, an ``Infinity`` cell and a UTF-8
+byte order mark before the document), and the six
 ``singwave.fixtures`` problems, which each tree writes with its own
 ``write_problem``.  Every input goes through ``solve``, then ``verify``
 and then ``eigen``; ``singwave example`` runs once.
@@ -63,13 +64,28 @@ TEXT_OUTPUTS = ("report.txt", ".out")
 SEED = 7
 # the input whose table is damaged, and where the damaged copies go
 DAMAGED_INPUT, DAMAGED_DIR = "demo-large0", "damaged"
-# edits of the warm-up problem's document that every command must refuse
+
+
+def _text_after(edit):
+    """A document's edit as a map from the document to its edited text."""
+    def text(doc: dict) -> str:
+        edit(doc)
+        return json.dumps(doc)
+    return text
+
+
+# the warm-up problem's document to the text of a problem file that every
+# command must refuse
 MALFORMED = {
-    "ragged-E": lambda doc: doc["E"][0].pop(),
-    "string-cell": lambda doc: doc["E"][1].__setitem__(1, "1"),
-    "nan-cell": lambda doc: doc["E"][1].__setitem__(1, float("nan")),
-    "F-shape": lambda doc: doc["F"].pop(),
-    "true-cell": lambda doc: doc["E"][1].__setitem__(1, True),
+    "ragged-E": _text_after(lambda doc: doc["E"][0].pop()),
+    "string-cell": _text_after(lambda doc: doc["E"][1].__setitem__(1, "1")),
+    "nan-cell": _text_after(
+        lambda doc: doc["E"][1].__setitem__(1, float("nan"))),
+    "F-shape": _text_after(lambda doc: doc["F"].pop()),
+    "true-cell": _text_after(lambda doc: doc["E"][1].__setitem__(1, True)),
+    "infinity-cell": _text_after(
+        lambda doc: doc["E"][1].__setitem__(1, float("inf"))),
+    "utf8-bom": lambda doc: "\ufeff" + json.dumps(doc),
 }
 
 
@@ -86,9 +102,9 @@ def write_bench_inputs(out_dir: str) -> None:
                + [wl.warmup_problem()])
     os.makedirs(out_dir)
     for name, edit in MALFORMED.items():
-        doc = wl.warmup_problem()["doc"]
-        edit(doc)
-        wl._dump({"name": "malformed-" + name, "doc": doc}, out_dir)
+        path = os.path.join(out_dir, f"malformed-{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(edit(wl.warmup_problem()["doc"]))
     for entry in entries:
         wl._dump(entry, out_dir)
 
