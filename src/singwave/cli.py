@@ -76,7 +76,11 @@ def parse_problem(path: str) -> ProblemSpec:
     try:
         doc = orjson.loads(raw)
     except orjson.JSONDecodeError as exc:  # invalid UTF-8 among them
-        raise ParseError(f"{path}: invalid UTF-8 JSON ({exc})") from exc
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as bad:
+            raise ParseError(f"{path}: invalid UTF-8 ({bad})") from exc
+        raise ParseError(f"{path}: not strict JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     missing = [key for key in _REQUIRED_KEYS if key not in doc]

@@ -3,10 +3,12 @@ that accepts only the writer's rows, in the writer's order."""
 
 from __future__ import annotations
 
+import array
 import contextlib
 import os
 import re
 import warnings
+from itertools import repeat
 from typing import List
 
 import numpy as np
@@ -28,6 +30,13 @@ _CSV_SPLIT = 2 ** 16
 # one, a zero before a negative one of one digit
 _EXP_POSITIVE = re.compile(rb"e(?=\d)")
 _EXP_ONE_DIGIT = re.compile(rb"e-(?=\d\b)")
+# bytes per read of a solution table's body (_parse_bytes): reads of 8 to
+# 64 KiB parse equally fast, and a smaller one holds fewer of a block's
+# Python objects at once
+_READ_BLOCK = 1 << 14
+# every byte a solution table's body may hold: those of JSON numbers, the
+# comma, blanks and line ends
+_BODY_BYTES = b"0123456789+-.eE, \t\r\n"
 
 
 def _float_rows(block: np.ndarray) -> List[bytes]:
@@ -191,25 +200,61 @@ def write_solution_csv(U: np.ndarray, grid: GridParams, path: str) -> None:
         _write_nodes(fh, values, grid, 0, n)
 
 
-def _loadtxt(source) -> np.ndarray:
-    """The float rows of a solution table's open file or path."""
-    with warnings.catch_warnings():
-        # an empty body is reported by the checks, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(source, delimiter=",", comments=None, ndmin=2,
-                          encoding="utf-8")
+def _row_error(lines: List[bytes], width: int) -> ValueError:
+    """The error naming the first of lines that is not width JSON numbers
+    split by commas."""
+    def is_row(line):
+        try:
+            return (not line.translate(None, _BODY_BYTES)
+                    and len(orjson.loads(b"[" + line + b"]")) == width)
+        except orjson.JSONDecodeError:
+            return False
+    bad = next((line for line in lines if not is_row(line)), lines[0])
+    return ValueError(f"not a row of {width} numbers: "
+                      f"{bad.decode(errors='replace')[:80]!r}")
 
 
 def _parse_bytes(fd: int, lo: int, hi: int) -> np.ndarray:
-    """The float rows of bytes lo to hi - 1 of file fd, copied in the
-    kernel into a memfd, whose path np.loadtxt reads in C chunks."""
-    text = os.memfd_create("singwave-text")
-    try:
-        while lo < hi and (sent := os.sendfile(text, fd, lo, hi - lo)):
-            lo += sent
-        return _loadtxt(f"/proc/self/fd/{text}")
-    finally:
-        os.close(text)
+    """The float rows of bytes lo to hi - 1 of file fd: lines of cells
+    that are JSON numbers split by commas, as many in each line as in the
+    first, with CRLF, LF or CR line ends; a blank line is skipped.
+
+    The bytes are read about _READ_BLOCK at a time, each read cut at its
+    last line end.  A block's lines are joined into one JSON array, which
+    one orjson.loads parses and one fromlist appends to the table, an
+    array.array of doubles.  Raises ValueError naming the first line of a
+    block that is not such a row.
+    """
+    table = array.array("d")
+    rows = width = 0
+    while lo < hi:
+        size = _READ_BLOCK
+        while True:  # a line longer than a read doubles the read
+            block = os.pread(fd, min(size, hi - lo), lo)
+            if len(block) < size:  # the range's end, or the file's
+                hi = lo + len(block)
+                break
+            block = block[:max(block.rfind(b"\n"), block.rfind(b"\r")) + 1]
+            if block:
+                break
+            size *= 2
+        lo += len(block)
+        lines = block.splitlines()
+        if b"" in lines:
+            lines = list(filter(None, lines))
+        if not lines:
+            continue
+        width = width or lines[0].count(b",") + 1
+        if (block.translate(None, _BODY_BYTES) or set(
+                map(bytes.count, lines, repeat(b","))) != {width - 1}):
+            raise _row_error(lines, width)
+        try:
+            cells = orjson.loads(b"[" + b",".join(lines) + b"]")
+        except orjson.JSONDecodeError:
+            raise _row_error(lines, width) from None
+        table.fromlist(cells)
+        rows += len(lines)
+    return np.frombuffer(table).reshape(rows, width)
 
 
 def _check_nodes(path: str, rows: np.ndarray, first: int, grid: GridParams,
@@ -275,10 +320,12 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
     Any other table, and any failure, is parsed again by one process, so
     the grid and errors are those of one.
 
-    Raises ParseError on text that is not UTF-8, a bad header, a malformed
-    or non-finite cell, or rows other than the writer's of the problem's
-    nodes, in its order, with x = i/N and t = j*k beyond round-off;
-    ShapeError on the writer's table of a grid of another shape.
+    Raises ParseError on a header that is not UTF-8 or not the writer's,
+    a body that _parse_bytes refuses (a cell that is not a JSON number,
+    a row of another width), or rows other than the writer's of the
+    problem's nodes, in its order, with x = i/N and t = j*k beyond
+    round-off; ShapeError on the writer's table of a grid of another
+    shape.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         try:  # readline decodes a whole buffer, not only the header
@@ -295,7 +342,8 @@ def read_solution_csv(path: str, spec: ProblemSpec) -> np.ndarray:
             with contextlib.suppress(ValueError, OSError):
                 return _read_halves(path, fh.fileno(), len(line), spec)
         try:
-            table = _loadtxt(fh)
+            table = _parse_bytes(fh.fileno(), len(line),
+                                 os.fstat(fh.fileno()).st_size)
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}") from exc
     return _solution_grid(path, table, m, spec)

@@ -197,24 +197,33 @@ def test_problem_file_invalid_json(tmp_path):
         parse_problem(str(path))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda text: text.replace(b"12345.5", b"NaN"),
-    lambda text: text.replace(b"12345.5", b"Infinity"),
-    lambda text: text.replace(b"12345.5", b"-Infinity"),
-    lambda text: text.replace(b"12345.5", b"1e400"),
-    lambda text: b"\xef\xbb\xbf" + text,
-    lambda text: text.replace(b'"alpha"', b'"alpha\xff"'),
+@pytest.mark.parametrize("edit, words", [
+    (lambda text: text.replace(b"12345.5", b"NaN"),
+     "not strict JSON (unexpected character"),
+    (lambda text: text.replace(b"12345.5", b"Infinity"),
+     "not strict JSON (unexpected character"),
+    (lambda text: text.replace(b"12345.5", b"-Infinity"),
+     "not strict JSON (no digit after minus sign"),
+    (lambda text: text.replace(b"12345.5", b"1e400"),
+     "not strict JSON (number is infinity"),
+    (lambda text: b"\xef\xbb\xbf" + text, "not strict JSON (byte order mark"),
+    (lambda text: text.replace(b'"alpha"', b'"alpha\xff"'),
+     "invalid UTF-8 ('utf-8' codec can't decode byte 0xff"),
 ], ids=["nan", "infinity", "minus-infinity", "1e400", "utf8-bom",
         "invalid-utf8"])
-def test_problem_file_that_is_not_strict_json_is_refused(tmp_path, edit):
+def test_problem_file_that_is_not_strict_json_is_refused(tmp_path, edit,
+                                                         words):
     # the file is read as RFC 8259 JSON: no NaN or Infinity literal, no
-    # number beyond a double's range, no byte order mark
+    # number beyond a double's range, no byte order mark; the message
+    # says invalid UTF-8 only of bytes that do not decode
     doc = serialize_problem(demo_problem(4, 0.125, 0.5))
     doc["E"][0][0][0] = 12345.5
     path = tmp_path / "problem.json"
     path.write_bytes(edit(json.dumps(doc).encode()))
-    with pytest.raises(ParseError, match=str(path)):
+    with pytest.raises(ParseError) as info:
         parse_problem(str(path))
+    assert str(info.value).startswith(f"{path}: {words}")
+    assert ("UTF-8" in str(info.value)) == words.startswith("invalid UTF-8")
     assert main(["solve", "--input", str(path), "--out-dir",
                  str(tmp_path), "--quiet"]) == 3
 
@@ -789,12 +798,14 @@ def _open_fds():
 
 
 def _fails_on(side, exc, function):
-    """function, made to raise exc in the forked child or in this
-    process; it keeps its own behaviour on the other side."""
-    parent = os.getpid()
+    """function, made to raise exc on its first call in the forked child
+    or in this process; it keeps its own behaviour on the other side and
+    in later calls."""
+    parent, failed = os.getpid(), []
 
     def failing(*args, **kwargs):
-        if (os.getpid() != parent) == (side == "child"):
+        if (os.getpid() != parent) == (side == "child") and not failed:
+            failed.append(args)
             raise exc("forced failure")
         return function(*args, **kwargs)
     return failing
@@ -892,7 +903,8 @@ def test_failed_split_read_leaves_nothing_behind(tmp_path, monkeypatch, side,
     path = str(tmp_path / "solution.csv")
     expected = read_solution_csv(path, spec)
     monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
-    # the parse of a byte range fails; the one-process read does not
+    # the parse of a byte range fails; the one-process read after it,
+    # which parses with the same function, does not
     monkeypatch.setattr(csv_io, "_parse_bytes",
                         _fails_on(side, exc, csv_io._parse_bytes))
     fds = _open_fds()

@@ -1,8 +1,10 @@
 """The CSV writers against the ``csv.writer`` oracle, byte for byte, the
-value cells of ``solution.csv`` against ``repr``, and the two-process read
-of ``solution.csv`` against the one-process read."""
+value cells of ``solution.csv`` against ``repr``, the two-process read
+of ``solution.csv`` against the one-process read, and the text its
+reader takes and refuses."""
 
 import io
+import json
 import os
 import pathlib
 import re
@@ -215,10 +217,11 @@ def test_value_cells_are_repr_where_the_form_changes(value):
 
 
 def _serial_body(path):
-    """The float rows of a solution table, read by one process."""
+    """The float rows of a solution table, parsed by one process."""
     with open(path, encoding="utf-8", newline="") as fh:
-        fh.readline()
-        return csv_io._loadtxt(fh)
+        start = len(fh.readline())  # an ASCII header of any line end
+        return csv_io._parse_bytes(fh.fileno(), start,
+                                   os.fstat(fh.fileno()).st_size)
 
 
 def _one_process(*args):
@@ -424,6 +427,108 @@ def test_split_read_of_a_header_of_another_m(tmp_path, monkeypatch):
                  + body)
     serial, split = _serial_and_split_errors(path, spec, monkeypatch)
     assert split == serial and "expected rows of 10 numbers" in serial
+
+
+def _bit_sweep():
+    """A grid of 3 components holding floats of every binary exponent
+    (subnormals among them) with four mantissas, each with both signs
+    (both zeros among them), the [1e-5, 1e-4) band, 1e16 and the floats
+    beside it, and floats whose repr has 17 significant digits."""
+    exponents = np.arange(2047, dtype=np.uint64) << np.uint64(52)
+    mantissas = np.array([0, 1, 2 ** 51 + 12345, 2 ** 52 - 1],
+                         dtype=np.uint64)
+    bits = (exponents[:, None] | mantissas).ravel()
+    swept = np.concatenate([bits, bits | np.uint64(1 << 63)]).view(float)
+    decimals = np.array([1e-5, 1e-4, 1e16, 0.1, 0.3, 1.1, 1e22, 123.456])
+    others = np.concatenate([
+        np.geomspace(1e-5, 1e-4, 200, endpoint=False),
+        np.nextafter(decimals, np.inf), np.nextafter(decimals, -np.inf),
+        decimals, [9999999999999998.0, 0.1 + 0.2]])
+    values = np.concatenate([swept, others, -others])
+    nodes = -(-len(values) // 6)
+    levels = -(-nodes // 3)
+    U = np.zeros(3 * levels * 6)
+    U[:len(values)] = values
+    return U.view(complex).reshape(3, levels, 3), _grid(2, levels - 1)
+
+
+@pytest.mark.parametrize("split", [2 ** 62, 1], ids=["one-process", "split"])
+def test_read_returns_the_written_bits(split, tmp_path, monkeypatch):
+    # what write_solution_csv writes, read_solution_csv reads back bit for
+    # bit, by one process and by two; with two, the table must not be
+    # sent back to one process
+    U, grid = _bit_sweep()
+    path = str(tmp_path / "solution.csv")
+    write_solution_csv(U, grid, path)
+    monkeypatch.setattr(csv_io, "_CSV_SPLIT", split)
+    if split == 1 and csv_io._two_processes():
+        monkeypatch.setattr(csv_io, "_solution_grid", _one_process)
+    back = read_solution_csv(path, SimpleNamespace(grid=grid, m=3))
+    assert np.array_equal(back.view(np.int64), U.view(np.int64))
+
+
+@pytest.mark.parametrize("read_block", [1, 7, 100, 2 ** 16])
+@pytest.mark.parametrize("end", [b"\r\n", b"\n", b"\r"],
+                         ids=["crlf", "lf", "cr"])
+def test_read_is_the_same_for_any_read_size(end, read_block, tmp_path,
+                                            monkeypatch):
+    # reads shorter than a line (doubled until one ends in them) and cuts
+    # between the CR and LF of a line end give the written bits
+    U, grid = _extremes()
+    path = tmp_path / "solution.csv"
+    write_solution_csv(U, grid, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\r\n", end))
+    monkeypatch.setattr(csv_io, "_READ_BLOCK", read_block)
+    back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=1))
+    assert np.array_equal(back.view(np.int64), U.view(np.int64))
+
+
+def test_read_takes_any_spelling_of_a_json_number(tmp_path):
+    # value cells spelled otherwise than by repr, blanks about them, read
+    # as JSON numbers: -0 is the integer 0, so 0.0, and an integer beyond
+    # 64 bits is the nearest float
+    spellings = [b"-0", b"1E+2", b" 2.50\t", b"100", b"-1e-400",
+                 b"12345678901234567890", b"0.1e1", b"-0.0"]
+    cells = spellings * 2  # 12 value cells: 6 nodes of 1 component
+    grid = _grid(2, 1)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(np.zeros((3, 2, 1), dtype=complex), grid, str(path))
+    header, *lines = path.read_bytes().split(b"\r\n")
+    for r in range(6):
+        lines[r] = b",".join(lines[r].split(b",")[:4] + cells[2 * r:][:2])
+    path.write_bytes(b"\r\n".join([header, *lines]))
+    back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=1))
+    expected = np.array([float(json.loads(text)) for text in cells[:12]])
+    assert np.array_equal(back.view(np.int64).ravel(),
+                          expected.view(np.int64))
+    assert expected[0] == 0.0 and not np.signbit(expected[0])
+
+
+REFUSED = {"plus-sign": b"+1", "bare-point": b"1.", "leading-point": b".5",
+           "leading-zero": b"01", "true": b"true", "1e400": b"1e400",
+           "nan": b"nan"}
+
+
+@pytest.mark.parametrize("row", [PARENT_ROW, CHILD_ROW],
+                         ids=["parent-half", "child-half"])
+@pytest.mark.parametrize("cell", [*REFUSED.values(), None],
+                         ids=[*REFUSED, "one-cell-short"])
+def test_read_refuses_a_row_that_is_not_json_numbers(cell, row, tmp_path,
+                                                     monkeypatch):
+    # a cell that is not a JSON number, or a row short of a cell, in
+    # either half: both reads raise ParseError naming the row
+    def edit(lines):
+        if cell is None:
+            lines[row] = lines[row].rsplit(b",", 1)[0]
+        else:
+            _set_cell(4, cell)(lines, row)
+
+    path, spec = _damaged_table(tmp_path, edit)
+    serial, split = _serial_and_split_errors(path, spec, monkeypatch)
+    assert split == serial
+    i, j = divmod(row, 401)
+    assert f"not a row of 8 numbers: '{i},{j}," in serial
+    assert (cell or b"").decode() in serial
 
 
 def test_oracle_cases_hold_what_they_name(tmp_path):

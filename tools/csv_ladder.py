@@ -1,15 +1,17 @@
 """Time writing and reading solution.csv by one process and by two.
 
-    python tools/csv_ladder.py SRC [--repetitions R] [--out FILE]
+    python tools/csv_ladder.py SRC [--repetitions R] [--rungs N ...]
+        [--out FILE]
 
 SRC is a directory holding the ``singwave`` package (a checkout's
 ``src/``), so that two trees can run the same ladder.  Each rung is a
-random complex grid of the demo's shape (m = 3, M = 4N, k = 1/M) with
-2^13 to 2^20.6 float values; N = 128 is ``demo-large``'s size
-(2^18.6 values).  At each rung the grid is written and read R
-times by one process (``_CSV_SPLIT`` of the codec module,
-``singwave.csv_io``, or ``singwave.cli`` in trees older than it, set above
-the grid's size) and R times by two (``_CSV_SPLIT`` set to 1),
+random complex grid of the demo's shape (m = 3, M = 4N, k = 1/M); the
+default rungs hold 2^13 to 2^20.6 float values, and ``--rungs`` names
+other values of N; N = 128 is ``demo-large``'s size (2^18.6 values).
+At each rung the grid is written and read R times by one process
+(``_CSV_SPLIT`` of the codec module, ``singwave.csv_io``, or
+``singwave.cli`` in trees older than it, set above the grid's size) and
+R times by two (``_CSV_SPLIT`` set to 1),
 alternating which runs first; every written file must have the same bytes
 both ways and every read must return the written grid bit for bit, or the
 tool stops.  Before the ladder one demo solve at N = 128, M = 512 runs
@@ -108,6 +110,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", help="directory holding the singwave package")
     parser.add_argument("--repetitions", type=int, default=15)
+    parser.add_argument("--rungs", type=int, nargs="+", default=RUNGS,
+                        metavar="N", help="grid sizes N to time")
     parser.add_argument("--out", help="JSON file to write (default stdout)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
@@ -123,7 +127,8 @@ def main() -> int:
     held = solve_problem(demo_problem(128, 1.0 / 512, 1.0))  # noqa: F841
     rng = np.random.default_rng(29)
     with tempfile.TemporaryDirectory(prefix="csv_ladder-") as work:
-        rows = [rung(csv_io, N, args.repetitions, work, rng) for N in RUNGS]
+        rows = [rung(csv_io, N, args.repetitions, work, rng)
+                for N in args.rungs]
     doc = {"src": os.path.abspath(args.src),
            "python": platform.python_version(), "numpy": np.__version__,
            "cpus": len(os.sched_getaffinity(0)),

@@ -28,12 +28,13 @@ leaked part file of a solution table), each counted as a difference,
 then a summary.
 Problem 0 of ``demo-large`` (397062 grid values) is the input whose
 ``solution.csv`` is written by two processes in ``solve`` and read by
-two processes in ``verify``.  Each tree then runs ``verify`` on five
+two processes in ``verify``.  Each tree then runs ``verify`` on seven
 damaged copies of its own table of that problem (``damaged_tables``: a
 repeated row in the first quarter of the body, a bad cell in the last
-quarter, a blank line in the middle, LF line ends and the body rows
-shuffled), and the exit code and the text on stdout and stderr of each
-are compared too.
+quarter, a blank line in the middle, LF line ends, the body rows
+shuffled, an x cell with a plus sign and a j cell with a bare decimal
+point), and the exit code and the text on stdout and stderr of each are
+compared too.
 Every run writes into a new temporary directory, whose path it prints.
 Exits 0 when nothing differs and 1 otherwise.  Uses the standard library
 and numpy only.
@@ -113,8 +114,11 @@ def damaged_tables(text: bytes) -> dict:
     """Damaged copies of a solution table with CRLF line ends, by name: a
     repeated row in the first quarter of its body (a two-process read's
     first half), a bad cell in the last quarter (its second half), a
-    blank line in the middle, LF line ends, and its body rows in a
-    seeded random order."""
+    blank line in the middle, LF line ends, its body rows in a seeded
+    random order, an x cell with a plus sign (``+0.25`` for ``0.25``) in
+    the first half and a j cell with a bare decimal point (``7.`` for
+    ``7``) in the second: the last two hold the written values, in text
+    that is not a JSON number."""
     header, *rows = text.split(b"\r\n")
     n = len(rows) - 1  # the text ends with a line end
 
@@ -123,8 +127,15 @@ def damaged_tables(text: bytes) -> dict:
         change(lines)
         return b"\r\n".join([header, *lines])
 
-    cells = rows[3 * n // 4].split(b",")
-    bad = b",".join(cells[:4] + [b"abc"] + cells[5:])
+    def cell(r, column, text):
+        # row r with its cell in column rewritten by text(cell)
+        cells = rows[r].split(b",")
+        cells[column] = text(cells[column])
+        return b",".join(cells)
+
+    bad = cell(3 * n // 4, 4, lambda _: b"abc")
+    plus = cell(n // 3, 2, lambda x: b"+" + x)
+    point = cell(2 * n // 3, 1, lambda j: j + b".")
     return {
         "repeated-row": edited(lambda l: l.insert(n // 4, l[n // 4])),
         "bad-cell": edited(lambda l: l.__setitem__(3 * n // 4, bad)),
@@ -132,6 +143,8 @@ def damaged_tables(text: bytes) -> dict:
         "lf-line-ends": text.replace(b"\r\n", b"\n"),
         "shuffled-rows": edited(lambda l: l.__setitem__(slice(0, n), [
             l[r] for r in np.random.default_rng(SEED).permutation(n)])),
+        "plus-sign-cell": edited(lambda l: l.__setitem__(n // 3, plus)),
+        "bare-point-cell": edited(lambda l: l.__setitem__(2 * n // 3, point)),
     }
 
 
