@@ -21,7 +21,7 @@ import numpy as np
 import orjson
 
 from .csv_io import read_solution_csv, write_eigen_csv, write_solution_csv
-from .errors import NumericalFailure, ParseError, SingwaveError
+from .errors import Gate, NumericalFailure, ParseError, SingwaveError, admit
 from .matrix_core import is_number
 from .solver import (
     MATRIX_KEYS,
@@ -138,16 +138,16 @@ def _residual_lines(rep: ResidualReport) -> List[str]:
 
 
 def _residual_gate(U: np.ndarray, spec: ProblemSpec
-                   ) -> tuple[ResidualReport, Optional[str]]:
-    """The residual report of grid U and, when its worst residual exceeds
-    the problem's residual tolerance, the failure message (a NaN residual
+                   ) -> tuple[ResidualReport, Gate]:
+    """The residual report of grid U and its residual-gate: the worst
+    residual against the problem's residual tolerance (a NaN residual
     fails).  solve and verify both decide by it, so that ACCEPTED implies
     a passing verify."""
     rep = residual_report(U, spec)
     tol = spec.tolerances.residual
-    if rep.worst <= tol:
-        return rep, None
-    return rep, f"worst residual {_fmt(rep.worst)} exceeds {tol:g}"
+    return rep, Gate("residual_within_tol", "residual-gate",
+                     f"worst residual {_fmt(rep.worst)} exceeds {tol:g}",
+                     rep.worst, tol, NumericalFailure)
 
 
 def build_report(spec: ProblemSpec, sol: DiscreteSolution,
@@ -180,7 +180,7 @@ def build_report(spec: ProblemSpec, sol: DiscreteSolution,
         lines.append("== endpoint matrix ==")
         lines.append(f"rank={bm.rank} of m={spec.m} "
                      f"(kernel dimension {bm.kernel.shape[1]})")
-    if sol.gates is not None:
+    if sol.gates:
         lines.append("== admissibility ==")
         lines.extend(f"{gate.name}={gate.passed} (defect {_fmt(gate.defect)})"
                      for gate in sol.gates)
@@ -234,9 +234,8 @@ def run_solve(spec: ProblemSpec, out_dir: str, quiet: bool = False) -> int:
     status = 0
     try:
         solve_problem(spec, sol)
-        residuals, failure = _residual_gate(sol.U, spec)
-        if failure:
-            raise NumericalFailure(failure, condition="residual-gate")
+        residuals, gate = _residual_gate(sol.U, spec)
+        admit(sol.gates, gate)
     except SingwaveError as exc:
         error = exc
         status = exc.exit_code
@@ -267,12 +266,11 @@ def run_verify(problem_path: str, solution_path: str,
     """Replay the residual oracle on a saved solution; exit 2 when it
     fails the residual gate at the problem's residual tolerance."""
     spec = parse_problem(problem_path)
-    rep, failure = _residual_gate(read_solution_csv(solution_path, spec),
-                                  spec)
+    rep, gate = _residual_gate(read_solution_csv(solution_path, spec), spec)
     if not quiet:
         print("\n".join(_residual_lines(rep)))
-        print(f"FAIL: {failure}" if failure else "OK")
-    return 2 if failure else 0
+        print("OK" if gate.passed else f"FAIL: {gate.message}")
+    return 0 if gate.passed else 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):

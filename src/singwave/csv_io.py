@@ -261,10 +261,8 @@ def _check_nodes(path: str, rows: np.ndarray, first: int, grid: GridParams,
                  m: int) -> None:
     """Raise ParseError unless rows are the writer's rows of grid's nodes
     first, first + 1, ... (none past its last) with m components: 4 + 2m
-    finite cells a row, the node's i and j, and x and t within
-    1e-12 * max(1, T) of i/N and j*k."""
-    if not np.isfinite(rows).all():
-        raise ParseError(f"{path}: non-finite cell")
+    cells a row (finite, as _parse_bytes reads them), the node's i and j,
+    and x and t within 1e-12 * max(1, T) of i/N and j*k."""
     if rows.shape[1] != 4 + 2 * m:
         raise ParseError(f"{path}: expected rows of {4 + 2 * m} numbers")
     i, j = np.divmod(np.arange(first, first + len(rows)), grid.M + 1)

@@ -1,9 +1,11 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and Gate, the threshold decision that raises one.
 
 Every error carries a stable ``condition`` slug (used by report.txt and the CLI
 to name the failure) and an ``exit_code`` consumed by the command line front
 end: 2 for model rejection, 3 for input problems, 4 for numerical failure.
 """
+
+from dataclasses import dataclass
 
 
 class SingwaveError(Exception):
@@ -107,3 +109,30 @@ class SingularLevelOperator(NumericalFailure):
     does not fix the next and the stacked system cannot be marched."""
 
     condition = "singular-level-operator"
+
+
+@dataclass
+class Gate:
+    """One decision of a solve: it passes when defect <= limit, so a NaN
+    defect fails; a failing gate raises ``error`` with ``condition`` and
+    ``message``, which a passing gate may leave empty."""
+
+    name: str
+    condition: str
+    message: str
+    defect: float
+    limit: float
+    error: type[SingwaveError]
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.defect <= self.limit)
+
+
+def admit(gates: list[Gate], *new: Gate) -> None:
+    """Append the new gates to ``gates``, then raise the error of the
+    first of them that fails."""
+    gates.extend(new)
+    for gate in new:
+        if not gate.passed:
+            raise gate.error(gate.message, condition=gate.condition)

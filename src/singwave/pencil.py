@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ModelRejection, NoRegularizingGamma, NoSquareRoot,
+from .errors import (Gate, ModelRejection, NoRegularizingGamma, NoSquareRoot,
                      RhoDegenerate, SingularShift, UnstableStepRatio)
 from .matrix_core import (
     DEFAULT_RANK_TOL,
@@ -81,7 +81,10 @@ class PencilData:
     projector = basis @ coords and reduced = basis @ core @ coords, with
     orthonormal basis columns and core upper triangular.  active marks
     the core diagonal entries d with |d| > band; the others count as 0.
-    When none is active the propagating subspace is trivial.
+    When none is active the propagating subspace is trivial.  gate
+    (not-hyperbolic) fails at an active d farther than the band from
+    [0, inf): z = rho*d then leaves [-4, 0] for every rho = -r^2 lambda
+    < 0, so a propagator root leaves the unit circle on any grid.
     """
 
     gamma: complex
@@ -93,6 +96,7 @@ class PencilData:
     core: np.ndarray
     band: float
     active: np.ndarray
+    gate: Gate
 
 
 @dataclass
@@ -108,7 +112,9 @@ class PropagatorPair:
     The root table, (modes, p) over the core diagonal: z = rho*d,
     coincide where the roots c +- s of p^2 - (2 + z) p + 1 = 0 coincide,
     and modulus = max |c +- s|, which is 1 exactly when z is real and in
-    [-4, 0] (the von Neumann root condition).
+    [-4, 0] (the von Neumann root condition).  gate (unstable-step-ratio)
+    fails at the first (mode, d) with Re z < -4 where the roots do not
+    coincide: |p+ + p-| = |2 + z| > 2, so a root leaves the unit circle.
     """
 
     rho: np.ndarray
@@ -119,6 +125,7 @@ class PropagatorPair:
     z: np.ndarray
     coincide: np.ndarray
     modulus: np.ndarray
+    gate: Gate
 
 
 def build_pencil(E, A, tol: float = DEFAULT_RANK_TOL) -> PencilData:
@@ -148,20 +155,16 @@ def build_pencil(E, A, tol: float = DEFAULT_RANK_TOL) -> PencilData:
     d = core[diag, diag] = snap_real(core[diag, diag])
     reduced = basis @ core @ coords
     band = tol * (1.0 + one_norm(reduced))
+    active = np.abs(d) > band
+    off = np.where(active, np.maximum(-d.real, np.abs(d.imag) - band),
+                   -np.inf)
+    gate = Gate("hyperbolic", "not-hyperbolic", "", off.max(initial=-np.inf),
+                0.0, ModelRejection)
+    if not gate.passed:
+        gate.message = (f"reduced eigenvalue d={complex(d[off > 0][0]):.6g} "
+                        f"is not real and >= 0 within {band:.3e}")
     return PencilData(gamma, basis @ coords, reduced, dec.index_k, basis,
-                      coords, core, band, np.abs(d) > band)
-
-
-def raise_on_not_hyperbolic(pd: PencilData) -> None:
-    """not-hyperbolic at the first active d farther than the band from
-    [0, inf): z = rho*d then leaves [-4, 0] for every rho = -r^2 lambda < 0,
-    so a propagator root leaves the unit circle on any grid."""
-    d = np.diagonal(pd.core)
-    off = pd.active & ((d.real < 0.0) | (np.abs(d.imag) > pd.band))
-    if off.any():
-        raise ModelRejection(
-            f"reduced eigenvalue d={complex(d[off][0]):.6g} is not real and "
-            f">= 0 within {pd.band:.3e}", condition="not-hyperbolic")
+                      coords, core, band, active, gate)
 
 
 def _roots_coincide(z) -> np.ndarray:
@@ -204,20 +207,18 @@ def build_propagators(pd: PencilData, rho) -> PropagatorPair:
             f"rho={complex(rhos[idx])}; no square root of C^2 - I exists"
         ) from exc
     s = S[:, diag, diag]
+    modulus = np.maximum(np.abs(c + s), np.abs(c - s))
+    beyond = np.where(coincide, -np.inf, -4.0 - z.real)  # (modes, p)
+    # fmax skips a NaN entry: a gate fails only at an entry it can name
+    gate = Gate("step_ratio_stable", "unstable-step-ratio", "",
+                np.fmax.reduce(beyond, axis=None, initial=-np.inf), 0.0,
+                UnstableStepRatio)
+    if not gate.passed:
+        idx, row = np.argwhere(beyond > 0.0)[0]
+        gate.message = (
+            f"mode {idx + 1}: z = rho*d = {complex(z[idx, row]):.6g} lies "
+            f"beyond -4 at reduced eigenvalue d={complex(d[row]):.6g}; "
+            f"propagator root |p| = {modulus[idx, row]:.6e} > 1")
     return PropagatorPair(rhos, pd.basis @ (C + S) @ pd.coords,
                           pd.basis @ (C - S) @ pd.coords, C, S, z, coincide,
-                          np.maximum(np.abs(c + s), np.abs(c - s)))
-
-
-def raise_on_unstable_roots(pd: PencilData, pp: PropagatorPair) -> None:
-    """UnstableStepRatio at the first (mode, d) with Re z < -4 outside the
-    band where the roots coincide (rho-degenerate decides there): then
-    |p+ + p-| = |2 + z| > 2, so a root leaves the unit circle."""
-    beyond = np.argwhere((pp.z.real < -4.0) & ~pp.coincide)  # (modes, p)
-    if beyond.size:
-        idx, row = beyond[0]
-        raise UnstableStepRatio(
-            f"mode {idx + 1}: z = rho*d = "
-            f"{complex(pp.z[idx, row]):.6g} lies beyond -4 at reduced "
-            f"eigenvalue d={complex(pd.core[row, row]):.6g}; propagator "
-            f"root |p| = {pp.modulus[idx, row]:.6e} > 1")
+                          modulus, gate)

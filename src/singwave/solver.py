@@ -7,10 +7,10 @@ The displacement grid U(i, j) in C^m on i = 0..N, j = 0..M satisfies
 on interior nodes, first-order coupled endpoint relations at i = 0 and
 i = N, and initial position/velocity data F, Gv.  The solve separates
 space through the discrete eigenbasis, propagates each mode with the
-pencil propagators, and reassembles.  A pair that is not hyperbolic,
-inadmissible data and a step ratio beyond the root condition are
-rejected before any mode is solved; the root facts come from the one
-root table of pencil.build_propagators.  The endpoint rows are the
+pencil propagators, and reassembles.  Every admissibility decision is
+a Gate, admitted in evaluation order (errors.admit) into one list.  The
+root facts come from the one root table of pencil.build_propagators.
+The endpoint rows are the
 eigenfunctions' own, U(0) = a U(1) and U(N) = b U(N-1) with the scalars
 of sturm_liouville.boundary_scalars; on the kernel of the endpoint
 matrix they satisfy the matrix relations.
@@ -19,11 +19,12 @@ matrix they satisfy the matrix relations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConsistencyViolation, ParseError, RankFull, RhoDegenerate
+from .errors import (ConsistencyViolation, Gate, ParseError, RankFull,
+                     RhoDegenerate, admit)
 from .matrix_core import (
     DEFAULT_RANK_TOL,
     _finite_number,
@@ -41,8 +42,6 @@ from .pencil import (
     PropagatorPair,
     build_pencil,
     build_propagators,
-    raise_on_not_hyperbolic,
-    raise_on_unstable_roots,
 )
 from .sturm_liouville import SLProblem, boundary_scalars, expand, solve_psd
 
@@ -161,57 +160,32 @@ class ProblemSpec:
 
 @dataclass
 class BoundaryMatrix:
-    """Stacked endpoint coupling map (alpha*A1 - A2 over beta*B1 - B2)."""
+    """Stacked endpoint coupling map (alpha*A1 - A2 over beta*B1 - B2);
+    gate fails on a trivial kernel: no nonzero grid meets both relations."""
 
     Gab: np.ndarray
     rank: int
     kernel: np.ndarray
+    gate: Gate
 
 
 def build_boundary_matrix(spec: ProblemSpec) -> BoundaryMatrix:
-    """Assemble the 2m x m endpoint matrix and its kernel.
-
-    Raises RankFull when the kernel is trivial: no nonzero grid function
-    can then satisfy both endpoint relations, and the solve cannot
-    proceed.
-    """
+    """Assemble the 2m x m endpoint matrix, its kernel and its gate."""
     Gab = np.vstack([spec.alpha * spec.A1 - spec.A2,
                      spec.beta * spec.B1 - spec.B2])
     rank, kernel = rank_and_kernel(Gab, spec.tolerances.rank)
-    if rank >= spec.m:
-        raise RankFull(
-            f"endpoint coupling matrix has full rank {rank}; "
-            "no nontrivial admissible states exist")
-    return BoundaryMatrix(Gab, rank, kernel)
-
-
-@dataclass
-class Gate:
-    """One admissibility condition: it passes when defect <= limit, so a
-    NaN defect fails; a failing gate rejects the problem as ``condition``
-    with ``message``."""
-
-    name: str
-    condition: str
-    message: str
-    defect: float
-    limit: float
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.defect <= self.limit)
+    return BoundaryMatrix(Gab, rank, kernel, Gate(
+        "kernel_nontrivial", "boundary-matrix-full-rank",
+        f"endpoint coupling matrix has full rank {rank}; "
+        "no nontrivial admissible states exist", rank, spec.m - 1, RankFull))
 
 
 def check_consistency(spec: ProblemSpec, pd: PencilData,
                       bm: BoundaryMatrix) -> List[Gate]:
-    """Four admissibility gates, reported rather than raised.
-
-    (a) the pencil projector fixes every data vector, (b) interior data
-    lies in the kernel of the endpoint matrix, (c) that kernel is
-    invariant under the reduced operator, (d) the data's endpoint rows
-    are those of the eigenfunction series, a and b times the adjacent
-    rows.
-    """
+    """Four ConsistencyViolation gates: the pencil projector fixes the
+    data, the interior data lie in the endpoint kernel, that kernel is
+    invariant under the reduced operator, and the data's endpoint rows
+    are a and b times the adjacent rows, as the eigenfunctions' are."""
     tol = spec.tolerances.consistency
     scale = spec.data_scale()
     N = spec.grid.N
@@ -219,42 +193,39 @@ def check_consistency(spec: ProblemSpec, pd: PencilData,
     a, b = boundary_scalars(spec.sl_problem())
     ends = np.stack([data[:, 0] - a * data[:, 1],
                      data[:, N] - b * data[:, N - 1]])
-    return [
-        Gate("projector_fixes_data", "projector-data-mismatch",
-             "pencil projector alters the initial data",
-             peak_norm(data @ pd.projector.T - data),
-             tol * (1.0 + one_norm(pd.projector)) * scale),
-        Gate("data_in_kernel", "data-outside-boundary-kernel",
-             "interior data leaves the endpoint kernel",
-             peak_norm(data[:, 1:N] @ bm.Gab.T),
-             tol * (1.0 + one_norm(bm.Gab)) * scale),
-        Gate("kernel_invariant", "boundary-kernel-not-invariant",
-             "endpoint kernel is not invariant under the reduced operator",
-             kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel),
-             tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))),
-        Gate("ends_match", "endpoint-data-mismatch",
-             "endpoint data differ from the eigenfunction endpoint rows",
-             peak_norm(ends), tol * (1.0 + max(abs(a), abs(b))) * scale),
+    rows = [
+        ("projector_fixes_data", "projector-data-mismatch",
+         "pencil projector alters the initial data",
+         peak_norm(data @ pd.projector.T - data),
+         tol * (1.0 + one_norm(pd.projector)) * scale),
+        ("data_in_kernel", "data-outside-boundary-kernel",
+         "interior data leaves the endpoint kernel",
+         peak_norm(data[:, 1:N] @ bm.Gab.T),
+         tol * (1.0 + one_norm(bm.Gab)) * scale),
+        ("kernel_invariant", "boundary-kernel-not-invariant",
+         "endpoint kernel is not invariant under the reduced operator",
+         kernel_invariance_defect(bm.Gab, pd.reduced, bm.kernel),
+         tol * (1.0 + one_norm(pd.reduced) * one_norm(bm.Gab))),
+        ("ends_match", "endpoint-data-mismatch",
+         "endpoint data differ from the eigenfunction endpoint rows",
+         peak_norm(ends), tol * (1.0 + max(abs(a), abs(b))) * scale),
     ]
-
-
-def raise_on_inconsistency(gates: Sequence[Gate]) -> None:
-    """Raise ConsistencyViolation for the first gate that fails."""
-    for gate in gates:
-        if not gate.passed:
-            raise ConsistencyViolation(
-                f"{gate.message} (defect {gate.defect:.3e})",
-                condition=gate.condition)
+    return [Gate(name, condition, f"{text} (defect {defect:.3e})", defect,
+                 limit, ConsistencyViolation)
+            for name, condition, text, defect, limit in rows]
 
 
 @dataclass
 class ModeAmplitudes:
     """Branch amplitudes of the propagator stack's modes; row idx is
-    spatial mode idx + 1.  P, Q are (modes, m); residual is (modes,)."""
+    spatial mode idx + 1.  P, Q are (modes, m); residual is (modes,).
+    gate fails at the first mode whose residual exceeds its limit, as
+    rho-degenerate where its roots coincide at an active d."""
 
     P: np.ndarray
     Q: np.ndarray
     residual: np.ndarray
+    gate: Gate
 
 
 def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
@@ -268,7 +239,7 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
     Z0 P_l + Z1 Q_l reproduces ghat.  In core coordinates both amplitudes
     are (f_c +- x)/2 with S_l x = g_c - C_l f_c, one min_norm_solve over
     the S stack for all modes; the residual of both equations in full
-    coordinates then decides, mode by mode, whether they hold.
+    coordinates, against a limit of each mode's own, makes the gate.
     """
     tol = spec.tolerances.residual
     fc = fhat @ pd.coords.T
@@ -283,21 +254,21 @@ def solve_mode_coefficients(spec: ProblemSpec, pd: PencilData,
             + propagators.Z1 @ Q[..., None])[..., 0]
     res = np.abs(P + Q - fhat).sum(axis=1) + np.abs(step - ghat).sum(axis=1)
     limit = tol * (1.0 + np.abs(fhat).sum(axis=1) + np.abs(ghat).sum(axis=1))
-    failed = np.flatnonzero(res > limit)
-    if failed.size:
-        idx = int(failed[0])
-        l = idx + 1
+    # fmax skips a NaN residual, as the grid's residual gate decides it
+    gate = Gate("modes_solvable", "mode-equations-unsolvable", "",
+                np.fmax.reduce(res - limit, initial=-np.inf), 0.0,
+                ConsistencyViolation)
+    if not gate.passed:
+        idx = int(np.flatnonzero(res > limit)[0])
         bad = np.diagonal(pd.core)[pd.active & propagators.coincide[idx]]
+        gate.message = f"mode {idx + 1} amplitude system unsolvable"
         if bad.size:
-            raise RhoDegenerate(
-                f"mode {l}: propagator roots coincide at reduced "
-                f"eigenvalue(s) {bad.tolist()} and leave the mode system "
-                f"unsolvable (residual {res[idx]:.3e})")
-        raise ConsistencyViolation(
-            f"mode {l} amplitude system unsolvable "
-            f"(residual {res[idx]:.3e})",
-            condition="mode-equations-unsolvable")
-    return ModeAmplitudes(P, Q, res)
+            gate.condition, gate.error = "rho-degenerate", RhoDegenerate
+            gate.message = (f"mode {idx + 1}: propagator roots coincide at "
+                            f"reduced eigenvalue(s) {bad.tolist()} and leave "
+                            "the mode system unsolvable")
+        gate.message += f" (residual {res[idx]:.3e})"
+    return ModeAmplitudes(P, Q, res, gate)
 
 
 @dataclass
@@ -320,14 +291,14 @@ class StabilityReport:
 
 @dataclass
 class DiscreteSolution:
-    """The record of one solve: each stage's result, None until the
-    stage has run.  propagators, modes and stability hold one row per
-    spatial mode, row idx for mode idx + 1."""
+    """The record of one solve: each stage's result, None until it has run
+    (boundary and modes until their gate passes), and the gates admitted
+    so far.  Per-mode fields hold row idx for spatial mode idx + 1."""
 
     eigenpairs: Optional[np.recarray] = None
     pencil: Optional[PencilData] = None
     boundary: Optional[BoundaryMatrix] = None
-    gates: Optional[List[Gate]] = None
+    gates: List[Gate] = field(default_factory=list)
     propagators: Optional[PropagatorPair] = None
     modes: Optional[ModeAmplitudes] = None
     # (N+1, M+1, m) complex; imaginary parts exactly 0.0 for a real problem
@@ -423,20 +394,18 @@ def stability_report(spec: ProblemSpec, propagators: PropagatorPair,
 def solve_problem(spec: ProblemSpec,
                   sol: Optional[DiscreteSolution] = None
                   ) -> DiscreteSolution:
-    """Full pipeline: eigenbasis, pencil, hyperbolicity, admissibility,
-    step-ratio root condition, modes, assembly, stability.
-
-    Each stage's result goes into ``sol`` (a new record when None) as the
-    stage finishes, so a caller's own record keeps the stages that ran
-    before a rejection.
-    """
+    """Full pipeline: eigenbasis, pencil, endpoint matrix, admissibility,
+    propagators, modes, assembly, stability.  Each stage's result and
+    gates go into ``sol`` (a new record when None) as the stage finishes,
+    so a caller's own record keeps what ran before a rejection."""
     sol = DiscreteSolution() if sol is None else sol
     sol.eigenpairs = eigenpairs = solve_psd(spec.sl_problem())
     sol.pencil = pd = build_pencil(spec.E, spec.A, tol=spec.tolerances.rank)
-    raise_on_not_hyperbolic(pd)
-    sol.boundary = build_boundary_matrix(spec)
-    sol.gates = check_consistency(spec, pd, sol.boundary)
-    raise_on_inconsistency(sol.gates)
+    admit(sol.gates, pd.gate)
+    bm = build_boundary_matrix(spec)
+    admit(sol.gates, bm.gate)
+    sol.boundary = bm
+    admit(sol.gates, *check_consistency(spec, pd, bm))
 
     interior = slice(1, spec.grid.N)
     fc = expand(spec.F[interior], eigenpairs)
@@ -445,8 +414,10 @@ def solve_problem(spec: ProblemSpec,
 
     sol.propagators = propagators = build_propagators(
         pd, spec.mode_rho(eigenpairs.lam))
-    raise_on_unstable_roots(pd, propagators)
-    sol.modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
+    admit(sol.gates, propagators.gate)
+    modes = solve_mode_coefficients(spec, pd, propagators, fc, gc)
+    admit(sol.gates, modes.gate)
+    sol.modes = modes
     sol.U = assemble_solution(spec, pd, propagators, sol.modes, eigenpairs)
     sol.stability = stability_report(spec, propagators, sol.U)
     return sol

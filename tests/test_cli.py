@@ -34,6 +34,7 @@ from singwave.errors import (InputError, ParseError, ShapeError,
 from singwave.fixtures import (
     _with_boundary,
     demo_problem,
+    reject_full_rank,
     reject_kernel_violation,
     reject_projector_mismatch,
     reject_rho_degenerate,
@@ -47,7 +48,8 @@ from singwave.sturm_liouville import (
     boundary_scalars,
     solve_psd,
 )
-from singwave.verify import ResidualReport, brute_force_reference
+from singwave.verify import (ResidualReport, brute_force_reference,
+                             residual_report)
 
 from csv_oracle import solution_csv_oracle
 from random_matrices import random_orthogonal
@@ -1041,6 +1043,91 @@ def test_solve_not_hyperbolic_rejected(tmp_path, probe, N, k, T, d):
     assert "== pencil ==" in report
     assert "== endpoint matrix ==" not in report
     assert not (tmp_path / "solution.csv").exists()
+
+
+# the gates of a solve by stage, in evaluation order; a stage ends the
+# list when one of its gates fails
+GATE_STAGES = (("hyperbolic",), ("kernel_nontrivial",),
+               ("projector_fixes_data", "data_in_kernel", "kernel_invariant",
+                "ends_match"),
+               ("step_ratio_stable",), ("modes_solvable",),
+               ("residual_within_tol",))
+
+
+def _solve_record(tmp_path, monkeypatch, spec):
+    """The solve record and the error that run_solve reports for spec."""
+    seen = []
+    real = cli.build_report
+
+    def spy(spec, sol, residuals, error):
+        seen.append((sol, error))
+        return real(spec, sol, residuals, error)
+
+    monkeypatch.setattr("singwave.cli.build_report", spy)
+    cli.run_solve(spec, str(tmp_path), quiet=True)
+    return seen[0]
+
+
+def _gate_stages(gates):
+    """gates cut into GATE_STAGES' stages, whose names they must bear."""
+    stages, rest = [], list(gates)
+    for names in GATE_STAGES:
+        if not rest:
+            break
+        stage, rest = rest[:len(names)], rest[len(names):]
+        assert [gate.name for gate in stage] == list(names)
+        stages.append(stage)
+    assert not rest
+    return stages
+
+
+@pytest.mark.parametrize("case", [
+    "projector", "kernel", "full-rank", "rho-degenerate", "negative-d",
+    "complex-d", "unstable"])
+def test_gate_list_ends_at_the_rejecting_gate(tmp_path, monkeypatch, case):
+    # every gate that ran is recorded, in evaluation order, and the list
+    # ends with the stage of the gate whose condition is raised: every
+    # earlier gate passes, and only the consistency stage, which holds
+    # four gates, can hold more than the one failing gate
+    spec = {"projector": reject_projector_mismatch,
+            "kernel": reject_kernel_violation,
+            "full-rank": reject_full_rank,
+            "rho-degenerate": reject_rho_degenerate,
+            "unstable": lambda: scalar_wave_problem(16, 0.125, 20.0)}.get(
+        case, lambda: _read_doc(tmp_path, _not_hyperbolic_doc(
+            case, 8, 1 / 32, 1.0)))()
+    sol, error = _solve_record(tmp_path, monkeypatch, spec)
+    *passed, last = _gate_stages(sol.gates)
+    assert all(gate.passed for stage in passed for gate in stage)
+    failing = [gate for gate in last if not gate.passed]
+    assert failing and failing[0].condition == error.condition
+    assert isinstance(error, failing[0].error)
+    if len(last) == 1:
+        assert failing == [sol.gates[-1]]
+
+
+def test_gate_list_of_accepted_problems(tmp_path, monkeypatch):
+    for spec in (demo_problem(), scalar_wave_problem()):
+        sol, error = _solve_record(tmp_path, monkeypatch, spec)
+        assert error is None
+        assert len(_gate_stages(sol.gates)) == len(GATE_STAGES)
+        assert all(gate.passed for gate in sol.gates)
+        assert sol.gates[-1].defect == residual_report(sol.U, spec).worst
+
+
+def test_exceptions_outside_the_gate_list(tmp_path, monkeypatch):
+    # a Jordan block at coinciding roots has no propagator square root,
+    # and alpha*N = 1 no endpoint scalar: both are raised before any
+    # defect exists, after every gate that ran has passed
+    spec = _read_doc(tmp_path, _clamped_pair_doc([[0.0, 1.0], [0.0, 0.0]]))
+    sol, error = _solve_record(tmp_path, monkeypatch, spec)
+    assert error.condition == "rho-degenerate"
+    assert len(_gate_stages(sol.gates)) == 3
+    assert all(gate.passed for gate in sol.gates)
+    sol, error = _solve_record(tmp_path, monkeypatch, dataclasses.replace(
+        scalar_wave_problem(), alpha=0.25))
+    assert error.condition == "degenerate-boundary-scalars"
+    assert sol.gates == []
 
 
 def test_solve_invalid_grid_exits_3(tmp_path):

@@ -8,6 +8,7 @@ from singwave.errors import (
     NoRegularizingGamma,
     RhoDegenerate,
     UnstableStepRatio,
+    admit,
 )
 from singwave.fixtures import demo_matrices
 from singwave.matrix_core import one_norm
@@ -15,8 +16,6 @@ from singwave.pencil import (
     build_pencil,
     build_propagators,
     find_gamma,
-    raise_on_not_hyperbolic,
-    raise_on_unstable_roots,
 )
 
 from random_matrices import make_rng
@@ -148,7 +147,7 @@ def test_coupled_pencil_reports_index_1():
     # test would reject; within the pencil's band the pair is hyperbolic
     d = np.diagonal(pd.core)
     assert (d.real[~pd.active] < 0.0).any()
-    raise_on_not_hyperbolic(pd)
+    admit([], pd.gate)
 
 
 def test_rotated_index_2_pencil():
@@ -244,13 +243,14 @@ def test_root_table_matches_the_triangular_diagonals():
 def test_unstable_roots_of_a_scalar_rho_rejected():
     # a scalar rho gives a one-mode stack, whose row is mode 1
     pd = build_pencil(*demo_EA())
-    raise_on_unstable_roots(pd, build_propagators(pd, -4.0))
+    admit([], build_propagators(pd, -4.0).gate)
     pair = build_propagators(pd, -5.0)
     assert pair.rho.shape == (1,)
     assert pair.Z0.shape == pair.Z1.shape == (1, 3, 3)
     assert pair.z.shape == pair.modulus.shape == (1, pd.core.shape[0])
     with pytest.raises(UnstableStepRatio, match="mode 1: z = rho.d = -5"):
-        raise_on_unstable_roots(pd, pair)
+        admit([], pair.gate)
+    assert pair.gate.condition == "unstable-step-ratio"
 
 
 # --------------------------------------------------------------- propagators

@@ -14,6 +14,8 @@ from singwave.errors import (
     ParseError,
     RankFull,
     ShapeError,
+    Gate,
+    admit,
 )
 from singwave.fixtures import (
     _with_boundary,
@@ -28,12 +30,10 @@ from singwave.fixtures import (
 from singwave.pencil import build_pencil, build_propagators
 from singwave.solver import (
     DiscreteSolution,
-    Gate,
     GridParams,
     ProblemSpec,
     build_boundary_matrix,
     check_consistency,
-    raise_on_inconsistency,
     solve_mode_coefficients,
     solve_problem,
 )
@@ -162,8 +162,9 @@ def test_boundary_matrix_demo_kernel():
 
 
 def test_boundary_matrix_full_rank_rejected():
-    with pytest.raises(RankFull):
-        build_boundary_matrix(reject_full_rank(4, 0.125, 0.5))
+    with pytest.raises(RankFull) as info:
+        admit([], build_boundary_matrix(reject_full_rank(4, 0.125, 0.5)).gate)
+    assert info.value.condition == "boundary-matrix-full-rank"
 
 
 # ----------------------------------------------------------- admissibility
@@ -218,13 +219,14 @@ def test_gate_limits_and_defects():
         with pytest.raises(ConsistencyViolation) as info:
             solve_problem(spec)
         assert info.value.condition == failing[0].condition
-    nan = Gate("ends_match", "endpoint-data-mismatch", "ends", np.nan, 1.0)
+    nan = Gate("ends_match", "endpoint-data-mismatch", "ends", np.nan, 1.0,
+               ConsistencyViolation)
     assert not nan.passed
     with pytest.raises(ConsistencyViolation):
-        raise_on_inconsistency([nan])
+        admit([], nan)
 
 
-def test_raise_on_inconsistency_slugs():
+def test_consistency_gate_slugs():
     conditions = ("projector-data-mismatch", "data-outside-boundary-kernel",
                   "boundary-kernel-not-invariant", "endpoint-data-mismatch")
 
@@ -232,17 +234,18 @@ def test_raise_on_inconsistency_slugs():
         """One row per gate, in check_consistency's order; the rows at
         the ``failing`` positions have defect > limit."""
         return [Gate(f"gate{idx}", condition, "gate fails",
-                     2.0 if idx in failing else 0.0, 1.0)
+                     2.0 if idx in failing else 0.0, 1.0,
+                     ConsistencyViolation)
                 for idx, condition in enumerate(conditions)]
 
-    raise_on_inconsistency(rows())  # no raise
+    admit([], *rows())  # no raise
     for idx, condition in enumerate(conditions):
         with pytest.raises(ConsistencyViolation) as info:
-            raise_on_inconsistency(rows(idx))
+            admit([], *rows(idx))
         assert info.value.condition == condition
     # every earlier condition keeps its name when the ends fail too
     with pytest.raises(ConsistencyViolation) as info:
-        raise_on_inconsistency(rows(2, 3))
+        admit([], *rows(2, 3))
     assert info.value.condition == "boundary-kernel-not-invariant"
 
 
@@ -297,8 +300,9 @@ def test_mode_coefficients_static_direction_mismatch():
     fhat[3] = [0.4, -0.3, 0.0]
     ghat[3] = [0.35, -0.28, 0.0]
     prop = build_propagators(pd, spec.mode_rho(pairs.lam[:4]))
+    amps = solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
     with pytest.raises(ConsistencyViolation) as info:
-        solve_mode_coefficients(spec, pd, prop, fhat=fhat, ghat=ghat)
+        admit([], amps.gate)
     assert info.value.condition == "mode-equations-unsolvable"
     assert "mode 4 " in str(info.value)
 

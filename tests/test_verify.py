@@ -190,15 +190,15 @@ def test_blocked_interior_residual_keeps_a_nan(monkeypatch, value, block):
     N, M, m = spec.grid.N, spec.grid.M, spec.m
     monkeypatch.setattr(singwave.verify, "_BLOCK", 3 * (M - 1) * m)
     U = solve_problem(spec).U.copy()
-    assert _residual_gate(U, spec)[1] is None
+    assert _residual_gate(U, spec)[1].passed
     U[2 if block == "first" else N - 2, M // 2, 1] = value
     # inf - 2 inf is NaN, with numpy's "invalid value" warning
     with np.errstate(invalid="ignore"):
         residual = interior_residual(U, spec.E, spec.A, spec.grid)
-        rep, failure = _residual_gate(U, spec)
+        rep, gate = _residual_gate(U, spec)
     assert not residual <= 1e300
     assert not rep.interior_max <= 1e300
-    assert failure is not None
+    assert not gate.passed
 
 
 def test_residual_report_memory_stays_flat():

@@ -3,13 +3,14 @@
     python tools/same_outputs.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``singwave`` package (a
-checkout's ``src/``).  Each tree runs in its own process on the same 28
+checkout's ``src/``).  Each tree runs in its own process on the same 36
 inputs: the seed-7 ``batch-mixed`` list, problem 0 of ``demo-large`` and
 of ``reference-dense`` and the warm-up problem, all read from
 ``perfbench/workloads.py``, seven malformed copies of the warm-up problem
 (``MALFORMED``: a ragged ``E``, a string cell, a ``NaN`` cell, an ``F``
 of the wrong shape, a ``true`` cell, an ``Infinity`` cell and a UTF-8
-byte order mark before the document), and the six
+byte order mark before the document), eight ``probe_docs`` problems,
+one for each condition that no other input reaches, and the six
 ``singwave.fixtures`` problems, which each tree writes with its own
 ``write_problem``.  Every input goes through ``solve``, then ``verify``
 and then ``eigen``; ``singwave example`` runs once.
@@ -90,9 +91,52 @@ MALFORMED = {
 }
 
 
+def probe_docs(wl) -> dict:
+    """Problem documents by the condition each one reaches, built with
+    numpy and the helpers of the workloads module wl, with the endpoint
+    rows of the eigenfunctions: every one but residual-gate (exit 4) is
+    rejected (exit 2)."""
+    def doc(N, M, r, F, G=None, E=((1.0,),), A=((1.0,),), alpha=0.0,
+            beta=0.0, **ends):
+        mats = {"E": E, "A": A, **wl._dirichlet(len(E)), **ends}
+        maps = [np.asarray(mats[key], dtype=float)
+                for key in wl.MATRIX_KEYS[2:]]
+        G = 0.0 * F if G is None else G
+        return wl._doc(mats, alpha, beta, N, M, r, wl._with_ends(F, *maps, N),
+                       wl._with_ends(G, *maps, N))
+
+    def sine(N, m=1):
+        return np.tile(np.sin(np.pi * np.arange(1, N) / N)[:, None], m)
+
+    # velocity on the demo's second spatial mode along the reduced
+    # operator's static direction u0, which neither root can carry
+    G = np.zeros((7, 3))
+    G[:, 0] = wl.sl_basis(8, wl.DEMO_ALPHA, wl.DEMO_BETA)[1][:, 1]
+    off_end = doc(8, 32, 0.25, sine(8))
+    off_end["F"][0] = [1.0]
+    cut = np.diag([0.0, 1.0])  # the endpoint kernel is u0 alone
+    return {
+        "not-hyperbolic": doc(8, 32, 0.25, sine(8), A=((-1.0,),)),
+        "unstable-step-ratio": doc(16, 8, 2.0, sine(16)),
+        "rho-degenerate-jordan": doc(8, 32, 0.25, sine(8, 2), E=np.eye(2),
+                                     A=((0.0, 1.0), (0.0, 0.0))),
+        "degenerate-boundary-scalars": {**doc(8, 32, 0.25, sine(8)),
+                                        "alpha": 0.125},
+        "residual-gate": doc(32, 64, 0.5, sine(32), alpha=0.05,
+                             A2=((0.05,),)),
+        "endpoint-data-mismatch": off_end,
+        "boundary-kernel-not-invariant": doc(
+            8, 32, 0.25, sine(8, 2) * [1.0, 0.0], E=np.eye(2),
+            A=((1.0, 0.0), (1.0, 2.0)), A2=cut, B2=cut),
+        "mode-equations-unsolvable": doc(
+            8, 32, 0.25, 0.0 * G, G, alpha=wl.DEMO_ALPHA,
+            beta=wl.DEMO_BETA, **wl.DEMO),
+    }
+
+
 def write_bench_inputs(out_dir: str) -> None:
-    """Write the 15 benchmark inputs and the MALFORMED copies of the
-    warm-up problem as problem files."""
+    """Write the 15 benchmark inputs, the MALFORMED copies of the
+    warm-up problem and the probe_docs problems as problem files."""
     spec = importlib.util.spec_from_file_location(
         "workloads", os.path.join(ROOT, "perfbench", "workloads.py"))
     wl = importlib.util.module_from_spec(spec)
@@ -106,6 +150,10 @@ def write_bench_inputs(out_dir: str) -> None:
         path = os.path.join(out_dir, f"malformed-{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(edit(wl.warmup_problem()["doc"]))
+    for name, doc in probe_docs(wl).items():
+        with open(os.path.join(out_dir, f"probe-{name}.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(doc, fh)
     for entry in entries:
         wl._dump(entry, out_dir)
 
