@@ -1,7 +1,7 @@
-"""Warnings as errors and the seeded ``rng`` fixture for the test suite;
-the random-matrix helpers are in random_matrices.py."""
+"""The seeded ``rng`` fixture for the test suite (pyproject.toml makes
+every warning an error); the random-matrix helpers are in
+random_matrices.py."""
 
-import pathlib
 import warnings
 
 import numpy as np
@@ -16,16 +16,6 @@ with warnings.catch_warnings():
     warnings.filterwarnings("ignore", "mypy_extensions.TypedDict",
                             DeprecationWarning)
     import hypothesis.extra._patching  # noqa: F401
-
-TESTS = pathlib.Path(__file__).resolve().parent
-
-
-def pytest_collection_modifyitems(items):
-    # any warning fails a test of this directory; the benchmark's own
-    # tests keep the default filters when run in the same session
-    for item in items:
-        if TESTS in item.path.parents:
-            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture

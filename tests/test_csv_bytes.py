@@ -3,15 +3,20 @@ value cells of ``solution.csv`` against ``repr``, the two-process read
 of ``solution.csv`` against the one-process read, and the text its
 reader takes and refuses."""
 
+import array
 import io
 import json
 import os
 import pathlib
 import re
 import struct
+import tempfile
+from itertools import repeat
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -354,7 +359,7 @@ def test_split_read_of_a_header_alone(tmp_path, monkeypatch):
 @TWO_PROCESSES
 def test_split_read_accepts_a_blank_line_as_the_serial_read_does(
         tmp_path, monkeypatch):
-    # np.loadtxt skips a blank line in either byte range, and the ranges
+    # _parse_bytes skips a blank line in either byte range, and the ranges
     # cannot overlap, so two processes read the table themselves
     monkeypatch.setattr(csv_io, "_solution_grid", _one_process)
     monkeypatch.setattr(csv_io, "_CSV_SPLIT", 1)
@@ -481,6 +486,121 @@ def test_read_is_the_same_for_any_read_size(end, read_block, tmp_path,
     monkeypatch.setattr(csv_io, "_READ_BLOCK", read_block)
     back = read_solution_csv(str(path), SimpleNamespace(grid=grid, m=1))
     assert np.array_equal(back.view(np.int64), U.view(np.int64))
+
+
+def _per_line_parse(fd, lo, hi):
+    """_parse_bytes's per-line rule applied to every block, the fast path
+    left out: the reference of the parser's fast path."""
+    table = array.array("d")
+    rows = width = 0
+    while lo < hi:
+        size = csv_io._READ_BLOCK
+        while True:
+            block = os.pread(fd, min(size, hi - lo), lo)
+            if len(block) < size:
+                hi = lo + len(block)
+                break
+            block = block[:max(block.rfind(b"\n"), block.rfind(b"\r")) + 1]
+            if block:
+                break
+            size *= 2
+        lo += len(block)
+        lines = list(filter(None, block.splitlines()))
+        if not lines:
+            continue
+        width = width or lines[0].count(b",") + 1
+        if (block.translate(None, b"0123456789+-.eE, \t\r\n") or set(
+                map(bytes.count, lines, repeat(b","))) != {width - 1}):
+            raise csv_io._row_error(lines, width)
+        try:
+            table.fromlist(orjson.loads(b"[" + b",".join(lines) + b"]"))
+        except orjson.JSONDecodeError:
+            raise csv_io._row_error(lines, width) from None
+        rows += len(lines)
+    return np.frombuffer(table).reshape(rows, width)
+
+
+def _outcome(parse, body, read_block):
+    """parse's table of body, as its shape and bits, or its ValueError's
+    text."""
+    with tempfile.TemporaryFile() as fh, mock.patch.object(
+            csv_io, "_READ_BLOCK", read_block):
+        fh.write(body)
+        fh.flush()
+        try:
+            table = parse(fh.fileno(), 0, len(body))
+        except ValueError as exc:
+            return str(exc)
+    return table.shape, table.view(np.int64).tolist()
+
+
+ENDS = [b"\r\n", b"\n", b"\r"]
+
+
+@st.composite
+def _mutated_bodies(draw):
+    """The body of a small writer table, each row cut to the same run of
+    its cells (1 to all of them), with a few line ends made LF, CR or
+    none, blank lines inserted, blanks about cells, at most one byte
+    replaced and the body perhaps cut short."""
+    m, count = draw(st.integers(1, 2)), draw(st.integers(1, 9))
+    values = np.array(draw(st.lists(st.sampled_from(EXTREMES),
+                                    min_size=2 * m * count,
+                                    max_size=2 * m * count)))
+    out = io.BytesIO()
+    csv_io._write_nodes(out, values.reshape(count, 2 * m), _grid(2, 2), 0,
+                        count)
+    first = draw(st.integers(0, 3 + 2 * m))
+    width = draw(st.integers(1, 4 + 2 * m - first))
+    rows = [row.split(b",")[first:first + width]
+            for row in out.getvalue().split(b"\r\n")[:-1]]
+    for r, c, blank in draw(st.lists(st.tuples(
+            st.integers(0, count - 1), st.integers(0, width - 1),
+            st.sampled_from([b" ", b"\t", b" \t "])), max_size=3)):
+        rows[r][c] = blank + rows[r][c] + blank
+    lines = [b",".join(row) + b"\r\n" for row in rows]
+    for r, end in draw(st.lists(st.tuples(
+            st.integers(0, count - 1), st.sampled_from([*ENDS[1:], b""])),
+            max_size=3)):
+        lines[r] = lines[r].rstrip(b"\r\n") + end
+    for r, end in draw(st.lists(st.tuples(
+            st.integers(0, count), st.sampled_from(ENDS)), max_size=3)):
+        lines.insert(r, end)
+    body = bytearray(b"".join(lines))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(body) - 1))
+        body[at] = draw(st.sampled_from(b"0123456789+-.eE, \t\r\nx"))
+    if draw(st.booleans()):  # cut short, as by a writer that stopped
+        del body[draw(st.integers(1, len(body))):]
+    return bytes(body)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(body=_mutated_bodies(), read_block=st.integers(1, 64))
+def test_parse_is_the_per_line_rule(body, read_block):
+    # the one-translate check of a block of CRLF rows gives what checking
+    # it line by line gives: the same table, bit for bit, or the same error
+    assert (_outcome(csv_io._parse_bytes, body, read_block)
+            == _outcome(_per_line_parse, body, read_block))
+
+
+@pytest.mark.parametrize("body", [b"1\r\n\r\n2\r\n", b"\r\n1\r\n2\r\n\r\n"],
+                         ids=["blank-inside", "blank-first"])
+@pytest.mark.parametrize("read_block", [1, 2 ** 14])
+def test_a_one_column_body_skips_blank_lines(body, read_block):
+    # a width-1 CRLF row and a blank line have the same skeleton, CRLF,
+    # so a width-1 block takes the per-line path, which skips the blank
+    shape, bits = _outcome(csv_io._parse_bytes, body, read_block)
+    assert shape == (2, 1)
+    assert bits == np.array([[1.0], [2.0]]).view(np.int64).tolist()
+
+
+def test_a_last_line_without_its_end_is_named():
+    # a number after the last CRLF leaves the skeleton of CRLF rows as it
+    # is; the block is not one of CRLF rows, and the line is named
+    for read_block in (4, 64):
+        assert _outcome(csv_io._parse_bytes, b"1,2\r\n345", read_block) == (
+            "not a row of 2 numbers: '345'")
 
 
 def test_read_takes_any_spelling_of_a_json_number(tmp_path):
