@@ -60,8 +60,9 @@ def _float_rows(block: np.ndarray) -> List[bytes]:
     rows = text[2:-2].split(b"],[")
     size = np.abs(block)
     odd = ((size >= 1e-5) & (size < 1e-4)) | ~np.isfinite(size)
-    for r in np.flatnonzero(odd.any(axis=1)).tolist():
-        rows[r] = ",".join(map(repr, block[r].tolist())).encode()
+    if odd.any():
+        for r in np.flatnonzero(odd.any(axis=1)).tolist():
+            rows[r] = ",".join(map(repr, block[r].tolist())).encode()
     return rows
 
 

@@ -94,9 +94,25 @@ def _square(value, name: str = "matrix") -> np.ndarray:
 
 
 def peak_norm(rows) -> float:
-    """Largest 1-norm over the last axis of ``rows``; 0.0 when empty."""
+    """Largest 1-norm over the last axis of ``rows``; 0.0 when empty.
+
+    Floating-point addition is not associative, so the order of the
+    additions fixes the bits of a norm (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, ch. 4).  numpy's ``sum`` adds fewer
+    than 8 entries left to right and 8 or more pairwise; rows of fewer
+    than 8 entries are summed here a column at a time, left to right
+    too, which gives ``sum``'s bits without its slow reduction over a
+    short last axis.
+    """
     A = np.asarray(rows)
-    return float(np.abs(A).sum(axis=-1).max()) if A.size else 0.0
+    if not A.size:
+        return 0.0
+    if A.shape[-1] >= 8:
+        return float(np.abs(A).sum(axis=-1).max())
+    total = np.abs(A[..., 0])
+    for c in range(1, A.shape[-1]):
+        total += np.abs(A[..., c])
+    return float(total.max())
 
 
 def one_norm(M) -> float:

@@ -14,6 +14,7 @@ from singwave.matrix_core import (
     matrix_function,
     min_norm_solve,
     one_norm,
+    peak_norm,
     rank_and_kernel,
 )
 
@@ -49,6 +50,55 @@ def test_one_norm_submultiplicative(rng):
         A = random_complex(rng, 5, 5)
         B = random_complex(rng, 5, 5)
         assert one_norm(A @ B) <= one_norm(A) * one_norm(B) + 1e-12
+
+
+# --------------------------------------------------------------- peak_norm
+
+def _numpy_peak(A):
+    return float(np.abs(A).sum(axis=-1).max())
+
+
+def _peak_cases(width, rng):
+    """Tables of rows of ``width`` entries, real and complex, 1-D to 3-D.
+
+    Each holds one row 1, e, ..., e with e = 2**-53, the largest of the
+    table: added left to right it is 1.0 (each 1 + e rounds back to 1),
+    while numpy's pairwise sum, from 8 entries on, adds e to e first and
+    gets more, so only the order numpy uses gives its bits."""
+    tie = np.full(width, 2.0 ** -53)
+    tie[0] = 1.0
+    for shape in ((width,), (6, width), (3, 4, width)):
+        small = rng.standard_normal(shape) * np.exp2(
+            rng.integers(-60, 0, shape)) / (2 * width)
+        small.reshape(-1, width)[-1] = tie
+        for A in (small, small * np.exp(1j * rng.uniform(0, 6.3, shape))):
+            zeros = A.copy()
+            zeros.reshape(-1)[::3] = -0.0
+            yield A
+            yield zeros
+            for value in (np.nan, np.inf, -np.inf):
+                odd = A.copy()
+                odd.reshape(-1)[rng.integers(A.size)] = value
+                yield odd
+            if A.size > 1:
+                both = A.copy()
+                both.reshape(-1)[:2] = np.inf, np.nan
+                yield both
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_peak_norm_has_numpy_sum_bits(width):
+    rng = np.random.default_rng(width)
+    for A in _peak_cases(width, rng):
+        want = _numpy_peak(A)
+        assert np.float64(peak_norm(A)).tobytes() == \
+            np.float64(want).tobytes(), (A.shape, A.dtype)
+
+
+def test_peak_norm_of_empty_input_is_zero():
+    for shape in ((0,), (0, 3), (3, 0), (2, 0, 4), (2, 3, 0)):
+        assert peak_norm(np.zeros(shape)) == 0.0
+        assert peak_norm(np.zeros(shape, dtype=complex)) == 0.0
 
 
 # ---------------------------------------------------------- rank_and_kernel

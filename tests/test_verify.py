@@ -136,22 +136,31 @@ def test_worst_residual_keeps_a_nan(position):
 
 # ---------------------------------------------- blocked interior residual
 
-def _block_rows(M, m):
-    """i rows per block of interior_residual."""
-    return max(1, singwave.verify._BLOCK // ((M - 1) * m))
+def _block_rows(M, m, itemsize=16):
+    """i rows per block of interior_residual, on values of itemsize bytes
+    (16 complex, 8 real)."""
+    return max(1, singwave.verify._BLOCK_BYTES // (itemsize * (M - 1) * m))
 
 
-# (N, M, m): N - 1 interior rows in one full block, exactly two blocks,
-# two blocks and part of a third, and one row per block
-BLOCK_SHAPES = {
-    "N=2,M=2,m=1": (2, 2, 1),
-    "one-block-m=1": (_block_rows(9, 1) + 1, 9, 1),
-    "two-blocks-m=1": (2 * _block_rows(9, 1) + 1, 9, 1),
-    "one-block-m=12": (_block_rows(9, 12) + 1, 9, 12),
-    "two-blocks-m=12": (2 * _block_rows(9, 12) + 1, 9, 12),
-    "uneven-last-block-m=12": (2 * _block_rows(9, 12) + 8, 9, 12),
-    "row-per-block-m=12": (5, singwave.verify._BLOCK // 12 + 2, 12),
-}
+def _block_shapes(itemsize):
+    """(N, M, m): N - 1 interior rows in one full block, exactly two
+    blocks, two blocks and part of a third, and one row per block."""
+    one, twelve = _block_rows(9, 1, itemsize), _block_rows(9, 12, itemsize)
+    return {
+        "N=2,M=2,m=1": (2, 2, 1),
+        "one-block-m=1": (one + 1, 9, 1),
+        "two-blocks-m=1": (2 * one + 1, 9, 1),
+        "one-block-m=12": (twelve + 1, 9, 12),
+        "two-blocks-m=12": (2 * twelve + 1, 9, 12),
+        "uneven-last-block-m=12": (2 * twelve + 8, 9, 12),
+        "row-per-block-m=12": (
+            5, singwave.verify._BLOCK_BYTES // (itemsize * 12) + 2, 12),
+    }
+
+
+BLOCK_SHAPES = _block_shapes(16)
+# a real grid's blocks hold twice the values
+REAL_BLOCK_SHAPES = _block_shapes(8)
 
 
 @pytest.mark.parametrize("shape", BLOCK_SHAPES.values(), ids=BLOCK_SHAPES)
@@ -180,15 +189,88 @@ def test_blocked_interior_residual_is_bit_identical(shape):
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _stencil_dtypes(monkeypatch):
+    """The dtypes of the grids that interior_residual's stencil runs on,
+    in the order it runs them."""
+    seen = []
+    stencil = singwave.verify._stencil_peak
+
+    def spy(U, E, A, grid):
+        seen.append(U.dtype)
+        return stencil(U, E, A, grid)
+    monkeypatch.setattr(singwave.verify, "_stencil_peak", spy)
+    return seen
+
+
+def _same_bits(U, E, A, grid):
+    got = interior_residual(U, E, A, grid, 3.7)
+    want = interior_residual_oracle(U, E, A, grid, 3.7)
+    return np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _real_case(shape):
+    """A real grid of (N, M, m) with signed zeros, its grid and real E
+    and A, all held as complex."""
+    N, M, m = shape
+    rng = np.random.default_rng(N + M + m + 1)
+    grid = GridParams.create(N, 0.5 / N, M * 0.5 / N)
+    E = rng.standard_normal((m, m)).astype(complex)
+    A = rng.standard_normal((m, m)).astype(complex)
+    U = rng.standard_normal((N + 1, M + 1, m))
+    U[rng.random(U.shape) < 0.2] = -0.0
+    return U.astype(complex), E, A, grid
+
+
+@pytest.mark.parametrize("shape", REAL_BLOCK_SHAPES.values(),
+                         ids=REAL_BLOCK_SHAPES)
+def test_real_interior_residual_is_bit_identical(monkeypatch, shape):
+    seen = _stencil_dtypes(monkeypatch)
+    U, E, A, grid = _real_case(shape)
+    zeros = np.where(np.random.default_rng(5).random(U.shape) < 0.5,
+                     -0.0, 0.0).astype(complex)
+    worst = U.copy()
+    worst[shape[0] - 1] *= 1e3
+    for grid_values in (U, zeros, worst):
+        assert _same_bits(grid_values, E, A, grid)
+    assert seen == [np.dtype(float)] * 3
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_real_interior_residual_of_a_non_finite_node(monkeypatch, value):
+    # real arithmetic keeps inf where complex turns inf * 0j into NaN, so
+    # a non-finite real defect is recomputed in complex arithmetic
+    seen = _stencil_dtypes(monkeypatch)
+    U, E, A, grid = _real_case(REAL_BLOCK_SHAPES["two-blocks-m=12"])
+    U[grid.N // 2, grid.M // 2, 3] = value
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(U, E, A, grid)
+    assert seen == [np.dtype(float), np.dtype(complex)]
+
+
+@pytest.mark.parametrize("where", ["grid", "E", "A"])
+def test_interior_residual_with_one_imaginary_part(monkeypatch, where):
+    # one non-zero imaginary part anywhere sends the stencil to complex
+    # arithmetic; a real path that dropped it would read other bits
+    seen = _stencil_dtypes(monkeypatch)
+    U, E, A, grid = _real_case(REAL_BLOCK_SHAPES["uneven-last-block-m=12"])
+    if where == "grid":
+        U[grid.N - 1, grid.M - 1, 11] += 1e-3j
+    else:
+        (E if where == "E" else A)[4, 7] += 0.5j
+    assert _same_bits(U, E, A, grid)
+    assert seen == [np.dtype(complex)]
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("block", ["first", "last"])
 def test_blocked_interior_residual_keeps_a_nan(monkeypatch, value, block):
-    # three i rows per block, so that the 11 interior rows end in a block
-    # of two; the node sits off the endpoint rows and the initial levels,
-    # so only the interior stencil sees it
+    # three i rows per complex block (six per real one), so that the 11
+    # interior rows end in a block of two (of five); the node sits off the
+    # endpoint rows and the initial levels, so only the interior stencil
+    # sees it
     spec = demo_problem(12, 1.0 / 48.0, 1.0)
     N, M, m = spec.grid.N, spec.grid.M, spec.m
-    monkeypatch.setattr(singwave.verify, "_BLOCK", 3 * (M - 1) * m)
+    monkeypatch.setattr(singwave.verify, "_BLOCK_BYTES", 3 * 16 * (M - 1) * m)
     U = solve_problem(spec).U.copy()
     assert _residual_gate(U, spec)[1].passed
     U[2 if block == "first" else N - 2, M // 2, 1] = value
